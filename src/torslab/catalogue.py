@@ -17,15 +17,23 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (
+    AlgebraError,
     Representation,
-    direct_sum_many,
     hom_space,
     image_submodule,
     kernel_submodule,
     quotient_module,
     submodule_rep,
 )
-from .linalg import inverse, mat_mul, nullspace, row_space, rref
+from .linalg import (
+    in_row_space,
+    inverse,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    row_space,
+    rref,
+)
 
 BUDGET_DEFAULT = 22
 CODE_CAP = 4_000_000
@@ -114,7 +122,9 @@ class Catalogue:
     def _enumerate(self, code_cap):
         A = self.algebra
         p = A.p
-        items = []
+        # check every dimension vector against the cap before sweeping any, so
+        # a window over the cap fails at once, not after the smaller sweeps
+        todo = []
         for dims in _all_dims(self.bound):
             cells = [dims[a.target] * dims[a.source] for a in A.arrows]
             N = sum(cells)
@@ -122,6 +132,9 @@ class Catalogue:
                 raise BudgetError(
                     "orbit sweep too large at dims %r: %d^%d codes" % (dims, p, N)
                 )
+            todo.append((dims, cells))
+        items = []
+        for dims, cells in todo:
             items.extend(self._sweep_dims(dims, cells))
         items.sort(key=lambda it: (it[0], it[1]))
         self.reps = tuple(
@@ -131,37 +144,12 @@ class Catalogue:
         self._fp_index = {fp: i for i, fp in enumerate(self.fingerprints)}
 
     def _decode(self, dims, cells, code):
-        A = self.algebra
-        p = A.p
-        mats = []
-        for ai, a in enumerate(A.arrows):
-            dt, ds = dims[a.target], dims[a.source]
-            block = code % (p ** cells[ai])
-            code //= p ** cells[ai]
-            m = []
-            for _ in range(dt):
-                row = []
-                for _ in range(ds):
-                    row.append(block % p)
-                    block //= p
-                m.append(tuple(row))
-            mats.append(tuple(m))
-        return tuple(mats)
-
-    def _encode(self, dims, cells, mats):
         p = self.algebra.p
-        code = 0
-        mult = 1
+        mats = []
         for ai, a in enumerate(self.algebra.arrows):
-            block = 0
-            bm = 1
-            for row in mats[ai]:
-                for x in row:
-                    block += x * bm
-                    bm *= p
-            code += block * mult
-            mult *= p ** cells[ai]
-        return code
+            code, block = divmod(code, p ** cells[ai])
+            mats.append(self._decode_block(dims[a.target], dims[a.source], block))
+        return tuple(mats)
 
     def _sweep_dims(self, dims, cells):
         A = self.algebra
@@ -244,7 +232,7 @@ class Catalogue:
     def _relations_hold(self, dims, mats):
         try:
             Representation(self.algebra, dims, mats, check=True)
-        except Exception:
+        except AlgebraError:
             return False
         return True
 
@@ -475,15 +463,10 @@ class Catalogue:
             for ai, a in enumerate(A.arrows):
                 if a.source != u:
                     continue
-                img = tuple(
-                    sum(M.mats[ai][r][c] * w[c] for c in range(M.dims[u])) % p
-                    for r in range(M.dims[a.target])
-                )
+                img = mat_vec(M.mats[ai], w, p)
                 if not any(img):
                     continue
-                cur = row_space(tuple(spans[a.target]), p)
-                stacked = row_space(cur + (img,), p)
-                if len(stacked) > len(cur):
+                if not in_row_space(img, row_space(tuple(spans[a.target]), p), p):
                     spans[a.target].append(img)
                     work.append((a.target, img))
         return tuple(row_space(tuple(spans[v]), p) for v in range(A.n))
@@ -689,7 +672,3 @@ def is_isomorphic_rep(M, N, cap=SWEEP_CAP):
         if all(inverse(m, p) is not None for m in phi if m):
             return True
     return False
-
-
-def module_from_signature(cat, sig):
-    return direct_sum_many(cat.algebra, [cat.rep(i) for i in sig])

@@ -5,7 +5,10 @@ decision runs in Fraction arithmetic.  Two engines are kept deliberately
 separate so tests can compare them: a two-phase simplex with Bland's rule
 answers the programming questions (trivial intersection, strong convexity,
 best separating vector), and an incremental double description pass over
-facet systems re-decides intersection triviality from the H-side.
+facet systems re-decides intersection triviality from the H-side.  The
+double description decides ray adjacency by a rank from ``linalg.rref_q``;
+the simplex keeps its own tableau pivoting, so the two engines share no
+elimination code.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .linalg import rref_q
 from .stability import class_dimvectors
 
 _ZERO = Fraction(0)
@@ -179,24 +183,6 @@ def solve_program(rows, rhs, cost=None):
 
 def _dot(a, b):
     return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
-
-
-def _rational_rank(rows, ncols):
-    work = [[Fraction(x) for x in r] for r in rows]
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-    return r
 
 
 # -- LP-side predicates ------------------------------------------------------------
@@ -374,7 +360,7 @@ def dd_rays(ineqs, eqs, dim):
 
     def adjacent(r1, r2):
         common = [a for a in processed if _dot(a, r1) == 0 and _dot(a, r2) == 0]
-        return _rational_rank(common, dim) == dim - len(lin) - 2
+        return len(rref_q(common)[1]) == dim - len(lin) - 2
 
     def project(v, a, l0, al0):
         av = _dot(a, v)

@@ -1,14 +1,24 @@
-"""Exact linear algebra over prime fields F_p.
+"""Exact linear algebra: the F_p kernels and the one rational elimination.
 
-Matrices are tuples of tuples of ints in range(p), rows first.  An r x c
-matrix with r == 0 is the empty tuple, so the column count must be carried
-by the caller whenever it matters (nullspace, stacking).  All routines are
-pure and allocation-light; p stays small (2..13) so Fermat inversion is fine.
+Over F_p, matrices are tuples of tuples of ints in range(p), rows first.  An
+r x c matrix with r == 0 is the empty tuple, so the column count must be
+carried by the caller whenever it matters (nullspace, stacking).  A basis
+"in RREF" is the row tuple returned by ``rref`` or ``row_space``: each row
+starts with a 1 in its pivot column, which is 0 in every other row, so the
+coordinates of a vector of the row space are its entries at the pivots.
+All routines are pure and allocation-light; p stays small (2..13) so Fermat
+inversion is fine.
+
+Over Q, ``rref_q`` is the only Gaussian elimination in Fraction arithmetic.
+It serves the rank tests of double description and of silting g-vectors
+and the exact solves of the rigidity test; the simplex in ``cones`` keeps
+its own tableau pivoting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Mat = tuple  # tuple of row tuples
@@ -30,23 +40,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_add(a: Mat, b: Mat, p: int) -> Mat:
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat, p: int) -> Mat:
-    return tuple(tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Mat, p: int) -> Mat:
-    return tuple(tuple((-x) % p for x in row) for row in a)
-
-
-def mat_scale(a: Mat, s: int, p: int) -> Mat:
-    s %= p
-    return tuple(tuple((x * s) % p for x in row) for row in a)
-
-
 def mat_mul(a: Mat, b: Mat, p: int, inner: int | None = None) -> Mat:
     """a @ b mod p.  inner = shared dimension, needed when a has no rows
     or b has no rows (then the shape of b is unrecoverable)."""
@@ -65,17 +58,9 @@ def mat_mul(a: Mat, b: Mat, p: int, inner: int | None = None) -> Mat:
     )
 
 
-def mat_transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(zip(*a))
-
-
-def transpose_with_cols(a: Mat, cols: int) -> Mat:
-    """Transpose that keeps the column count of an empty matrix."""
-    if not a:
-        return tuple(() for _ in range(cols))
-    return tuple(zip(*a))
+def mat_vec(m: Mat, v: Sequence[int], p: int) -> tuple:
+    """Matrix times column vector, the vector given as a flat sequence."""
+    return tuple(sum(map(mul, row, v)) % p for row in m)
 
 
 def vec_matmul(v: Sequence[int], a: Mat, p: int) -> tuple:
@@ -166,15 +151,22 @@ def row_space(a: Mat, p: int) -> Mat:
     return rref(a, p)[0]
 
 
-def in_row_space(v: Sequence[int], basis: Mat, p: int) -> bool:
-    """basis must be in RREF."""
+def residual(v: Sequence[int], basis: Mat, p: int) -> tuple:
+    """v reduced mod p against the rows of a basis in RREF.
+
+    The result vanishes at every pivot column, and it is zero exactly when v
+    lies in the row space."""
     w = [x % p for x in v]
     for row in basis:
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is not None and w[pc]:
-            f = w[pc]
+        f = w[row.index(1)]
+        if f:
             w = [(x - f * y) % p for x, y in zip(w, row)]
-    return not any(w)
+    return tuple(w)
+
+
+def in_row_space(v: Sequence[int], basis: Mat, p: int) -> bool:
+    """basis must be in RREF."""
+    return not any(residual(v, basis, p))
 
 
 def hstack(mats: Sequence[Mat], nrows: int) -> Mat:
@@ -197,5 +189,27 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     return tuple(out)
 
 
-def frac_dot(u: Sequence[Fraction], v: Sequence[int]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def rref_q(rows: Iterable[Sequence]) -> tuple[Mat, tuple]:
+    """Reduced row echelon form over Q; returns (nonzero rows, pivot column
+    indices), the rows as tuples of Fractions."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)

@@ -216,8 +216,10 @@ def fei_union_check(cat, theta, l_max, cap=SWEEP_CAP, sample_checks=SAMPLE_CHECK
         for coeffs in sampled:
             U = map_from_coeffs(A, space, coeffs)
             direct = tbar_of_map(cat, U)
-            assert direct == covered_mask(cat, U), "rank form disagrees with the kernel form"
-            assert direct & ~target == 0, "induced class leaks outside the weak class"
+            if direct != covered_mask(cat, U):
+                raise PresentationError("rank form disagrees with the kernel form")
+            if direct & ~target:
+                raise PresentationError("induced class leaks outside the weak class")
             checked += 1
         levels.append(
             {

@@ -33,7 +33,7 @@ from .algebra import (
     submodule_rep,
 )
 from .cones import RationalCone
-from .linalg import inv_mod, nullspace, rref
+from .linalg import inv_mod, nullspace, residual, rref, rref_q
 from .torsion import fac_closure, left_perp
 
 
@@ -48,26 +48,9 @@ class MutationError(SiltingError):
 # -- algebra-valued matrices --------------------------------------------------
 
 
-def _unit_index(A, i):
-    cache = getattr(A, "_unit_idx", None)
-    if cache is None:
-        cache = {}
-        A._unit_idx = cache
-    got = cache.get(i)
-    if got is None:
-        for k in A.paths_between(i, i):
-            if not A.basis[k][1]:
-                got = k
-                break
-        else:
-            raise AlgebraError("vertex %r has no trivial path" % (i,))
-        cache[i] = got
-    return got
-
-
 def _local_inverse(A, i, u):
     """Inverse of u in e_i A e_i; u must have a unit coefficient there."""
-    e = _unit_index(A, i)
+    e = A.basis_index[(i, ())]
     c = u.get(e, 0) % A.p
     if not c:
         raise AlgebraError("element has no unit part at vertex %r" % (i,))
@@ -148,17 +131,6 @@ def _unvec(slots, nsrc, ndst, vec):
                 rows[l][k] = cell = {}
             cell[b] = c
     return tuple(tuple(rows[l][k] for k in range(nsrc)) for l in range(ndst))
-
-
-def _residual(v, rows, p):
-    v = list(v)
-    for row in rows:
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is None or not v[piv]:
-            continue
-        f = v[piv]
-        v = [(a - f * b) % p for a, b in zip(v, row)]
-    return v
 
 
 # -- complexes ----------------------------------------------------------------
@@ -317,18 +289,17 @@ def _chain_data(X, Y):
                     vb[col] = prod.get(slot[2], 0)
         hvecs.append(tuple(va) + tuple(vb))
     hot, _ = rref(tuple(hvecs), p)
-    work = [list(r) for r in hot]
+    work = hot
     k_vecs = []
     k_mats = []
     for v in sol:
-        r = _residual(v, work, p)
+        r = residual(v, work, p)
         if any(r):
             k_vecs.append(v)
             alpha = _unvec(sa, len(X.minus), len(Y.minus), v[:na])
             beta = _unvec(sb, len(X.zero), len(Y.zero), v[na:])
             k_mats.append((alpha, beta))
-            work, _ = rref(tuple(tuple(x) for x in work) + (tuple(r),), p)
-            work = [list(row) for row in work]
+            work, _ = rref(work + (r,), p)
     data = {
         "sa": sa,
         "sb": sb,
@@ -443,7 +414,7 @@ def _find_pivot(A, terms, diffs):
             for k in range(len(src)):
                 if src[k] != dst[l]:
                     continue
-                if D[l][k].get(_unit_index(A, src[k]), 0) % p:
+                if D[l][k].get(A.basis_index[(src[k], ())], 0) % p:
                     return d, l, k
     return None
 
@@ -480,7 +451,8 @@ def _eliminate(A, terms, diffs, d, l0, k0):
                     continue
                 for bi, c in A.mult(w[k], Dp[k][j]).items():
                     acc[bi] = (acc.get(bi, 0) + c) % p
-            assert not any(c % p for c in acc.values()), "split summand leaks upstream"
+            if any(c % p for c in acc.values()):
+                raise SiltingError("split summand leaks upstream")
         diffs[d - 1] = [row for kk, row in enumerate(Dp) if kk != k0]
     if d + 1 < len(diffs):
         Dn = diffs[d + 1]
@@ -491,7 +463,8 @@ def _eliminate(A, terms, diffs, d, l0, k0):
                     continue
                 for bi, c in A.mult(Dn[j][l], v[l]).items():
                     acc[bi] = (acc.get(bi, 0) + c) % p
-            assert not any(c % p for c in acc.values()), "split summand leaks downstream"
+            if any(c % p for c in acc.values()):
+                raise SiltingError("split summand leaks downstream")
         diffs[d + 1] = [[e for ll, e in enumerate(row) if ll != l0] for row in Dn]
     terms[d] = [t for kk, t in enumerate(terms[d]) if kk != k0]
     terms[d + 1] = [t for ll, t in enumerate(terms[d + 1]) if ll != l0]
@@ -583,7 +556,8 @@ def _left_exchange(X, others):
     for t in range(len(others)):
         for pair in hom_k_basis(X, others[t]):
             copies.append((t, pair))
-    assert _left_approximates(A, X, others, copies), "universal target fails to approximate"
+    if not _left_approximates(A, X, others, copies):
+        raise MutationError("universal target fails to approximate")
     copies = _strip_copies(copies, lambda c: _left_approximates(A, X, others, c))
     E = direct_sum_complex([others[t] for t, _ in copies], A)
     g_alpha = _stack_rows([pair[0] for _, pair in copies])
@@ -611,7 +585,8 @@ def _right_exchange(X, others):
     for t in range(len(others)):
         for pair in hom_k_basis(others[t], X):
             copies.append((t, pair))
-    assert _right_approximates(A, X, others, copies), "universal source fails to approximate"
+    if not _right_approximates(A, X, others, copies):
+        raise MutationError("universal source fails to approximate")
     copies = _strip_copies(copies, lambda c: _right_approximates(A, X, others, c))
     E = direct_sum_complex([others[t] for t, _ in copies], A)
     h_alpha = _stack_cols([pair[0] for _, pair in copies], len(X.minus))
@@ -714,60 +689,24 @@ def silting_cone(summands):
         raise SiltingError("empty summand list")
     A = summands[0].algebra
     rays = tuple(c.g_vector() for c in summands)
-    if _rank_q(rays) != len(rays):
+    if len(rref_q(rays)[1]) != len(rays):
         raise SiltingError("summand g-vectors are linearly dependent")
     return RationalCone.from_vectors(A.n, rays)
 
 
-def _rank_q(rows):
-    work = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][c]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 def _positive_combination(rays, theta):
-    """Strictly positive exact solution of sum(a_i rays_i) = theta, or None."""
+    """Strictly positive exact solution of sum(a_i rays_i) = theta, or None.
+
+    The augmented system has a unique solution exactly when its pivots are
+    the ray columns: a pivot in the last column makes it inconsistent, a
+    missing one leaves it underdetermined."""
     m = len(rays)
-    n = len(theta)
-    rows = [[Fraction(rays[j][i]) for j in range(m)] + [theta[i]] for i in range(n)]
-    r = 0
-    where = []
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        where.append(c)
-        r += 1
-    for i in range(r, n):
-        if rows[i][m] != 0:
-            return None
-    if len(where) < m:
+    red, pivots = rref_q([[g[i] for g in rays] + [t] for i, t in enumerate(theta)])
+    if pivots != tuple(range(m)):
         return None
-    coeffs = [Fraction(0)] * m
-    for i, c in enumerate(where):
-        coeffs[c] = rows[i][m]
+    coeffs = tuple(row[m] for row in red)
     if all(x > 0 for x in coeffs):
-        return tuple(coeffs)
+        return coeffs
     return None
 
 

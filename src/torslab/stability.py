@@ -76,8 +76,10 @@ def quadruple(cat, theta):
             F |= bit
         if all(x <= 0 for x in svals):
             Fbar |= bit
-    assert T & ~Tbar == 0 and F & ~Fbar == 0
-    assert T & Fbar == zero_bit and Tbar & F == zero_bit
+    if T & ~Tbar or F & ~Fbar:
+        raise ValueError("strict class not inside its weak class at %r" % (theta,))
+    if T & Fbar != zero_bit or Tbar & F != zero_bit:
+        raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
     return Quadruple(T, Tbar, F, Fbar)
 
 

@@ -1,5 +1,6 @@
 """Acceptance gate: one timed criterion per test, one PASS/FAIL line each."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -289,12 +290,32 @@ def _bundle():
     return out
 
 
+# SHA-256 of every _bundle() output: reports are part of the interface, so a
+# change that alters any byte of them fails here, not only nondeterminism.
+BUNDLE_SHA256 = {
+    "brickfinite-kxk": "320a498a4e2782f967c05014864d8a2418310c12a5b04f300f8a74756570379d",
+    "brickfinite-loop": "f14fa442ae42d2703594a1589d6b50e91c595ea041aaddfd8fdc0b06b7dfab8c",
+    "fan": "f5801291b6cdb7a55cc91d169e526bb7ced32540d3f5fa9895fd4ea4b09e4675",
+    "numdis-a2": "2a13efb16db184238d0aadd8d6639cc4819ec4fb25704381947d642233ad0177",
+    "numdis-kxk": "85423c3d157b0b62e50a52c6fa9b223aea4b3a64c5e989bc5a56bee450a75bc8",
+    "numdis-loop": "f84419545fcbe7b98263a9a2618d872f4a30b0f46e01afff06c7f25c332da000",
+    "scan": "fa500e56170f43da1b51570cf9ba2bbc6e844ae400287fabe9e65a2abebf7af3",
+    "semistable-a2": "5a4e13155ebd538bd4fc6f4603950e5eb4dad5c11c359a07ac2cf88d4f8f23d7",
+    "smalo-a2": "4cb0f6519ec20ce2a1bcc22f9b77c8f0dce78890c62ff91fc72be16613d386bf",
+    "smalo-kxk": "2af875a314f4ebc00eb9e1d15dfae9cdbe020c2f48358f38c3afddb28c5935b7",
+    "smalo-loop": "88b3fc5b2cca117c72972fb6c70a87eed6068b1ae31a270a34a6a4baa2b0b774",
+    "wallchamber": "f87065515ef1d484ea33509b961c5a421b4676b5cec7a01a25264a8a2664e1a2",
+}
+
+
 def test_criterion_10_determinism():
     def body():
         first = _bundle()
         second = _bundle()
-        assert sorted(first) == sorted(second)
+        assert sorted(first) == sorted(second) == sorted(BUNDLE_SHA256)
         for key in first:
             assert first[key] == second[key], key
+            digest = hashlib.sha256(first[key].encode("utf-8")).hexdigest()
+            assert digest == BUNDLE_SHA256[key], key
 
     _criterion(10, "determinism", 600, body)

@@ -171,6 +171,9 @@ def test_sub_quotient_kernel_image(a2):
     assert not arrow_stable(P1, bad)
     with pytest.raises(AlgebraError):
         quotient_module(P1, bad)
+    # an explicit raise, so the check survives python -O
+    with pytest.raises(AlgebraError):
+        submodule_rep(P1, bad)
     S2 = simple_module(a2, 1)
     (f,) = hom_space(S2, P1)
     assert kernel_submodule(f, S2, P1) == ((), ())

@@ -186,9 +186,27 @@ def test_extensions(a2, loop, cat_a2, cat_loop, cat_kron):
     assert trunc5
 
 
-def test_budget_guards(kronecker):
+def test_budget_guards(kronecker, monkeypatch):
     with pytest.raises(BudgetError):
         Catalogue(kronecker, (4, 4))
     k3 = bundled("kronecker", p=3)
     with pytest.raises(BudgetError):
         Catalogue(k3, (3, 3))
+
+    # the cap is checked for every dimension vector before any sweep starts
+    def no_sweep(self, dims, cells):
+        raise AssertionError("swept %r before the budget check" % (dims,))
+
+    monkeypatch.setattr(Catalogue, "_sweep_dims", no_sweep)
+    with pytest.raises(BudgetError) as err:
+        Catalogue(k3, (3, 3))
+    assert str(err.value) == "orbit sweep too large at dims (3, 3): 3^18 codes"
+
+
+def test_relation_check_lets_unexpected_errors_through(a2, monkeypatch):
+    def broken(self):
+        raise RuntimeError("bug in the relation check")
+
+    monkeypatch.setattr(Representation, "_validate", broken)
+    with pytest.raises(RuntimeError):
+        Catalogue(a2, (1, 1))

@@ -182,6 +182,24 @@ def test_cli_negative_grid_and_out(tmp_path):
     assert rep["fields"] == [2, 3]
 
 
+def test_cli_optimized_run_keeps_report_bytes():
+    # python -O strips assert statements; the invariants this run reaches
+    # (quadruple, mutate, submodule_rep) are explicit raises instead
+    argv = (
+        "verify", "--suite", "semistable", "--algebra", "a2",
+        "--bound", "2,2", "--grid", "-1:1", "--depth", "4",
+    )
+    plain = _cli(*argv)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "torslab.cli"] + list(argv),
+        capture_output=True,
+        text=True,
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
 def test_cli_unknown_algebra_errors():
     proc = _cli("fan", "--algebra", "no-such-algebra")
     assert proc.returncode != 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from torslab.linalg import (
     hstack,
@@ -7,10 +8,13 @@ from torslab.linalg import (
     inv_mod,
     inverse,
     mat_mul,
+    mat_vec,
     nullspace,
     rank,
+    residual,
     row_space,
     rref,
+    rref_q,
     solve,
     vec_matmul,
     vstack,
@@ -79,6 +83,47 @@ def test_row_space_membership():
     basis = row_space(((1, 1, 0), (0, 1, 1)), p)
     assert in_row_space((1, 0, 1), basis, p)
     assert not in_row_space((1, 0, 0), basis, p)
+
+
+def test_residual_vanishes_on_pivots():
+    p = 3
+    basis = row_space(((1, 2, 0, 1), (0, 0, 1, 2)), p)
+    pivots = [row.index(1) for row in basis]
+    rng = random.Random(5)
+    for _ in range(30):
+        v = tuple(rng.randrange(p) for _ in range(4))
+        r = residual(v, basis, p)
+        assert all(r[c] == 0 for c in pivots)
+        # v - r is the combination of the basis rows with v's pivot entries
+        back = tuple(
+            (sum(v[pc] * row[j] for row, pc in zip(basis, pivots)) + r[j]) % p
+            for j in range(4)
+        )
+        assert back == v
+        assert in_row_space(v, basis, p) == (not any(r))
+    assert residual((4, 5), (), p) == (1, 2)
+
+
+def test_mat_vec_matches_mat_mul():
+    rng = random.Random(7)
+    for _ in range(30):
+        p = rng.choice((2, 3, 5))
+        r, c = rng.randint(0, 4), rng.randint(1, 4)
+        a = tuple(tuple(rng.randrange(p) for _ in range(c)) for _ in range(r))
+        v = tuple(rng.randrange(p) for _ in range(c))
+        col = mat_mul(a, tuple((x,) for x in v), p, inner=c)
+        assert mat_vec(a, v, p) == tuple(row[0] for row in col)
+
+
+def test_rref_q():
+    red, piv = rref_q(((2, 4, 1), (1, 2, 3), (3, 6, 4)))
+    assert piv == (0, 2)
+    assert red == ((1, 2, 0), (0, 0, 1))
+    assert all(isinstance(x, Fraction) for row in red for x in row)
+    red, piv = rref_q(((2, 1), (Fraction(1, 2), 0)))
+    assert piv == (0, 1) and red == ((1, 0), (0, 1))
+    assert rref_q(()) == ((), ())
+    assert rref_q(((0, 0),)) == ((), ())
 
 
 def test_stack_helpers():

@@ -274,6 +274,9 @@ def test_silting_cone(a2):
     assert cone.generators == ((0, 1), (1, 0))
     with pytest.raises(SiltingError):
         silting_cone(())
+    twice = (projective_complex(a2, 0), projective_complex(a2, 0))
+    with pytest.raises(SiltingError):
+        silting_cone(twice)
 
 
 def test_rigidity_a2(a2):
@@ -291,6 +294,12 @@ def test_rigidity_a2(a2):
     anti = rigidity((Fraction(-2), Fraction(-5)), g)
     assert anti["verdict"] == "rigid"
     assert anti["rays"] == ((-1, 0), (0, -1))
+    # theta on a ray: the single rays tried first give inconsistent systems,
+    # the first pair a unique solution with a negative coefficient
+    edge = rigidity((Fraction(1), Fraction(-1)), g)
+    assert edge["verdict"] == "rigid"
+    assert edge["rays"] == ((1, -1),)
+    assert edge["coeffs"] == (Fraction(1),)
 
 
 def test_rigidity_kronecker_limit_ray(kronecker):
