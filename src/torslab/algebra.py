@@ -77,6 +77,11 @@ class Algebra:
         self._check_relations_shape()
         self._build_basis()
         self._mult_cache = {}
+        self._proj_struct = {}
+        self._inj_struct = {}
+        self._hom_layouts = {}
+        self._chain_cache = {}
+        self._rigid_pairs = {}
 
     # -- construction ------------------------------------------------------
 
@@ -224,10 +229,6 @@ class Algebra:
         """The trivial path e_v as an element."""
         return {self.basis_index[(v, ())]: 1}
 
-    def arrow_element(self, ai):
-        a = self.arrows[ai]
-        return {self.basis_index[(a.source, (ai,))]: 1}
-
     def reduce_path(self, path):
         combo = self._nf.get(path)
         if combo is None:
@@ -267,14 +268,6 @@ class Algebra:
             k
             for k in range(self.dim)
             if self.path_source[k] == i and self.path_target[k] == j
-        )
-
-    def fingerprint(self):
-        return (
-            self.p,
-            self.vertex_names,
-            tuple((a.name, a.source, a.target) for a in self.arrows),
-            self.relations,
         )
 
 
@@ -483,10 +476,7 @@ def proj_struct(A, i):
     """Basis-path layout of P(i) = e_i A: per-vertex lists of basis indices."""
     if not 0 <= i < A.n:
         raise AlgebraError("invalid vertex %r" % (i,))
-    cache = getattr(A, "_proj_struct", None)
-    if cache is None:
-        cache = {}
-        A._proj_struct = cache
+    cache = A._proj_struct
     if i in cache:
         return cache[i]
     per_vertex = tuple(
@@ -523,10 +513,7 @@ def inj_struct(A, i):
     """Basis-path layout of the paths ending at i, grouped by source vertex."""
     if not 0 <= i < A.n:
         raise AlgebraError("invalid vertex %r" % (i,))
-    cache = getattr(A, "_inj_struct", None)
-    if cache is None:
-        cache = {}
-        A._inj_struct = cache
+    cache = A._inj_struct
     if i in cache:
         return cache[i]
     per_vertex = tuple(

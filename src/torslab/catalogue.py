@@ -111,6 +111,10 @@ class Catalogue:
         self._subs = {}
         self._subquots = {}
         self._homs = {}
+        self._fac_single = {}
+        self._sub_single = {}
+        self._t_single = {}
+        self._lperp_single = {}
         self._ext = {}
         self._find_memo = {}
         self._by_total = sorted(
@@ -358,16 +362,6 @@ class Catalogue:
             raise WindowError("no catalogue item with signature %r" % (sig,))
         self._find_memo[key] = idx
         return idx
-
-    def from_signature(self, sig):
-        sig = tuple(sorted(sig))
-        idx = self._sig_index.get(sig)
-        if idx is not None:
-            return idx
-        for j in range(len(self.reps)):
-            if self.signature(j) == sig:
-                return j
-        raise WindowError("no catalogue item with signature %r" % (sig,))
 
     # -- bricks and semibricks -------------------------------------------------
 

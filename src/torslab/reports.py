@@ -39,18 +39,7 @@ from .silting import (
     silting_cone,
 )
 from .stability import classes_in, quadruple
-from .torsion import (
-    cocompact_witness,
-    compact_witness,
-    enumerate_torsion_classes,
-    fac_single_witness,
-    functorially_finite,
-    mask_of,
-    right_perp,
-    sub_single_witness,
-    t_of,
-    window_stable,
-)
+from .torsion import Window, mask_of, right_perp, t_of
 
 # cost cap for the single-map realization sweep inside the semistable suite
 TBAR_SWEEP_COST = 8192
@@ -124,37 +113,6 @@ def _grid_points(grid, n):
     return list(itertools.product(range(lo, hi + 1), repeat=n))
 
 
-def _ample(algebra, bound, classes, cat):
-    """Window-stability certificate, or None when bound+1 exceeds the budget."""
-    try:
-        return window_stable(algebra, bound, classes, cat)
-    except BudgetError:
-        return None
-
-
-class _WitnessBox:
-    """Per-mask memo of the five single-module witnesses."""
-
-    def __init__(self, cat):
-        self.cat = cat
-        self.memo = {}
-
-    def get(self, tmask):
-        got = self.memo.get(tmask)
-        if got is None:
-            cat = self.cat
-            fmask = right_perp(cat, tmask)
-            got = {
-                "fac": fac_single_witness(cat, tmask),
-                "sub": sub_single_witness(cat, fmask),
-                "compact": compact_witness(cat, tmask),
-                "cocompact": cocompact_witness(cat, tmask),
-            }
-            got["ff"] = got["fac"] is not None and got["sub"] is not None
-            self.memo[tmask] = got
-        return got
-
-
 def _witness_dims(cat, wit):
     return {
         "fac": _dims(cat, wit["fac"]),
@@ -172,15 +130,14 @@ def suite_smalo(algebra, bound, algebra_id="algebra"):
 
     For each class the suite hunts four witnesses: a module whose factor
     closure is the class, a module whose submodule closure is the paired
-    torsion-free class, and the compact and cocompact generators.  The
-    first two stand or fall together, and whenever they stand the class
-    must also be bicompact.  Requires an ample bound: the class census
+    torsion-free class, and the compact and cocompact generators.  When
+    the first two stand the class must also be bicompact; when either is
+    missing the check is window-limited, because a stable census does not
+    bound the size of a witness.  Requires an ample bound: the class census
     has to be stable under raising every coordinate of the bound by one.
     """
-    cat = Catalogue(algebra, bound)
-    classes = enumerate_torsion_classes(cat)
-    cert = _ample(algebra, bound, classes, cat)
-    if cert is None or not cert["stable"]:
+    w = Window(algebra, bound)
+    if not w.ample:
         raise ReportError(
             "no ample-bound certificate for %s at %r" % (algebra_id, bound)
         )
@@ -188,24 +145,18 @@ def suite_smalo(algebra, bound, algebra_id="algebra"):
         _check(
             "torsion-window-stable",
             "pass",
-            {"classes": len(classes), "classes-at-next-bound": cert["count_big"]},
+            {"classes": len(w.classes), "classes-at-next-bound": w.cert["count_big"]},
         )
     ]
-    box = _WitnessBox(cat)
-    for k, tmask in enumerate(classes):
-        wit = box.get(tmask)
-        payload = _witness_dims(cat, wit)
+    for k, tmask in enumerate(w.classes):
+        wit = w.witnesses(tmask)
+        payload = _witness_dims(w.cat, wit)
         payload["size"] = bin(tmask).count("1")
-        fac_ok = wit["fac"] is not None
-        sub_ok = wit["sub"] is not None
-        if fac_ok and sub_ok:
+        if wit["ff"]:
             # the conclusion: a functorially finite class is bicompact
-            good = wit["compact"] is not None and wit["cocompact"] is not None
-            status = "pass" if good else "fail"
+            status = "pass" if wit["bicompact"] else "fail"
         else:
-            # with an ample window a missing witness is genuine, and the
-            # two single-witness conditions must agree
-            status = "fail"
+            status = "window-limited"
         checks.append(_check("smalo-class[%d]" % k, status, payload))
     return _report(algebra_id, algebra, bound, "smalo", checks)
 
@@ -241,34 +192,30 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
     g-vector fan and evaluates, with window witnesses, the predicates:
     strict class bicompact, compact, functorially finite, and weak class
     bicompact, cocompact, functorially finite.  A rigid weight must carry
-    all six witnesses; a witness that escapes the window demotes the check
-    to window-limited unless the bound is ample, in which case the absence
-    is genuine and the check fails.  Rigid weights are also cross-checked:
+    all six witnesses; a missing witness demotes the check to
+    window-limited, even at an ample bound, because a stable census does
+    not bound the size of a witness.  Rigid weights are also cross-checked:
     the cohomology of the witnessing face induces exactly the two classes
     the weight cuts out, and where the sweep is affordable the weak class
     is realized as the perp class of one presentation map.
     """
-    cat = Catalogue(algebra, bound)
-    classes = enumerate_torsion_classes(cat)
-    cert = _ample(algebra, bound, classes, cat)
-    ample = bool(cert and cert["stable"])
+    w = Window(algebra, bound)
+    cat = w.cat
     graph = enumerate_silting(algebra, depth)
     by_key = {v["key"]: v["summands"] for v in graph["vertices"]}
-    box = _WitnessBox(cat)
     face_memo = {}
     checks = []
     npass = nlimited = 0
     for theta in _grid_points(grid, algebra.n):
         verdict = rigidity(theta, graph)
         quad = quadruple(cat, theta)
-        wt = box.get(quad.T)
-        wb = box.get(quad.Tbar)
+        wt = w.witnesses(quad.T)
+        wb = w.witnesses(quad.Tbar)
         predicates = {
-            "T-bicompact": wt["compact"] is not None and wt["cocompact"] is not None,
+            "T-bicompact": wt["bicompact"],
             "T-compact": wt["compact"] is not None,
             "T-ff": wt["ff"],
-            "Tbar-bicompact": wb["compact"] is not None
-            and wb["cocompact"] is not None,
+            "Tbar-bicompact": wb["bicompact"],
             "Tbar-cocompact": wb["cocompact"] is not None,
             "Tbar-ff": wb["ff"],
         }
@@ -303,11 +250,11 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
                     status = "fail"
             payload["tbar-map"] = _tbar_map_search(cat, theta, quad.Tbar)
             if not all_witnessed and status == "pass":
-                status = "fail" if ample and graph["complete"] else "window-limited"
+                status = "window-limited"
         elif verdict["verdict"] == "not_rigid":
             # everything equivalent to rigidity must break somewhere
             if all_witnessed and status == "pass":
-                status = "fail" if ample else "window-limited"
+                status = "fail" if w.ample else "window-limited"
         else:
             status = "window-limited" if status == "pass" else status
         if status == "pass":
@@ -327,7 +274,7 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
                 "full-pass": npass,
                 "window-limited": nlimited,
                 "graph-complete": graph["complete"],
-                "ample": ample,
+                "ample": w.ample,
             },
         )
     )
@@ -346,16 +293,14 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
     each separator is re-verified against the classes it claims to split.
     A pair that is bicompact and disjoint in the window must then carry a
     functorial-finiteness witness, and on a relation-free algebra every
-    bicompact class must already have a factor-closure witness.
+    bicompact class must already have a factor-closure witness; a missing
+    witness is window-limited, since it may be bigger than the window.
     """
-    cat = Catalogue(algebra, bound)
-    classes = enumerate_torsion_classes(cat)
-    cert = _ample(algebra, bound, classes, cat)
-    ample = bool(cert and cert["stable"])
-    box = _WitnessBox(cat)
+    w = Window(algebra, bound)
+    cat = w.cat
     hereditary = algebra.relations == ()
     checks = []
-    for k, tmask in enumerate(classes):
+    for k, tmask in enumerate(w.classes):
         fmask = right_perp(cat, tmask)
         ct = cone_of_subcat(cat, tmask)
         cf = cone_of_subcat(cat, fmask)
@@ -379,27 +324,20 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
             payload["common-class"] = list(certificate[1])
         bad = not agree or verified is False
         checks.append(_check("numdis-pair[%d]" % k, "fail" if bad else "pass", payload))
-        wit = box.get(tmask)
-        bicompact = wit["compact"] is not None and wit["cocompact"] is not None
-        if disjoint and bicompact:
-            status = "pass" if wit["ff"] else ("fail" if ample else "window-limited")
+        wit = w.witnesses(tmask)
+        if disjoint and wit["bicompact"]:
             checks.append(
                 _check(
                     "numdis-bicompact-ff[%d]" % k,
-                    status,
+                    "pass" if wit["ff"] else "window-limited",
                     _witness_dims(cat, wit),
                 )
             )
-        if hereditary and bicompact:
-            status = (
-                "pass"
-                if wit["fac"] is not None
-                else ("fail" if ample else "window-limited")
-            )
+        if hereditary and wit["bicompact"]:
             checks.append(
                 _check(
                     "hereditary-bicompact-fac[%d]" % k,
-                    status,
+                    "pass" if wit["fac"] is not None else "window-limited",
                     {"fac": _dims(cat, wit["fac"])},
                 )
             )
@@ -426,18 +364,20 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
     implies compact implies widely generated is asserted per class.  The
     all-classes equivalences are asserted only when the census is stable;
     a growing census flags brick-infinite evidence instead and leaves the
-    universally quantified claims unasserted.
+    universally quantified claims unasserted.  A class missing a witness
+    leaves them window-limited even then, since a stable census does not
+    bound the size of a witness.
     """
-    cat = Catalogue(algebra, bound)
-    classes = enumerate_torsion_classes(cat)
+    w = Window(algebra, bound)
+    cat = w.cat
+    classes = w.classes
     nbricks = len(cat.bricks())
-    cert = _ample(algebra, bound, classes, cat)
+    cert = w.cert
     try:
-        big = Catalogue(algebra, tuple(b + 1 for b in bound))
-        nbricks_big = len(big.bricks())
+        nbricks_big = None if w.above is None else len(w.above.bricks())
     except BudgetError:
         nbricks_big = None
-    stable = nbricks_big == nbricks and bool(cert and cert["stable"])
+    stable = nbricks_big == nbricks and w.ample
     checks = [
         _check(
             "brick-census",
@@ -446,29 +386,23 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
         ),
         _check(
             "tors-census",
-            "pass" if cert and cert["stable"] else "window-limited",
+            "pass" if w.ample else "window-limited",
             {
                 "classes": len(classes),
                 "classes-at-next-bound": cert["count_big"] if cert else None,
             },
         ),
     ]
-    box = _WitnessBox(cat)
-    spans = _semibrick_spans(cat)
-    span_of = {}
-    for sb, mask in spans:
-        if mask not in span_of:
-            span_of[mask] = sb
+    spanned = {mask for _, mask in _semibrick_spans(cat)}
     per_class = []
     chain_bad = []
     for k, tmask in enumerate(classes):
-        wit = box.get(tmask)
-        widely = span_of.get(tmask)
+        wit = w.witnesses(tmask)
         flags = {
             "ff": wit["ff"],
-            "bicompact": wit["compact"] is not None and wit["cocompact"] is not None,
+            "bicompact": wit["bicompact"],
             "compact": wit["compact"] is not None,
-            "widely-generated": widely is not None,
+            "widely-generated": tmask in spanned,
         }
         per_class.append(flags)
         if (flags["ff"] and not flags["bicompact"]) or (
@@ -487,18 +421,16 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
         for key in ("ff", "bicompact", "compact", "widely-generated")
     }
     totals["classes"] = len(classes)
-    if stable:
-        universal = all(all(f.values()) for f in per_class)
-        checks.append(
-            _check(
-                "brickfinite-equivalences",
-                "pass" if universal else "fail",
-                totals,
-            )
-        )
-    else:
+    if not stable:
         totals["asserted"] = False
-        checks.append(_check("brickfinite-equivalences", "window-limited", totals))
+    universal = stable and all(all(f.values()) for f in per_class)
+    checks.append(
+        _check(
+            "brickfinite-equivalences",
+            "pass" if universal else "window-limited",
+            totals,
+        )
+    )
     return _report(algebra_id, algebra, bound, "brickfinite", checks)
 
 
@@ -529,16 +461,17 @@ def suite_scan(algebra_text, grid=(-4, 4), fields=(2, 3, 5), depth=6, bound=None
         A = algebras[p]
         graph = enumerate_silting(A, depth)
         cat = Catalogue(A, bound)
+        span_of = None
         for theta in _grid_points(grid, n):
             verdict = rigidity(theta, graph)
             if verdict["verdict"] == "rigid":
                 continue
             quad = quadruple(cat, theta)
-            sb = None
-            for cand, mask in _semibrick_spans(cat):
-                if mask == quad.Tbar:
-                    sb = cand
-                    break
+            if span_of is None:
+                span_of = {}
+                for cand, mask in _semibrick_spans(cat):
+                    span_of.setdefault(mask, cand)
+            sb = span_of.get(quad.Tbar)
             claim = "scan-evidence[p=%d][%s]" % (p, ",".join(str(t) for t in theta))
             if sb is None:
                 checks.append(

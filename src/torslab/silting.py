@@ -101,10 +101,7 @@ def _mat_compose(A, M, N, ndst, nmid, nsrc):
 
 def _layout(A, src, dst):
     """Coordinate slots (dst summand, src summand, path) of Hom(+P(src), +P(dst))."""
-    cache = getattr(A, "_hom_layouts", None)
-    if cache is None:
-        cache = {}
-        A._hom_layouts = cache
+    cache = A._hom_layouts
     key = (src, dst)
     got = cache.get(key)
     if got is None:
@@ -183,9 +180,6 @@ class TwoTermComplex:
             g[i] -= 1
         return tuple(g)
 
-    def total_summands(self):
-        return len(self.minus) + len(self.zero)
-
     def __repr__(self):
         return "TwoTermComplex(minus=%r, zero=%r)" % (self.minus, self.zero)
 
@@ -234,19 +228,11 @@ def direct_sum_complex(parts, A):
 # -- chain maps up to homotopy -------------------------------------------------
 
 
-def _pair_cache(A):
-    cache = getattr(A, "_chain_cache", None)
-    if cache is None:
-        cache = {}
-        A._chain_cache = cache
-    return cache
-
-
 def _chain_data(X, Y):
     """Chain maps X -> Y: solution space, null-homotopic span, and
     representatives for a basis of the homotopy classes."""
     A = X.algebra
-    cache = _pair_cache(A)
+    cache = A._chain_cache
     key = (id(X), id(Y))
     got = cache.get(key)
     if got is not None:
@@ -371,10 +357,7 @@ def _set_presilting(summands):
     if not summands:
         return True
     A = summands[0].algebra
-    cache = getattr(A, "_rigid_pairs", None)
-    if cache is None:
-        cache = {}
-        A._rigid_pairs = cache
+    cache = A._rigid_pairs
     for X in summands:
         for Y in summands:
             key = (id(X), id(Y))

@@ -10,8 +10,10 @@ in-window subquotients, so that closure is exact as well.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import hom_space
-from .catalogue import Catalogue, WindowError
+from .catalogue import BudgetError, Catalogue, WindowError
 from .linalg import nullspace, rref
 
 
@@ -31,40 +33,6 @@ def indices_of(mask):
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-class SubcatSet:
-    """A set of catalogue items with a role tag and an honesty flag."""
-
-    __slots__ = ("cat", "mask", "kind", "truncated")
-
-    def __init__(self, cat, mask, kind="plain", truncated=False):
-        self.cat = cat
-        self.mask = mask
-        self.kind = kind
-        self.truncated = truncated
-
-    def indices(self):
-        return indices_of(self.mask)
-
-    def __contains__(self, idx):
-        return bool((self.mask >> idx) & 1)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubcatSet)
-            and self.cat is other.cat
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((id(self.cat), self.mask))
-
-    def __repr__(self):
-        return "SubcatSet(kind=%s, size=%d)" % (self.kind, len(self))
 
 
 # -- closures (mask in, mask out) --------------------------------------------
@@ -91,14 +59,6 @@ def _homs(cat, src, dst):
     if si is not None and di is not None:
         return cat.hom_basis(si, di)
     return hom_space(sr, dr)
-
-
-def _memo(cat, name):
-    got = getattr(cat, name, None)
-    if got is None:
-        got = {}
-        setattr(cat, name, got)
-    return got
 
 
 def fac_closure(cat, gens):
@@ -245,28 +205,28 @@ def _candidates(cat, mask):
 
 
 def fac_of_single(cat, i):
-    memo = _memo(cat, "_fac_single")
+    memo = cat._fac_single
     if i not in memo:
         memo[i] = fac_closure(cat, (i,))
     return memo[i]
 
 
 def sub_of_single(cat, i):
-    memo = _memo(cat, "_sub_single")
+    memo = cat._sub_single
     if i not in memo:
         memo[i] = sub_closure(cat, (i,))
     return memo[i]
 
 
 def t_of_single(cat, i):
-    memo = _memo(cat, "_t_single")
+    memo = cat._t_single
     if i not in memo:
         memo[i] = filt_closure(cat, fac_of_single(cat, i))
     return memo[i]
 
 
 def left_perp_of_single(cat, i):
-    memo = _memo(cat, "_lperp_single")
+    memo = cat._lperp_single
     if i not in memo:
         memo[i] = left_perp(cat, (i,))
     return memo[i]
@@ -335,14 +295,12 @@ def functorially_finite(cat, tmask):
     return (m, n)
 
 
-# -- window stability ------------------------------------------------------------
+# -- window stability and the window ------------------------------------------
 
 
-def window_stable(algebra, bound, classes_small, cat_small):
-    """Re-enumerate with every coordinate of the bound raised by one and
-    compare the restrictions; canonical orbit codes match across windows."""
-    big_bound = tuple(b + 1 for b in bound)
-    cat_big = Catalogue(algebra, big_bound)
+def window_stable(cat_small, classes_small, cat_big):
+    """Compare the census with the one of a larger window; canonical orbit
+    codes match across windows, so classes restrict item by item."""
     small_of_big = {}
     for j, fp in enumerate(cat_big.fingerprints):
         if cat_small.in_window(fp[0]):
@@ -358,7 +316,69 @@ def window_stable(algebra, bound, classes_small, cat_small):
     return {
         "stable": restricted == set(classes_small)
         and len(classes_big) == len(classes_small),
-        "count_small": len(classes_small),
         "count_big": len(classes_big),
-        "restrictions_match": restricted == set(classes_small),
     }
+
+
+class Window:
+    """One algebra at one bound: the catalogue, and the torsion census, the
+    bound+1 catalogue, the ample-bound certificate and the per-class
+    witnesses, each built once, on first use."""
+
+    def __init__(self, algebra, bound):
+        self.algebra = algebra
+        self.bound = tuple(bound)
+        self.cat = Catalogue(algebra, self.bound)
+        self._witnesses = {}
+
+    @cached_property
+    def classes(self):
+        return enumerate_torsion_classes(self.cat)
+
+    @cached_property
+    def above(self):
+        """The catalogue with every coordinate of the bound raised by one,
+        or None when it exceeds the budget."""
+        try:
+            return Catalogue(self.algebra, tuple(b + 1 for b in self.bound))
+        except BudgetError:
+            return None
+
+    @cached_property
+    def cert(self):
+        """window_stable against the bound+1 window, or None when that
+        window or its census exceeds the budget."""
+        # outside the try: a budget error of this window's own census is
+        # not a missing certificate
+        classes = self.classes
+        if self.above is None:
+            return None
+        try:
+            return window_stable(self.cat, classes, self.above)
+        except BudgetError:
+            return None
+
+    @property
+    def ample(self):
+        """Whether the census is certified stable at bound+1."""
+        return bool(self.cert and self.cert["stable"])
+
+    def witnesses(self, tmask):
+        """Fac, Sub, compact and cocompact witnesses of a class (indices or
+        None), with the ff and bicompact flags they give."""
+        got = self._witnesses.get(tmask)
+        if got is None:
+            cat = self.cat
+            fmask = right_perp(cat, tmask)
+            got = {
+                "fac": fac_single_witness(cat, tmask),
+                "sub": sub_single_witness(cat, fmask),
+                "compact": compact_witness(cat, tmask),
+                "cocompact": cocompact_witness(cat, tmask),
+            }
+            got["ff"] = got["fac"] is not None and got["sub"] is not None
+            got["bicompact"] = (
+                got["compact"] is not None and got["cocompact"] is not None
+            )
+            self._witnesses[tmask] = got
+        return got

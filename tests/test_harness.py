@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,8 +9,19 @@ import pytest
 
 from conftest import bundled_text
 from torslab import reports
+from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
 from torslab.algebra import load_algebra
+
+# linear A3: hereditary and representation-finite, so every torsion class is
+# functorially finite (Adachi-Iyama-Reiten), but at bound (1,1,1) some of the
+# Fac and Sub witnesses are direct sums that leave the window
+A3_LINEAR = """
+field p=2
+vertices 1 2 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+"""
 
 
 def test_smalo_class_counts(a2, kxk, loop):
@@ -93,6 +107,65 @@ def test_brickfinite_statuses(loop, kronecker):
     assert eq["status"] == "window-limited"
     t = eq["witness"]
     assert t["ff"] <= t["bicompact"] <= t["compact"] <= t["widely-generated"]
+
+
+def test_missing_witness_is_window_limited(a2):
+    a3 = load_algebra(A3_LINEAR)
+    for suite, limited in (
+        (reports.suite_smalo, 12),
+        (reports.suite_numdis, 15),
+        (reports.suite_brickfinite, 1),
+    ):
+        rep = suite(a3, (1, 1, 1), "a3")
+        assert rep["counts"]["fail"] == 0, suite.__name__
+        assert rep["counts"]["window-limited"] == limited, suite.__name__
+        assert exit_code(rep) == 2
+    # the census is stable at (1,1), but the Sub witness S1+P1 has dims (2,1)
+    rep = reports.suite_semistable(a2, (1, 1), grid=(-1, 1), depth=4, algebra_id="a2")
+    assert rep["checks"][-1]["witness"]["ample"] is True
+    assert rep["counts"]["fail"] == 0
+    assert rep["counts"]["window-limited"] == 7
+    assert exit_code(rep) == 2
+
+
+def _catalogue_bounds(monkeypatch):
+    """Bounds of every Catalogue built from now on, in order."""
+    bounds = []
+    init = Catalogue.__init__
+
+    def counting(self, algebra, bound, *args, **kwargs):
+        bounds.append(tuple(bound))
+        init(self, algebra, bound, *args, **kwargs)
+
+    monkeypatch.setattr(Catalogue, "__init__", counting)
+    return bounds
+
+
+def test_window_builds_each_catalogue_once(monkeypatch, a2, loop, kxk):
+    bounds = _catalogue_bounds(monkeypatch)
+    # numdis reads no ample-bound certificate, so it never builds bound+1
+    reports.suite_numdis(a2, (2, 2), "a2")
+    assert bounds == [(2, 2)]
+    for A, bound in ((loop, (2,)), (kxk, (1, 1))):
+        bounds.clear()
+        reports.suite_brickfinite(A, bound, "x")
+        assert bounds == [bound, tuple(b + 1 for b in bound)]
+
+
+def test_traced_entry_points_exist():
+    # every name the benchmark's tracer wraps must still resolve in torslab
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.ENTRY_POINTS
+    for _, entry, _, _ in tracer.ENTRY_POINTS:
+        module, *attrs = entry.split(".")
+        obj = importlib.import_module("torslab." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+            assert obj is not None, entry
+        assert callable(obj), entry
 
 
 def test_scan_semibrick_sizes():

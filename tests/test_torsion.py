@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from torslab.algebra import direct_sum, projective_module, simple_module
+from torslab.algebra import direct_sum, load_algebra, projective_module, simple_module
 from torslab.catalogue import Catalogue, WindowError
+from torslab.silting import enumerate_silting
 from torslab.stability import (
     cw_less,
     epsilon_certificate,
@@ -32,6 +33,7 @@ from torslab.torsion import (
     torsion_pair_of,
     widely_generated_witness,
     window_stable,
+    Window,
 )
 
 
@@ -135,14 +137,57 @@ def test_witnesses_ample_window(a2):
 
 
 def test_window_stability(a2, kronecker, loop, cat_a2, cat_kron, cat_loop):
-    r = window_stable(a2, (1, 1), enumerate_torsion_classes(cat_a2), cat_a2)
-    assert r["stable"]
-    r2 = window_stable(
-        kronecker, (1, 1), enumerate_torsion_classes(cat_kron), cat_kron
-    )
-    assert not r2["stable"]
-    r3 = window_stable(loop, (2,), enumerate_torsion_classes(cat_loop), cat_loop)
-    assert r3["stable"]
+    for cat, big, stable, count_big in (
+        (cat_a2, Catalogue(a2, (2, 2)), True, 5),
+        (cat_kron, Catalogue(kronecker, (2, 2)), False, 21),
+        (cat_loop, Catalogue(loop, (3,)), True, 2),
+    ):
+        r = window_stable(cat, enumerate_torsion_classes(cat), big)
+        assert r == {"stable": stable, "count_big": count_big}
+
+
+def test_window(a2, kronecker, cat_a2):
+    w = Window(a2, (1, 1))
+    assert w.classes == enumerate_torsion_classes(cat_a2)
+    assert w.above.bound == (2, 2)
+    assert w.cert == {"stable": True, "count_big": 5}
+    assert w.ample
+    full = mask_of(range(len(w.cat)))
+    wit = w.witnesses(full)
+    assert w.witnesses(full) is wit
+    # the Fac witness of the full class, P1+S2, leaves the (1,1) window;
+    # S1+S2 generates it as a torsion class and 0 cogenerates it
+    assert wit["fac"] is None and not wit["ff"]
+    assert wit["bicompact"]
+    assert w.cat.dims_of(wit["compact"]) == (1, 1)
+    assert not w.cat.is_indec(wit["compact"])
+    assert wit["cocompact"] == w.cat.zero_index()
+    assert not Window(kronecker, (1, 1)).ample
+
+
+# Dynkin quivers: torsion classes = two-term silting complexes = the
+# Coxeter-Catalan number (Ingalls-Thomas, Compositio 145 (2009);
+# Adachi-Iyama-Reiten, Compositio 150 (2014)); each bound holds every root
+DYNKIN = {
+    "A3-linear": ("1 2 3", ("1 -> 2", "2 -> 3"), (1, 1, 1), 14),
+    "A3-sink": ("1 2 3", ("1 -> 2", "3 -> 2"), (1, 1, 1), 14),
+    "A3-source": ("1 2 3", ("2 -> 1", "2 -> 3"), (1, 1, 1), 14),
+    "A4-linear": ("1 2 3 4", ("1 -> 2", "2 -> 3", "3 -> 4"), (1, 1, 1, 1), 42),
+    "D4-subspace": ("1 2 3 4", ("2 -> 1", "3 -> 1", "4 -> 1"), (2, 1, 1, 1), 50),
+}
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("name", sorted(DYNKIN))
+def test_dynkin_closed_forms(name, p):
+    vertices, arrows, bound, want = DYNKIN[name]
+    lines = ["field p=%d" % p, "vertices " + vertices]
+    lines += ["arrow a%d: %s" % (k, a) for k, a in enumerate(arrows)]
+    A = load_algebra("\n".join(lines) + "\n")
+    classes = enumerate_torsion_classes(Catalogue(A, bound))
+    graph = enumerate_silting(A, 12)
+    assert graph["complete"]
+    assert len(classes) == len(graph["vertices"]) == want
 
 
 def test_quadruple_a2(cat_a2, idx_a2):
