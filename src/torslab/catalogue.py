@@ -7,14 +7,17 @@ code of an orbit is its canonical form.  GL(d_v, F_p) is generated by a cyclic
 permutation, the transvection I + E_12, and (for p > 2) a primitive diagonal
 scalar, so orbit connectivity under these generators is isomorphism.
 
-Krull-Schmidt data (decompositions, brick tests) is computed by Fitting
-splittings found by sweeping endomorphism spaces; the sweeps are exhaustive,
-capped, and never sampled.
+The sweep keeps, for every code, the first code of its orbit, so an explicit
+representation is located by encoding its matrices and reading that label: no
+isomorphism test runs after the sweep.  Krull-Schmidt data (signatures, brick
+tests) is computed by Fitting splittings found by sweeping endomorphism
+spaces; the sweeps are exhaustive, capped, and never sampled.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from .algebra import (
     AlgebraError,
@@ -104,9 +107,10 @@ class Catalogue:
                 "enumeration budget exceeded at dims %r: %d > %d"
                 % (self.bound, load, budget)
             )
+        # per dimension vector: the first code of each code's orbit
+        self._orbit_of = {}
         self._enumerate(code_cap)
         self._sig = {}
-        self._sig_index = {}
         self._brick = {}
         self._subs = {}
         self._subquots = {}
@@ -116,7 +120,6 @@ class Catalogue:
         self._t_single = {}
         self._lperp_single = {}
         self._ext = {}
-        self._find_memo = {}
         self._by_total = sorted(
             range(len(self.reps)), key=lambda i: (sum(self.dims_of(i)), i)
         )
@@ -179,7 +182,7 @@ class Catalogue:
                             m = mat_mul(g, m, p, inner=dt) if dt else m
                         if a.source == v:
                             m = mat_mul(m, ginv, p, inner=ds) if ds else m
-                        tab[bcode] = self._encode_block(m)
+                        tab[bcode] = self._encode((m,))
                     tables.append(tab)
                 actions.append(tables)
         bases = []
@@ -188,12 +191,12 @@ class Catalogue:
             bases.append(mult)
             mult *= p**c
         sizes = [p**c for c in cells]
-        visited = bytearray(total)
+        orbit = array("i", [-1]) * total
         out = []
         for c0 in range(total):
-            if visited[c0]:
+            if orbit[c0] >= 0:
                 continue
-            visited[c0] = 1
+            orbit[c0] = c0
             frontier = [c0]
             while frontier:
                 code = frontier.pop()
@@ -204,12 +207,13 @@ class Catalogue:
                         tab = tables[ai]
                         b = blocks[ai] if tab is None else tab[blocks[ai]]
                         nc += b * bases[ai]
-                    if not visited[nc]:
-                        visited[nc] = 1
+                    if orbit[nc] < 0:
+                        orbit[nc] = c0
                         frontier.append(nc)
             mats = self._decode(dims, cells, c0)
             if self._relations_hold(dims, mats):
                 out.append((dims, c0, mats))
+        self._orbit_of[dims] = orbit
         return out
 
     def _decode_block(self, dt, ds, bcode):
@@ -223,14 +227,17 @@ class Catalogue:
             m.append(tuple(row))
         return tuple(m)
 
-    def _encode_block(self, m):
+    def _encode(self, mats):
+        """Code of a tuple of matrices, the inverse of _decode: arrow by
+        arrow, row-major, first entry least significant, entries mod p."""
         p = self.algebra.p
         code = 0
         mult = 1
-        for row in m:
-            for x in row:
-                code += x * mult
-                mult *= p
+        for m in mats:
+            for row in m:
+                for x in row:
+                    code += x % p * mult
+                    mult *= p
         return code
 
     def _relations_hold(self, dims, mats):
@@ -326,41 +333,22 @@ class Catalogue:
         if len(parts) <= 1:
             sig = (idx,) if parts else ()
         else:
-            sig = tuple(sorted(self._locate_indec(part) for part in parts))
+            sig = tuple(sorted(self.find_index(part) for part in parts))
         self._sig[idx] = sig
-        self._sig_index[sig] = idx
         return sig
-
-    def _locate_indec(self, part):
-        for j in range(len(self.reps)):
-            if self.reps[j].dims != part.dims:
-                continue
-            if is_isomorphic_rep(part, self.reps[j]):
-                return j
-        raise WindowError("summand of dims %r not found in catalogue" % (part.dims,))
 
     def is_indec(self, idx):
         return len(self.signature(idx)) == 1
 
     def find_index(self, rep):
-        """Catalogue index of an explicit representation, up to isomorphism."""
+        """Catalogue index of an explicit representation, up to isomorphism:
+        the item whose code opens the orbit of the representation's code."""
         if not self.in_window(rep.dims):
             raise WindowError("dims %r outside catalogue bound %r" % (rep.dims, self.bound))
-        key = (rep.dims, rep.mats)
-        got = self._find_memo.get(key)
-        if got is not None:
-            return got
-        parts = self.decompose_rep(rep)
-        sig = tuple(sorted(self._locate_indec(part) for part in parts))
-        idx = self._sig_index.get(sig)
+        first = self._orbit_of[rep.dims][self._encode(rep.mats)]
+        idx = self._fp_index.get((rep.dims, first))
         if idx is None:
-            for j in range(len(self.reps)):
-                if self.signature(j) == sig:
-                    idx = j
-                    break
-        if idx is None:
-            raise WindowError("no catalogue item with signature %r" % (sig,))
-        self._find_memo[key] = idx
+            raise WindowError("representation of dims %r violates the relations" % (rep.dims,))
         return idx
 
     # -- bricks and semibricks -------------------------------------------------

@@ -39,7 +39,7 @@ from .silting import (
     silting_cone,
 )
 from .stability import classes_in, quadruple
-from .torsion import Window, mask_of, right_perp, t_of
+from .torsion import Window, mask_of, t_of
 
 # cost cap for the single-map realization sweep inside the semistable suite
 TBAR_SWEEP_COST = 8192
@@ -301,13 +301,15 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
     hereditary = algebra.relations == ()
     checks = []
     for k, tmask in enumerate(w.classes):
-        fmask = right_perp(cat, tmask)
+        wit = w.witnesses(tmask)
+        fmask = wit["perp"]
         ct = cone_of_subcat(cat, tmask)
         cf = cone_of_subcat(cat, fmask)
         disjoint, certificate = numerically_disjoint(cat, tmask, fmask)
         trivial, _ = intersect_trivially(ct, cf)
         convex = is_strongly_convex(difference_cone(ct, cf))
-        separator = separating_functional(ct, cf)
+        # a disjoint pair's certificate is the simplex separator of these cones
+        separator = certificate[1] if disjoint else separating_functional(ct, cf)
         legs = (disjoint, trivial, convex, separator is not None)
         agree = all(legs) or not any(legs)
         verified = None
@@ -324,7 +326,6 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
             payload["common-class"] = list(certificate[1])
         bad = not agree or verified is False
         checks.append(_check("numdis-pair[%d]" % k, "fail" if bad else "pass", payload))
-        wit = w.witnesses(tmask)
         if disjoint and wit["bicompact"]:
             checks.append(
                 _check(

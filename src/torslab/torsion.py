@@ -255,9 +255,9 @@ def compact_witness(cat, tmask):
     return None
 
 
-def cocompact_witness(cat, tmask):
-    """Smallest N with left_perp(N) equal to the class, or None."""
-    fmask = right_perp(cat, tmask)
+def cocompact_witness(cat, tmask, fmask):
+    """Smallest N in the right perp fmask of the class with left_perp(N)
+    equal to the class, or None."""
     for i in _candidates(cat, fmask):
         if left_perp_of_single(cat, i) == tmask:
             return i
@@ -299,12 +299,12 @@ def functorially_finite(cat, tmask):
 
 
 def window_stable(cat_small, classes_small, cat_big):
-    """Compare the census with the one of a larger window; canonical orbit
-    codes match across windows, so classes restrict item by item."""
+    """Compare the census with the one of a larger window, restricting each
+    bigger class item by item."""
     small_of_big = {}
-    for j, fp in enumerate(cat_big.fingerprints):
-        if cat_small.in_window(fp[0]):
-            small_of_big[j] = cat_small._fp_index[fp]
+    for j in range(len(cat_big)):
+        if cat_small.in_window(cat_big.dims_of(j)):
+            small_of_big[j] = cat_small.find_index(cat_big.rep(j))
     classes_big = enumerate_torsion_classes(cat_big)
     restricted = set()
     for m in classes_big:
@@ -364,17 +364,19 @@ class Window:
         return bool(self.cert and self.cert["stable"])
 
     def witnesses(self, tmask):
-        """Fac, Sub, compact and cocompact witnesses of a class (indices or
-        None), with the ff and bicompact flags they give."""
+        """The right perp of a class, its Fac, Sub, compact and cocompact
+        witnesses (indices or None), and the ff and bicompact flags they
+        give."""
         got = self._witnesses.get(tmask)
         if got is None:
             cat = self.cat
             fmask = right_perp(cat, tmask)
             got = {
+                "perp": fmask,
                 "fac": fac_single_witness(cat, tmask),
                 "sub": sub_single_witness(cat, fmask),
                 "compact": compact_witness(cat, tmask),
-                "cocompact": cocompact_witness(cat, tmask),
+                "cocompact": cocompact_witness(cat, tmask, fmask),
             }
             got["ff"] = got["fac"] is not None and got["sub"] is not None
             got["bicompact"] = (

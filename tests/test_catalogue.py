@@ -1,14 +1,24 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torslab.algebra import Representation, direct_sum, projective_module, simple_module
+from torslab import catalogue
+from torslab.algebra import (
+    Representation,
+    direct_sum,
+    load_algebra,
+    projective_module,
+    simple_module,
+)
 from torslab.catalogue import (
     BudgetError,
     Catalogue,
     WindowError,
     is_isomorphic_rep,
 )
+from torslab.linalg import inverse, mat_mul
 
 from conftest import bundled
 
@@ -107,6 +117,103 @@ def test_find_index_after_base_change(kronecker, cat_kron_big):
         ),
     )
     assert cat_kron_big.find_index(M) == cat_kron_big.find_index(M2)
+
+
+def base_change(rep, gs):
+    """The representation g_t M_a g_s^-1 for invertible g_v at each vertex."""
+    A = rep.algebra
+    mats = []
+    for a, m in zip(A.arrows, rep.mats):
+        dt, ds = rep.dims[a.target], rep.dims[a.source]
+        if dt and ds:
+            m = mat_mul(mat_mul(gs[a.target], m, A.p, inner=dt), inverse(gs[a.source], A.p), A.p, inner=ds)
+        mats.append(m)
+    return Representation(A, rep.dims, mats, check=False)
+
+
+def random_gl(rng, d, p):
+    while True:
+        g = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
+        if d == 0 or inverse(g, p) is not None:
+            return g
+
+
+def test_find_index_runs_no_isomorphism_test(a2, monkeypatch):
+    cat = Catalogue(a2, (2, 2))
+    M = direct_sum(projective_module(a2, 0), simple_module(a2, 1))
+    want = [j for j in range(len(cat)) if is_isomorphic_rep(M, cat.rep(j))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_index ran a hom or isomorphism sweep")
+
+    monkeypatch.setattr(catalogue, "hom_space", refuse)
+    monkeypatch.setattr(catalogue, "is_isomorphic_rep", refuse)
+    assert [cat.find_index(M)] == want
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_find_index_inverts_base_change(p):
+    cat = Catalogue(bundled("kronecker", p=p), (2, 2))
+    rng = random.Random(p)
+    for j in range(len(cat)):
+        M = cat.rep(j)
+        gs = [random_gl(rng, d, p) for d in M.dims]
+        assert cat.find_index(base_change(M, gs)) == j
+
+
+def test_find_index_rejects_relation_violation(loop, cat_loop):
+    # x.x = 1 on F_2^2, while the loop algebra asks x.x = 0
+    M = Representation(loop, (2,), (((0, 1), (1, 0)),), check=False)
+    with pytest.raises(WindowError):
+        cat_loop.find_index(M)
+
+
+_CATALOGUES = {}
+
+
+@st.composite
+def windowed_reps(draw):
+    """(catalogue, rep, base-changed rep) on a random acyclic quiver with 2
+    or 3 vertices and 1 to 3 arrows over F_2 or F_3, every dimension vector
+    of the window holding at most 4096 codes."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    bound = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    while p ** sum(bound[s] * bound[t] for s, t in arrows) > 4096:
+        bound[bound.index(max(bound))] -= 1
+    key = (p, n, tuple(arrows), tuple(bound))
+    cat = _CATALOGUES.get(key)
+    if cat is None:
+        lines = ["field p=%d" % p, "vertices " + " ".join(str(v + 1) for v in range(n))]
+        lines += ["arrow a%d: %d -> %d" % (k, s + 1, t + 1) for k, (s, t) in enumerate(arrows)]
+        cat = _CATALOGUES[key] = Catalogue(load_algebra("\n".join(lines) + "\n"), bound)
+    dims = tuple(draw(st.integers(0, b)) for b in bound)
+    entries = st.integers(0, p - 1)
+    mats = [
+        [[draw(entries) for _ in range(dims[s])] for _ in range(dims[t])]
+        for s, t in arrows
+    ]
+    rep = Representation(cat.algebra, dims, mats)
+    gs = [
+        draw(
+            st.tuples(*[st.tuples(*[entries] * d)] * d).filter(
+                lambda g: not g or inverse(g, p) is not None
+            )
+        )
+        for d in dims
+    ]
+    return cat, rep, base_change(rep, gs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(windowed_reps())
+def test_find_index_is_an_isomorphism_invariant(case):
+    cat, rep, moved = case
+    idx = cat.find_index(rep)
+    assert cat.find_index(moved) == idx
+    assert is_isomorphic_rep(rep, cat.rep(idx))
 
 
 def test_signatures(a2, cat_a2_big):

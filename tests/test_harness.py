@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import bundled_text
-from torslab import reports
+from torslab import cones, reports, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
 from torslab.algebra import load_algebra
@@ -150,6 +150,29 @@ def test_window_builds_each_catalogue_once(monkeypatch, a2, loop, kxk):
         bounds.clear()
         reports.suite_brickfinite(A, bound, "x")
         assert bounds == [bound, tuple(b + 1 for b in bound)]
+
+
+def _count_calls(monkeypatch, name, original):
+    """Count calls of a function through every torslab module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("torslab.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_numdis_computes_perp_and_separator_once_per_class(monkeypatch, a2):
+    perps = _count_calls(monkeypatch, "right_perp", torsion.right_perp)
+    separators = _count_calls(monkeypatch, "separating_functional", cones.separating_functional)
+    rep = reports.suite_numdis(a2, (2, 2), "a2")
+    classes = sum(c["claim"].startswith("numdis-pair") for c in rep["checks"])
+    assert classes == 5
+    assert (len(perps), len(separators)) == (classes, classes)
 
 
 def test_traced_entry_points_exist():

@@ -118,7 +118,7 @@ def test_witnesses_small_window(cat_a2, idx_a2):
     T = mask_of((idx_a2["Z"], idx_a2["S1"], idx_a2["P1"]))
     assert fac_single_witness(cat_a2, T) == idx_a2["P1"]
     assert compact_witness(cat_a2, T) == idx_a2["P1"]
-    assert cocompact_witness(cat_a2, T) == idx_a2["S2"]
+    assert cocompact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["S2"]
     assert functorially_finite(cat_a2, T) == (idx_a2["P1"], idx_a2["S2"])
     assert widely_generated_witness(cat_a2, T) == (idx_a2["P1"],)
     # the full class has no single Fac generator inside the (1,1) window
@@ -133,7 +133,7 @@ def test_witnesses_ample_window(a2):
     for T in classes:
         assert functorially_finite(cat, T) is not None
         assert compact_witness(cat, T) is not None
-        assert cocompact_witness(cat, T) is not None
+        assert cocompact_witness(cat, T, right_perp(cat, T)) is not None
 
 
 def test_window_stability(a2, kronecker, loop, cat_a2, cat_kron, cat_loop):
