@@ -34,6 +34,8 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    rank,
+    residual,
     row_space,
     rref,
 )
@@ -298,9 +300,7 @@ class Catalogue:
                 phin = tuple(
                     mat_mul(m, m, p, inner=len(m)) for m in phin
                 )
-            rk = sum(
-                len(rref(m, p)[1]) if m else 0 for m in phin
-            )
+            rk = sum(rank(m, p) for m in phin)
             if 0 < rk < total:
                 im = image_submodule(phin, rep, rep)
                 ker = kernel_submodule(phin, rep, rep)
@@ -567,14 +567,13 @@ class Catalogue:
                                     ) % p
                     if any(vec):
                         bvecs.append(tuple(vec))
-        bred, _ = rref(bvecs, p) if bvecs else ((), ())
+        stack, _ = rref(bvecs, p)
         comp = []
-        stack = list(bred)
         for z in Z:
-            trial, _ = rref(tuple(stack) + (z,), p)
-            if len(trial) > len(stack):
+            r = residual(z, stack, p)
+            if any(r):
                 comp.append(z)
-                stack = list(trial)
+                stack, _ = rref(stack + (r,), p)
         if p ** len(comp) > SWEEP_CAP:
             raise BudgetError("extension sweep too large: %d^%d" % (p, len(comp)))
         found = set()

@@ -6,8 +6,14 @@ carried by the caller whenever it matters (nullspace, stacking).  A basis
 "in RREF" is the row tuple returned by ``rref`` or ``row_space``: each row
 starts with a 1 in its pivot column, which is 0 in every other row, so the
 coordinates of a vector of the row space are its entries at the pivots.
-All routines are pure and allocation-light; p stays small (2..13) so Fermat
-inversion is fine.
+All routines are pure; p stays small (2..13) so Fermat inversion is fine.
+
+F_p elimination has one kernel, ``_echelon``.  The matrices it meets are
+sparse (about 1% nonzero for the silting rank tests), so it keeps each row
+as a dict of its nonzero entries and a row operation touches only those.
+It stops reading rows once the pivots fill every column.  ``rref``
+back-substitutes its echelon rows; ``rank`` counts them and skips the
+back-substitution.
 
 Over Q, ``rref_q`` is the only Gaussian elimination in Fraction arithmetic.
 It serves the rank tests of double description and of silting g-vectors
@@ -18,6 +24,7 @@ its own tableau pivoting.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -71,38 +78,70 @@ def vec_matmul(v: Sequence[int], a: Mat, p: int) -> tuple:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) % p for j in range(cols))
 
 
+def _subtract(d: dict, f: int, row: dict, p: int) -> None:
+    """d -= f * row mod p, in place, for rows stored as {column: nonzero}.
+
+    f and every value of row are nonzero mod the prime p, so an entry can
+    only become 0 where d already had one."""
+    for j, y in row.items():
+        x = (d.get(j, 0) - f * y) % p
+        if x:
+            d[j] = x
+        else:
+            del d[j]
+
+
+def _echelon(rows: Iterable[Sequence[int]], p: int) -> tuple[dict, int]:
+    """Row echelon form by sparse elimination: ({pivot column: row}, ncols).
+
+    Each row is kept as a dict {column: value} of its nonzero entries mod p.
+    A new row is reduced at its lowest column against the pivot rows found
+    so far until that column has no pivot; it is then scaled so that its
+    pivot entry is 1.  Entries of a row at later pivot columns stay, so the
+    rows are in echelon form but not reduced.  Reading stops as soon as the
+    pivots fill every column."""
+    pivots: dict = {}
+    ncols = None
+    for row in rows:
+        if ncols is None:
+            ncols = len(row)
+            cols = range(ncols)
+        d = {c: x for c in compress(cols, row) if (x := row[c] % p)}
+        while d:
+            c = min(d)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = inv_mod(d[c], p)
+                if inv != 1:
+                    d = {j: x * inv % p for j, x in d.items()}
+                pivots[c] = d
+                break
+            _subtract(d, d[c], prow, p)
+        if len(pivots) == ncols:
+            break
+    return pivots, ncols or 0
+
+
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Mat, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = inv_mod(work[r][c], p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % p:
-                f = work[i][c] % p
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    pivots, ncols = _echelon(rows, p)
+    order = sorted(pivots)
+    for c in reversed(order):
+        d = pivots[c]
+        for j in [j for j in d if j != c and j in pivots]:
+            _subtract(d, d[j], pivots[j], p)
+    out = []
+    for c in order:
+        row = [0] * ncols
+        for j, x in pivots[c].items():
+            row[j] = x
+        out.append(tuple(row))
+    return tuple(out), tuple(order)
 
 
-def rank(a: Mat, p: int) -> int:
-    return len(rref(a, p)[0])
+def rank(a: Iterable[Sequence[int]], p: int) -> int:
+    """Rank of the rows of a, read no further than full column rank."""
+    return len(_echelon(a, p)[0])
 
 
 def nullspace(a: Mat, ncols: int, p: int) -> Mat:

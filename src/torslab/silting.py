@@ -33,7 +33,7 @@ from .algebra import (
     submodule_rep,
 )
 from .cones import RationalCone
-from .linalg import inv_mod, nullspace, residual, rref, rref_q
+from .linalg import inv_mod, nullspace, rank, residual, rref, rref_q
 from .torsion import fac_closure, left_perp
 
 
@@ -344,8 +344,7 @@ def _vanishing_rank_ok(A, X, Y):
             for bi, c in prod.items():
                 v[scpos[(j, k, bi)]] = c
         gens.append(tuple(v))
-    reduced, _ = rref(tuple(gens), p)
-    return len(reduced) == len(sc)
+    return rank(gens, p) == len(sc)
 
 
 def _self_ok(U):
@@ -484,8 +483,7 @@ def _left_approximates(A, X, others, copies):
             for psi in hom_k_basis(others[t], S):
                 comp = _pair_compose(A, psi, pair, X, others[t], S)
                 rows.append(_pair_vec(X, S, comp))
-        got, _ = rref(tuple(rows), A.p)
-        if len(got) < need:
+        if rank(rows, A.p) < need:
             return False
     return True
 
@@ -499,8 +497,7 @@ def _right_approximates(A, X, others, copies):
             for psi in hom_k_basis(S, others[t]):
                 comp = _pair_compose(A, pair, psi, S, others[t], X)
                 rows.append(_pair_vec(S, X, comp))
-        got, _ = rref(tuple(rows), A.p)
-        if len(got) < need:
+        if rank(rows, A.p) < need:
             return False
     return True
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .algebra import hom_space
 from .catalogue import BudgetError, Catalogue, WindowError
-from .linalg import nullspace, rref
+from .linalg import nullspace, rank
 
 
 def mask_of(indices):
@@ -78,9 +78,7 @@ def fac_closure(cat, gens):
                     m = phi[v]
                     for c in range(g.dims[v]):
                         spans[v].append(tuple(m[r][c] for r in range(X.dims[v])))
-        if all(
-            len(rref(tuple(spans[v]), A.p)[1]) == X.dims[v] for v in range(A.n)
-        ):
+        if all(rank(spans[v], A.p) == X.dims[v] for v in range(A.n)):
             out |= 1 << idx
     return out
 

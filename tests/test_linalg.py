@@ -1,5 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import chain
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torslab.linalg import (
     hstack,
@@ -142,3 +146,112 @@ def test_mat_mul_degenerate():
     assert mat_mul(a, (), p, inner=0) == ((),) or mat_mul(a, (), p, inner=0) == ((),)
     out = mat_mul(((1, 2),), ((3,), (4,)), p)
     assert out == ((1,),)
+
+
+def _dense_rref(rows, p):
+    """The dense Gauss-Jordan elimination that ``rref`` replaced, kept only as
+    an oracle: every row operation sweeps the full width."""
+    work = [list(r) for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pr = next((i for i in range(r, len(work)) if work[i][c] % p), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = inv_mod(work[r][c], p)
+        work[r] = [(x * inv) % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] % p:
+                f = work[i][c] % p
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def _random_matrix(rng, p):
+    r, c = rng.randint(0, 12), rng.randint(0, 12)
+    density = rng.random()
+    return tuple(
+        tuple(rng.randint(-2 * p, 2 * p) if rng.random() < density else 0 for _ in range(c))
+        for _ in range(r)
+    ), c
+
+
+def test_sparse_kernel_matches_dense_oracle():
+    rng = random.Random(20)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7, 13))
+        a, c = _random_matrix(rng, p)
+        red, piv = _dense_rref(a, p)
+        assert rref(a, p) == (red, piv)
+        assert rref((row for row in a), p) == (red, piv)
+        assert rank(a, p) == rank((row for row in a), p) == len(red)
+        assert row_space(a, p) == red
+        free = [j for j in range(c) if j not in piv]
+        assert nullspace(a, c, p) == tuple(
+            tuple(1 if j == fc else (-red[piv.index(j)][fc]) % p if j in piv else 0 for j in range(c))
+            for fc in free
+        )
+        b = tuple(rng.randint(-p, p) for _ in a)
+        ared, apiv = _dense_rref([row + (bv % p,) for row, bv in zip(a, b)], p)
+        x = solve(a, b, p)
+        if not a:
+            assert x == (() if not any(b) else None)
+        elif c in apiv:
+            assert x is None
+        else:
+            assert x == tuple(ared[apiv.index(j)][c] if j in apiv else 0 for j in range(c))
+        n = len(a)
+        sq = tuple(row[:n] + (0,) * (n - len(row[:n])) for row in a)
+        ired, ipiv = _dense_rref(
+            [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(sq)], p
+        )
+        if ipiv[:n] == tuple(range(n)):
+            assert inverse(sq, p) == tuple(row[n:] for row in ired[:n])
+        else:
+            assert inverse(sq, p) is None
+
+
+_PRIMES = st.sampled_from((2, 3, 5, 7, 13))
+
+
+@st.composite
+def _matrices(draw):
+    p = draw(_PRIMES)
+    c = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c), max_size=8))
+    return p, tuple(map(tuple, rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_matrices())
+def test_rref_invariants(case):
+    p, a = case
+    red, piv = rref(a, p)
+    assert len(red) == len(piv)
+    assert list(piv) == sorted(set(piv))
+    for i, (row, c) in enumerate(zip(red, piv)):
+        assert row[c] == 1
+        assert all(0 <= x < p for x in row)
+        assert all(other[c] == 0 for k, other in enumerate(red) if k != i)
+    for v in a:
+        combo = [sum(v[c] * row[j] for row, c in zip(red, piv)) for j in range(len(v))]
+        assert all((x - y) % p == 0 for x, y in zip(v, combo))
+
+
+def _rows_that_raise():
+    raise AssertionError("read past full rank")
+    yield
+
+
+def test_full_rank_stops_reading_rows():
+    for p in (2, 3, 5):
+        assert rref(chain(identity(3), _rows_that_raise()), p) == (identity(3), (0, 1, 2))
+        assert rank(chain(identity(3), _rows_that_raise()), p) == 3
+    assert rank(chain(((0, 2), (1, 1)), _rows_that_raise()), 3) == 2
