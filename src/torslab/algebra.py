@@ -18,12 +18,19 @@ For ideals generated by length-homogeneous relations this window computation
 is exact once a path length with empty basis layer appears (leading terms
 form a monomial ideal, and monomial complements are closed under subpaths).
 Inhomogeneous admissible relations get an extra window-stability pass.
+``A.paths[i][j]`` is the one index of basis paths from i to j; the
+projective and injective layouts and ``paths_between`` all read it.
+
+``memo`` is the one cache primitive of the package: every memoised result,
+here and in the catalogue, torsion and silting layers, is stored on the
+object that owns it, and lives and dies with that object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .linalg import (
     identity,
@@ -44,6 +51,30 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 
 class AlgebraError(Exception):
     pass
+
+
+def memo(fn):
+    """Cache fn(owner, *args) in a dict on owner, keyed by args.
+
+    Each decorated function has its own table in the owner's ``__dict__``,
+    so the cache is freed with its owner and no two functions share one.
+    A call that raises stores nothing.
+    """
+    name = "_memo_%s.%s" % (fn.__module__, fn.__qualname__)
+
+    @wraps(fn)
+    def cached(owner, *args):
+        table = owner.__dict__.get(name)
+        if table is None:
+            table = owner.__dict__[name] = {}
+        try:
+            return table[args]
+        except KeyError:
+            pass
+        out = table[args] = fn(owner, *args)
+        return out
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -76,12 +107,6 @@ class Algebra:
         self.source_text = source_text
         self._check_relations_shape()
         self._build_basis()
-        self._mult_cache = {}
-        self._proj_struct = {}
-        self._inj_struct = {}
-        self._hom_layouts = {}
-        self._chain_cache = {}
-        self._rigid_pairs = {}
 
     # -- construction ------------------------------------------------------
 
@@ -222,6 +247,10 @@ class Algebra:
         self.dim = len(self.basis)
         self.path_source = tuple(q[0] for q in self.basis)
         self.path_target = tuple(_path_target(self.arrows, q) for q in self.basis)
+        paths = [[[] for _ in range(self.n)] for _ in range(self.n)]
+        for k in range(self.dim):
+            paths[self.path_source[k]][self.path_target[k]].append(k)
+        self.paths = tuple(tuple(tuple(ks) for ks in row) for row in paths)
 
     # -- element arithmetic ------------------------------------------------
 
@@ -235,19 +264,13 @@ class Algebra:
             raise AlgebraError("path of length %d outside reduction window" % len(path[1]))
         return {i: c for i, c in combo}
 
+    @memo
     def mult_basis(self, i, j):
         """Product basis[i].basis[j] as a tuple of (index, coeff)."""
-        key = (i, j)
-        got = self._mult_cache.get(key)
-        if got is not None:
-            return got
         if self.path_target[i] != self.path_source[j]:
-            out = ()
-        else:
-            src, arrs = self.basis[i]
-            out = tuple(sorted(self.reduce_path((src, arrs + self.basis[j][1])).items()))
-        self._mult_cache[key] = out
-        return out
+            return ()
+        src, arrs = self.basis[i]
+        return tuple(sorted(self.reduce_path((src, arrs + self.basis[j][1])).items()))
 
     def mult(self, x, y):
         """Product of two elements given as {basis_index: coeff} dicts."""
@@ -264,11 +287,7 @@ class Algebra:
 
     def paths_between(self, i, j):
         """Indices of basis paths from vertex i to vertex j."""
-        return tuple(
-            k
-            for k in range(self.dim)
-            if self.path_source[k] == i and self.path_target[k] == j
-        )
+        return self.paths[i][j]
 
 
 # -- presentation file format ----------------------------------------------
@@ -476,15 +495,7 @@ def proj_struct(A, i):
     """Basis-path layout of P(i) = e_i A: per-vertex lists of basis indices."""
     if not 0 <= i < A.n:
         raise AlgebraError("invalid vertex %r" % (i,))
-    cache = A._proj_struct
-    if i in cache:
-        return cache[i]
-    per_vertex = tuple(
-        tuple(k for k in range(A.dim) if A.path_source[k] == i and A.path_target[k] == v)
-        for v in range(A.n)
-    )
-    cache[i] = per_vertex
-    return per_vertex
+    return A.paths[i]
 
 
 def projective_module(A, i):
@@ -513,15 +524,7 @@ def inj_struct(A, i):
     """Basis-path layout of the paths ending at i, grouped by source vertex."""
     if not 0 <= i < A.n:
         raise AlgebraError("invalid vertex %r" % (i,))
-    cache = A._inj_struct
-    if i in cache:
-        return cache[i]
-    per_vertex = tuple(
-        tuple(k for k in range(A.dim) if A.path_target[k] == i and A.path_source[k] == v)
-        for v in range(A.n)
-    )
-    cache[i] = per_vertex
-    return per_vertex
+    return tuple(A.paths[v][i] for v in range(A.n))
 
 
 def injective_module(A, i):

@@ -25,6 +25,7 @@ from .algebra import (
     hom_space,
     image_submodule,
     kernel_submodule,
+    memo,
     quotient_module,
     submodule_rep,
 )
@@ -112,16 +113,6 @@ class Catalogue:
         # per dimension vector: the first code of each code's orbit
         self._orbit_of = {}
         self._enumerate(code_cap)
-        self._sig = {}
-        self._brick = {}
-        self._subs = {}
-        self._subquots = {}
-        self._homs = {}
-        self._fac_single = {}
-        self._sub_single = {}
-        self._t_single = {}
-        self._lperp_single = {}
-        self._ext = {}
         self._by_total = sorted(
             range(len(self.reps)), key=lambda i: (sum(self.dims_of(i)), i)
         )
@@ -269,13 +260,9 @@ class Catalogue:
     def by_total_dim(self):
         return self._by_total
 
+    @memo
     def hom_basis(self, i, j):
-        key = (i, j)
-        got = self._homs.get(key)
-        if got is None:
-            got = hom_space(self.reps[i], self.reps[j])
-            self._homs[key] = got
-        return got
+        return hom_space(self.reps[i], self.reps[j])
 
     def hom_dim(self, i, j):
         return len(self.hom_basis(i, j))
@@ -324,18 +311,13 @@ class Catalogue:
                 return got
         return [rep]
 
+    @memo
     def signature(self, idx):
         """Sorted catalogue indices of the indecomposable summands."""
-        got = self._sig.get(idx)
-        if got is not None:
-            return got
         parts = self.decompose_rep(self.reps[idx])
         if len(parts) <= 1:
-            sig = (idx,) if parts else ()
-        else:
-            sig = tuple(sorted(self.find_index(part) for part in parts))
-        self._sig[idx] = sig
-        return sig
+            return (idx,) if parts else ()
+        return tuple(sorted(self.find_index(part) for part in parts))
 
     def is_indec(self, idx):
         return len(self.signature(idx)) == 1
@@ -353,27 +335,22 @@ class Catalogue:
 
     # -- bricks and semibricks -------------------------------------------------
 
+    @memo
     def is_brick(self, idx):
-        got = self._brick.get(idx)
-        if got is not None:
-            return got
         p = self.algebra.p
-        out = False
-        if self.is_indec(idx) and self.reps[idx].total_dim() > 0:
-            ends = self.hom_basis(idx, idx)
-            r = len(ends)
-            if p**r > SWEEP_CAP:
-                raise BudgetError("endomorphism sweep too large: %d^%d" % (p, r))
-            out = True
-            for coeffs in itertools.product(range(p), repeat=r):
-                if not any(coeffs):
-                    continue
-                phi = _combine(ends, coeffs, p)
-                if any(inverse(m, p) is None for m in phi if m):
-                    out = False
-                    break
-        self._brick[idx] = out
-        return out
+        if not self.is_indec(idx) or self.reps[idx].total_dim() == 0:
+            return False
+        ends = self.hom_basis(idx, idx)
+        r = len(ends)
+        if p**r > SWEEP_CAP:
+            raise BudgetError("endomorphism sweep too large: %d^%d" % (p, r))
+        for coeffs in itertools.product(range(p), repeat=r):
+            if not any(coeffs):
+                continue
+            phi = _combine(ends, coeffs, p)
+            if any(inverse(m, p) is None for m in phi if m):
+                return False
+        return True
 
     def bricks(self):
         return tuple(i for i in range(len(self.reps)) if self.is_brick(i))
@@ -402,11 +379,9 @@ class Catalogue:
 
     # -- submodule lattices ------------------------------------------------------
 
+    @memo
     def submodule_families(self, idx):
         """All submodules, as tuples of per-vertex reduced bases."""
-        got = self._subs.get(idx)
-        if got is not None:
-            return got
         M = self.reps[idx]
         A = self.algebra
         p = A.p
@@ -430,9 +405,7 @@ class Catalogue:
                 if joined not in fams:
                     fams.add(joined)
                     queue.append(joined)
-        got = tuple(sorted(fams))
-        self._subs[idx] = got
-        return got
+        return tuple(sorted(fams))
 
     def _cyclic_closure(self, M, v0, vec):
         A = self.algebra
@@ -467,11 +440,9 @@ class Catalogue:
             }
         )
 
+    @memo
     def subquot_pairs(self, idx):
         """(submodule index, quotient index) for every proper submodule."""
-        got = self._subquots.get(idx)
-        if got is not None:
-            return got
         M = self.reps[idx]
         pairs = set()
         for fam in self.submodule_families(idx):
@@ -480,30 +451,23 @@ class Catalogue:
             S, _ = submodule_rep(M, fam)
             Q, _ = quotient_module(M, fam)
             pairs.add((self.find_index(S), self.find_index(Q)))
-        got = tuple(sorted(pairs))
-        self._subquots[idx] = got
-        return got
+        return tuple(sorted(pairs))
 
     # -- extensions ----------------------------------------------------------------
 
+    @memo
     def extensions(self, xi, yi):
         """Middle terms of short exact sequences 0 -> Y -> E -> X -> 0.
 
         Returns (sorted tuple of catalogue indices, truncated flag); the flag
         is set when the middle dimension vector leaves the window.
         """
-        key = (xi, yi)
-        got = self._ext.get(key)
-        if got is not None:
-            return got
         X, Y = self.reps[xi], self.reps[yi]
         A = self.algebra
         p = A.p
         dims = tuple(x + y for x, y in zip(X.dims, Y.dims))
         if not self.in_window(dims):
-            out = ((), True)
-            self._ext[key] = out
-            return out
+            return ((), True)
         offs = []
         acc = 0
         for a in A.arrows:
@@ -583,9 +547,7 @@ class Catalogue:
                 if c:
                     cvec = [(x + c * y) % p for x, y in zip(cvec, z)]
             found.add(self.find_index(self._glue(X, Y, offs, cvec)))
-        out = (tuple(sorted(found)), False)
-        self._ext[key] = out
-        return out
+        return (tuple(sorted(found)), False)
 
     def _glue(self, X, Y, offs, cvec):
         A = self.algebra

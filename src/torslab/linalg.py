@@ -2,7 +2,7 @@
 
 Over F_p, matrices are tuples of tuples of ints in range(p), rows first.  An
 r x c matrix with r == 0 is the empty tuple, so the column count must be
-carried by the caller whenever it matters (nullspace, stacking).  A basis
+carried by the caller whenever it matters (nullspace).  A basis
 "in RREF" is the row tuple returned by ``rref`` or ``row_space``: each row
 starts with a 1 in its pivot column, which is 0 in every other row, so the
 coordinates of a vector of the row space are its entries at the pivots.
@@ -68,14 +68,6 @@ def mat_mul(a: Mat, b: Mat, p: int, inner: int | None = None) -> Mat:
 def mat_vec(m: Mat, v: Sequence[int], p: int) -> tuple:
     """Matrix times column vector, the vector given as a flat sequence."""
     return tuple(sum(map(mul, row, v)) % p for row in m)
-
-
-def vec_matmul(v: Sequence[int], a: Mat, p: int) -> tuple:
-    """Row vector times matrix."""
-    if not a:
-        return ()
-    cols = len(a[0])
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) % p for j in range(cols))
 
 
 def _subtract(d: dict, f: int, row: dict, p: int) -> None:
@@ -159,21 +151,6 @@ def nullspace(a: Mat, ncols: int, p: int) -> Mat:
     return tuple(basis)
 
 
-def solve(a: Mat, b: Sequence[int], p: int) -> tuple | None:
-    """One solution x of a x = b, or None.  b is a column given as a flat tuple."""
-    if not a:
-        return () if not any(b) else None
-    ncols = len(a[0])
-    aug = [list(row) + [bv % p] for row, bv in zip(a, b)]
-    red, pivots = rref(aug, p)
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[i][ncols]
-    return tuple(x)
-
-
 def inverse(a: Mat, p: int) -> Mat | None:
     n = len(a)
     if n == 0:
@@ -206,26 +183,6 @@ def residual(v: Sequence[int], basis: Mat, p: int) -> tuple:
 def in_row_space(v: Sequence[int], basis: Mat, p: int) -> bool:
     """basis must be in RREF."""
     return not any(residual(v, basis, p))
-
-
-def hstack(mats: Sequence[Mat], nrows: int) -> Mat:
-    """Concatenate blocks left to right; every block has nrows rows."""
-    if nrows == 0:
-        return ()
-    out = []
-    for i in range(nrows):
-        row: list = []
-        for m in mats:
-            row.extend(m[i])
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    out = []
-    for m in mats:
-        out.extend(m)
-    return tuple(out)
 
 
 def rref_q(rows: Iterable[Sequence]) -> tuple[Mat, tuple]:

@@ -27,6 +27,7 @@ from .algebra import (
     injective_module,
     inj_struct,
     kernel_submodule,
+    memo,
     proj_struct,
     projective_module,
     quotient_module,
@@ -99,20 +100,15 @@ def _mat_compose(A, M, N, ndst, nmid, nsrc):
     return tuple(out)
 
 
+@memo
 def _layout(A, src, dst):
     """Coordinate slots (dst summand, src summand, path) of Hom(+P(src), +P(dst))."""
-    cache = A._hom_layouts
-    key = (src, dst)
-    got = cache.get(key)
-    if got is None:
-        slots = []
-        for l, zl in enumerate(dst):
-            for k, mk in enumerate(src):
-                for b in A.paths_between(zl, mk):
-                    slots.append((l, k, b))
-        got = tuple(slots)
-        cache[key] = got
-    return got
+    return tuple(
+        (l, k, b)
+        for l, zl in enumerate(dst)
+        for k, mk in enumerate(src)
+        for b in A.paths[zl][mk]
+    )
 
 
 def _vec(slots, M):
@@ -137,7 +133,9 @@ class TwoTermComplex:
     """Complex of projectives concentrated in degrees -1 and 0.
 
     mat[l][k] is the component P(minus[k]) -> P(zero[l]); its support must
-    consist of paths from zero[l] to minus[k].
+    consist of paths from zero[l] to minus[k].  Two complexes are equal when
+    they have the same algebra, terms and differential, so caches key them by
+    value.
     """
 
     __slots__ = ("algebra", "minus", "zero", "mat")
@@ -146,6 +144,8 @@ class TwoTermComplex:
         self.algebra = algebra
         self.minus = tuple(minus)
         self.zero = tuple(zero)
+        if not all(0 <= v < algebra.n for v in self.minus + self.zero):
+            raise SiltingError("invalid vertex in terms %r, %r" % (self.minus, self.zero))
         p = algebra.p
         rows = []
         if len(mat) != len(self.zero):
@@ -179,6 +179,19 @@ class TwoTermComplex:
         for i in self.minus:
             g[i] -= 1
         return tuple(g)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TwoTermComplex)
+            and self.algebra is other.algebra
+            and self.minus == other.minus
+            and self.zero == other.zero
+            and self.mat == other.mat
+        )
+
+    def __hash__(self):
+        cells = tuple(tuple(frozenset(cell.items()) for cell in row) for row in self.mat)
+        return hash((id(self.algebra), self.minus, self.zero, cells))
 
     def __repr__(self):
         return "TwoTermComplex(minus=%r, zero=%r)" % (self.minus, self.zero)
@@ -228,52 +241,52 @@ def direct_sum_complex(parts, A):
 # -- chain maps up to homotopy -------------------------------------------------
 
 
-def _chain_data(X, Y):
+def _delta(A, X, Y, sa, sb, sc):
+    """Columns of the Hom-complex differential Hom^0(X, Y) -> Hom^1(X, Y),
+    (alpha, beta) |-> beta f_X - f_Y alpha: one column over the slots sc per
+    alpha slot of sa, then per beta slot of sb.  Its kernel is the chain
+    maps X -> Y, its cokernel Hom(X, Y[1])."""
+    p = A.p
+    scpos = {slot: j for j, slot in enumerate(sc)}
+    cols = []
+    for (l, k, b) in sa:
+        v = [0] * len(sc)
+        for j in range(len(Y.zero)):
+            for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
+                v[scpos[(j, k, bi)]] = -c % p
+        cols.append(tuple(v))
+    for (l, k, b) in sb:
+        v = [0] * len(sc)
+        for j in range(len(X.minus)):
+            for bi, c in A.mult({b: 1}, X.mat[k][j]).items():
+                v[scpos[(l, j, bi)]] = c
+        cols.append(tuple(v))
+    return tuple(cols)
+
+
+@memo
+def _chain_data(A, X, Y):
     """Chain maps X -> Y: solution space, null-homotopic span, and
     representatives for a basis of the homotopy classes."""
-    A = X.algebra
-    cache = A._chain_cache
-    key = (id(X), id(Y))
-    got = cache.get(key)
-    if got is not None:
-        return got[2]
     p = A.p
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
     sc = _layout(A, X.minus, Y.zero)
-    na, nb, nc = len(sa), len(sb), len(sc)
-    scpos = {slot: j for j, slot in enumerate(sc)}
-    # chain condition beta f_X - f_Y alpha = 0, one column per unknown slot
-    rows = [[0] * (na + nb) for _ in range(nc)]
-    for col, (l, k, b) in enumerate(sa):
-        # alpha slot contributes -f_Y[j][l] . b in column k
-        for j in range(len(Y.zero)):
-            prod = A.mult(Y.mat[j][l], {b: 1})
-            for bi, c in prod.items():
-                rows[scpos[(j, k, bi)]][col] = (-c) % p
-    for col, (l, k, b) in enumerate(sb):
-        # beta slot contributes b . f_X[k][j] in row l
-        for j in range(len(X.minus)):
-            prod = A.mult({b: 1}, X.mat[k][j])
-            for bi, c in prod.items():
-                rows[scpos[(l, j, bi)]][na + col] = c % p
-    sol = nullspace(tuple(tuple(r) for r in rows), na + nb, p)
+    na, nb = len(sa), len(sb)
+    sol = nullspace(tuple(zip(*_delta(A, X, Y, sa, sb, sc))), na + nb, p)
     # null-homotopic chain maps (h f_X, f_Y h) for h: X^0 -> Y^{-1}
+    sapos = {slot: j for j, slot in enumerate(sa)}
+    sbpos = {slot: na + j for j, slot in enumerate(sb)}
     hvecs = []
     for (l, k, b) in _layout(A, X.zero, Y.minus):
-        va = [0] * na
-        vb = [0] * nb
+        v = [0] * (na + nb)
         for j in range(len(X.minus)):
-            prod = A.mult({b: 1}, X.mat[k][j])
-            for col, slot in enumerate(sa):
-                if slot[0] == l and slot[1] == j:
-                    va[col] = prod.get(slot[2], 0)
+            for bi, c in A.mult({b: 1}, X.mat[k][j]).items():
+                v[sapos[(l, j, bi)]] = c
         for j in range(len(Y.zero)):
-            prod = A.mult(Y.mat[j][l], {b: 1})
-            for col, slot in enumerate(sb):
-                if slot[0] == j and slot[1] == k:
-                    vb[col] = prod.get(slot[2], 0)
-        hvecs.append(tuple(va) + tuple(vb))
+            for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
+                v[sbpos[(j, k, bi)]] = c
+        hvecs.append(tuple(v))
     hot, _ = rref(tuple(hvecs), p)
     work = hot
     k_vecs = []
@@ -286,20 +299,18 @@ def _chain_data(X, Y):
             beta = _unvec(sb, len(X.zero), len(Y.zero), v[na:])
             k_mats.append((alpha, beta))
             work, _ = rref(work + (r,), p)
-    data = {
+    return {
         "sa": sa,
         "sb": sb,
         "hot": hot,
         "k_vecs": tuple(k_vecs),
         "k_mats": tuple(k_mats),
     }
-    cache[key] = (X, Y, data)
-    return data
 
 
 def hom_k_basis(X, Y):
     """Basis of the homotopy classes of chain maps X -> Y, as (alpha, beta)."""
-    return _chain_data(X, Y)["k_mats"]
+    return _chain_data(X.algebra, X, Y)["k_mats"]
 
 
 def _pair_compose(A, outer, inner, X, Y, Z):
@@ -310,7 +321,7 @@ def _pair_compose(A, outer, inner, X, Y, Z):
 
 
 def _pair_vec(X, Y, pair):
-    data = _chain_data(X, Y)
+    data = _chain_data(X.algebra, X, Y)
     return _vec(data["sa"], pair[0]) + _vec(data["sb"], pair[1])
 
 
@@ -322,29 +333,12 @@ def is_presilting(U):
     return _self_ok(U) if isinstance(U, TwoTermComplex) else _set_presilting(U)
 
 
+@memo
 def _vanishing_rank_ok(A, X, Y):
     """Hom(X, Y[1]) = 0: maps X^{-1} -> Y^0 must all be null-homotopic."""
-    p = A.p
     sc = _layout(A, X.minus, Y.zero)
-    if not sc:
-        return True
-    scpos = {slot: j for j, slot in enumerate(sc)}
-    gens = []
-    for (l, k, b) in _layout(A, X.zero, Y.zero):
-        v = [0] * len(sc)
-        for j in range(len(X.minus)):
-            prod = A.mult({b: 1}, X.mat[k][j])
-            for bi, c in prod.items():
-                v[scpos[(l, j, bi)]] = c
-        gens.append(tuple(v))
-    for (l, k, b) in _layout(A, X.minus, Y.minus):
-        v = [0] * len(sc)
-        for j in range(len(Y.zero)):
-            prod = A.mult(Y.mat[j][l], {b: 1})
-            for bi, c in prod.items():
-                v[scpos[(j, k, bi)]] = c
-        gens.append(tuple(v))
-    return rank(gens, p) == len(sc)
+    cols = _delta(A, X, Y, _layout(A, X.minus, Y.minus), _layout(A, X.zero, Y.zero), sc)
+    return rank(cols, A.p) == len(sc)
 
 
 def _self_ok(U):
@@ -353,20 +347,7 @@ def _self_ok(U):
 
 def _set_presilting(summands):
     summands = tuple(summands)
-    if not summands:
-        return True
-    A = summands[0].algebra
-    cache = A._rigid_pairs
-    for X in summands:
-        for Y in summands:
-            key = (id(X), id(Y))
-            got = cache.get(key)
-            if got is None:
-                got = (X, Y, _vanishing_rank_ok(A, X, Y))
-                cache[key] = got
-            if not got[2]:
-                return False
-    return True
+    return all(_vanishing_rank_ok(X.algebra, X, Y) for X in summands for Y in summands)
 
 
 def is_silting(summands):
@@ -476,7 +457,7 @@ def reduced(U):
 
 def _left_approximates(A, X, others, copies):
     for s, S in enumerate(others):
-        data = _chain_data(X, S)
+        data = _chain_data(A, X, S)
         need = len(data["hot"]) + len(data["k_vecs"])
         rows = [tuple(r) for r in data["hot"]]
         for t, pair in copies:
@@ -490,7 +471,7 @@ def _left_approximates(A, X, others, copies):
 
 def _right_approximates(A, X, others, copies):
     for s, S in enumerate(others):
-        data = _chain_data(S, X)
+        data = _chain_data(A, S, X)
         need = len(data["hot"]) + len(data["k_vecs"])
         rows = [tuple(r) for r in data["hot"]]
         for t, pair in copies:

@@ -1,6 +1,7 @@
 """Exact stability data over the window: the four classes cut out by a
-weight vector, TF equivalence, the coordinatewise order, and robustness
-certificates.  All comparisons run in Fraction arithmetic."""
+weight vector (two weights are TF equivalent when their quadruples are
+equal), the coordinatewise order, and robustness certificates.  All
+comparisons run in Fraction arithmetic."""
 
 from __future__ import annotations
 
@@ -25,31 +26,6 @@ class Quadruple:
     Tbar: int
     F: int
     Fbar: int
-
-
-def membership(cat, theta, idx, which):
-    """Single-item test against one of the four classes cut out by theta.
-
-    T: every nonzero quotient weight positive.  Tbar: nonnegative.
-    F: every nonzero submodule weight negative.  Fbar: nonpositive.
-    The zero module belongs to all four.
-    """
-    A = cat.algebra
-    if which in ("T", "Tbar"):
-        vals = [
-            euler_pairing(A, theta, v)
-            for v in cat.quotient_dimvectors(idx)
-            if any(v)
-        ]
-        return all(x > 0 for x in vals) if which == "T" else all(x >= 0 for x in vals)
-    if which in ("F", "Fbar"):
-        vals = [
-            euler_pairing(A, theta, v)
-            for v in cat.submodule_dimvectors(idx)
-            if any(v)
-        ]
-        return all(x < 0 for x in vals) if which == "F" else all(x <= 0 for x in vals)
-    raise ValueError("unknown class tag %r" % (which,))
 
 
 def quadruple(cat, theta):
@@ -81,10 +57,6 @@ def quadruple(cat, theta):
     if T & Fbar != zero_bit or Tbar & F != zero_bit:
         raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
     return Quadruple(T, Tbar, F, Fbar)
-
-
-def tf_equivalent(cat, theta, eta):
-    return quadruple(cat, theta) == quadruple(cat, eta)
 
 
 def cw_less(eta, theta):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import hom_space
+from .algebra import hom_space, memo
 from .catalogue import BudgetError, Catalogue, WindowError
 from .linalg import nullspace, rank
 
@@ -202,32 +202,24 @@ def _candidates(cat, mask):
     return [i for i in cat.by_total_dim() if (mask >> i) & 1]
 
 
+@memo
 def fac_of_single(cat, i):
-    memo = cat._fac_single
-    if i not in memo:
-        memo[i] = fac_closure(cat, (i,))
-    return memo[i]
+    return fac_closure(cat, (i,))
 
 
+@memo
 def sub_of_single(cat, i):
-    memo = cat._sub_single
-    if i not in memo:
-        memo[i] = sub_closure(cat, (i,))
-    return memo[i]
+    return sub_closure(cat, (i,))
 
 
+@memo
 def t_of_single(cat, i):
-    memo = cat._t_single
-    if i not in memo:
-        memo[i] = filt_closure(cat, fac_of_single(cat, i))
-    return memo[i]
+    return filt_closure(cat, fac_of_single(cat, i))
 
 
+@memo
 def left_perp_of_single(cat, i):
-    memo = cat._lperp_single
-    if i not in memo:
-        memo[i] = left_perp(cat, (i,))
-    return memo[i]
+    return left_perp(cat, (i,))
 
 
 def fac_single_witness(cat, tmask):
@@ -327,7 +319,6 @@ class Window:
         self.algebra = algebra
         self.bound = tuple(bound)
         self.cat = Catalogue(algebra, self.bound)
-        self._witnesses = {}
 
     @cached_property
     def classes(self):
@@ -361,24 +352,20 @@ class Window:
         """Whether the census is certified stable at bound+1."""
         return bool(self.cert and self.cert["stable"])
 
+    @memo
     def witnesses(self, tmask):
         """The right perp of a class, its Fac, Sub, compact and cocompact
         witnesses (indices or None), and the ff and bicompact flags they
         give."""
-        got = self._witnesses.get(tmask)
-        if got is None:
-            cat = self.cat
-            fmask = right_perp(cat, tmask)
-            got = {
-                "perp": fmask,
-                "fac": fac_single_witness(cat, tmask),
-                "sub": sub_single_witness(cat, fmask),
-                "compact": compact_witness(cat, tmask),
-                "cocompact": cocompact_witness(cat, tmask, fmask),
-            }
-            got["ff"] = got["fac"] is not None and got["sub"] is not None
-            got["bicompact"] = (
-                got["compact"] is not None and got["cocompact"] is not None
-            )
-            self._witnesses[tmask] = got
+        cat = self.cat
+        fmask = right_perp(cat, tmask)
+        got = {
+            "perp": fmask,
+            "fac": fac_single_witness(cat, tmask),
+            "sub": sub_single_witness(cat, fmask),
+            "compact": compact_witness(cat, tmask),
+            "cocompact": cocompact_witness(cat, tmask, fmask),
+        }
+        got["ff"] = got["fac"] is not None and got["sub"] is not None
+        got["bicompact"] = got["compact"] is not None and got["cocompact"] is not None
         return got

@@ -1,7 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from conftest import bundled
 from torslab.algebra import (
     AlgebraError,
     Representation,
@@ -12,9 +15,12 @@ from torslab.algebra import (
     hom_dim,
     hom_space,
     image_submodule,
+    inj_struct,
     injective_module,
     kernel_submodule,
     load_algebra,
+    memo,
+    proj_struct,
     projective_module,
     quotient_module,
     simple_module,
@@ -197,3 +203,60 @@ def test_euler_pairing(a2, kronecker):
     assert euler_pairing(a2, th, (1, 1)) == 0
     assert euler_pairing(a2, (2, -1), (1, 1)) == 1
     assert euler_pairing(kronecker, (Fraction(1, 2), Fraction(-3, 2)), (2, 1)) == Fraction(-1, 2)
+
+
+class _Owner:
+    def __init__(self):
+        self.calls = []
+
+    @memo
+    def square(self, x):
+        self.calls.append(x)
+        if x < 0:
+            raise ValueError(x)
+        return x * x
+
+    @memo
+    def cube(self, x):
+        return x**3
+
+
+def test_memo_caches_per_owner_and_argument_tuple():
+    a, b = _Owner(), _Owner()
+    assert a.square(3) == a.square(3) == 9
+    assert a.square(4) == 16
+    assert a.calls == [3, 4]
+    # two functions with the same arguments keep separate tables
+    assert a.cube(3) == 27
+    # two owners never share an entry
+    assert b.square(3) == 9
+    assert b.calls == [3]
+
+
+def test_memo_does_not_cache_a_raising_call():
+    a = _Owner()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            a.square(-1)
+    assert a.calls == [-1, -1]
+
+
+def test_memo_cache_dies_with_its_owner():
+    a = _Owner()
+    a.square(2)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+def test_path_table_matches_every_layout():
+    for name in ("a2", "kronecker", "kxk", "loop"):
+        A = bundled(name)
+        for i in range(A.n):
+            for j in range(A.n):
+                scan = tuple(
+                    k for k in range(A.dim) if A.path_source[k] == i and A.path_target[k] == j
+                )
+                assert A.paths[i][j] == scan
+                assert A.paths_between(i, j) == proj_struct(A, i)[j] == inj_struct(A, j)[i] == scan

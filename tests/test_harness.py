@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -189,6 +190,23 @@ def test_traced_entry_points_exist():
             obj = getattr(obj, attr, None)
             assert obj is not None, entry
         assert callable(obj), entry
+
+
+def test_runtime_imports_only_stdlib():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torslab"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_scan_semibrick_sizes():

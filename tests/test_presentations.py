@@ -12,7 +12,7 @@ from torslab.presentations import (
     tbar_of_map,
 )
 from torslab.silting import TwoTermComplex
-from torslab.stability import membership, quadruple
+from torslab.stability import quadruple
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +99,13 @@ def test_fei_union_kronecker(cat_kron):
 def test_membership(cat_a2, cat_kron, a2, kronecker):
     bricks11 = [i for i in cat_kron.bricks() if cat_kron.dims_of(i) == (1, 1)]
     assert len(bricks11) == 3
+    q = quadruple(cat_kron, (1, -1))
     for brick in bricks11:
-        assert membership(cat_kron, (1, -1), brick, "Tbar")
-        assert not membership(cat_kron, (1, -1), brick, "T")
+        assert (q.Tbar >> brick) & 1
+        assert not (q.T >> brick) & 1
     s1 = cat_a2.find_index(simple_module(a2, 0))
-    assert membership(cat_a2, (1, 1), s1, "T")
+    assert (quadruple(cat_a2, (1, 1)).T >> s1) & 1
     z = cat_a2.zero_index()
-    for which in ("T", "Tbar", "F", "Fbar"):
-        assert membership(cat_a2, (3, -2), z, which)
-    q = quadruple(cat_a2, (1, -1))
-    for i in range(len(cat_a2)):
-        assert membership(cat_a2, (1, -1), i, "T") == bool((q.T >> i) & 1)
-        assert membership(cat_a2, (1, -1), i, "Fbar") == bool((q.Fbar >> i) & 1)
+    q = quadruple(cat_a2, (3, -2))
+    for mask in (q.T, q.Tbar, q.F, q.Fbar):
+        assert (mask >> z) & 1

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import bundled
 from torslab import silting
 from torslab.catalogue import Catalogue
 from torslab.silting import (
@@ -71,6 +72,9 @@ def test_complex_validation(a2):
         TwoTermComplex(a2, (1,), (0,), (({unit_path(a2, 0): 1},),))
     with pytest.raises(SiltingError):
         TwoTermComplex(a2, (1,), (0,), ())
+    for minus in ((2,), (-1,)):
+        with pytest.raises(SiltingError):
+            TwoTermComplex(a2, minus, (0,), (({},),))
 
 
 def test_stalks_and_initial(a2):
@@ -369,3 +373,31 @@ def test_induced_pairs_along_pentagon(a2):
         assert big == small
         seen.add(big)
     assert len(seen) == 5
+
+
+def test_equal_complexes_share_chain_data(monkeypatch):
+    A = bundled("kronecker")
+    a, b = (k for k in A.paths_between(0, 1) if A.basis[k][1])
+
+    def pair():
+        return (
+            TwoTermComplex(A, (1,), (0,), (({a: 1},),)),
+            TwoTermComplex(A, (1,), (0,), (({b: 1},),)),
+        )
+
+    X, Y = pair()
+    X2, Y2 = pair()
+    assert X is not X2 and X == X2 and hash(X) == hash(X2)
+    assert Y == Y2 and hash(Y) == hash(Y2)
+    assert X != Y
+    assert X != TwoTermComplex(bundled("kronecker"), (1,), (0,), (({a: 1},),))
+    calls = []
+    original = silting.nullspace
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(silting, "nullspace", counted)
+    assert hom_k_basis(X, Y) == hom_k_basis(X2, Y2)
+    assert len(calls) == 1

@@ -10,7 +10,6 @@ from torslab.stability import (
     epsilon_certificate,
     parse_theta,
     quadruple,
-    tf_equivalent,
 )
 from torslab.torsion import (
     cocompact_pair_of,
@@ -213,12 +212,12 @@ def test_quadruple_kronecker_strict_vs_weak(cat_kron):
 def test_tf_equivalence_and_cw(cat_a2):
     one = Fraction(1)
     # scaling never changes the four classes
-    assert tf_equivalent(cat_a2, (one, -one), (2 * one, -2 * one))
+    assert quadruple(cat_a2, (one, -one)) == quadruple(cat_a2, (2 * one, -2 * one))
     # same chamber interior
-    assert tf_equivalent(cat_a2, (one, -2 * one), (2 * one, -3 * one))
+    assert quadruple(cat_a2, (one, -2 * one)) == quadruple(cat_a2, (2 * one, -3 * one))
     # wall point vs chamber interior
-    assert not tf_equivalent(cat_a2, (one, -one), (one, -2 * one))
-    assert not tf_equivalent(cat_a2, (one, -one), (one, one))
+    assert quadruple(cat_a2, (one, -one)) != quadruple(cat_a2, (one, -2 * one))
+    assert quadruple(cat_a2, (one, -one)) != quadruple(cat_a2, (one, one))
     assert cw_less((0, -1), (1, 1))
     assert not cw_less((0, 2), (1, 1))
 
