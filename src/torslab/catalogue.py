@@ -381,31 +381,38 @@ class Catalogue:
 
     @memo
     def submodule_families(self, idx):
-        """All submodules, as tuples of per-vertex reduced bases."""
+        """All submodules, as tuples of per-vertex reduced bases.
+
+        Every submodule is a sum of cyclic ones, so the lattice is the
+        closure of the zero submodule under joining with the distinct cyclic
+        submodules.  These are generated by the vectors of each M_v up to
+        scalar: those whose first nonzero entry is 1.
+        """
         M = self.reps[idx]
         A = self.algebra
         p = A.p
+        seeds = set()
+        for v in range(A.n):
+            for vec in itertools.product(range(p), repeat=M.dims[v]):
+                if any(vec) and next(filter(None, vec)) == 1:
+                    seeds.add(self._cyclic_closure(M, v, vec))
         zero = tuple(() for _ in range(A.n))
         fams = {zero}
-        seeds = []
-        for v in range(A.n):
-            d = M.dims[v]
-            for vec in itertools.product(range(p), repeat=d):
-                if not any(vec):
-                    continue
-                seeds.append(self._cyclic_closure(M, v, vec))
-        fams.update(seeds)
-        queue = list(fams)
+        queue = [zero]
         while queue:
             fam = queue.pop()
-            for other in list(fams):
-                joined = tuple(
-                    row_space(fam[v] + other[v], p) for v in range(A.n)
-                )
+            for seed in seeds:
+                joined = tuple(self._join(fam[v], seed[v]) for v in range(A.n))
                 if joined not in fams:
                     fams.add(joined)
                     queue.append(joined)
         return tuple(sorted(fams))
+
+    @memo
+    def _join(self, basis, rows):
+        """RREF basis of the span of two row tuples; a vertex space of the
+        window has few subspaces, so few distinct pairs meet."""
+        return row_space(basis + rows, self.algebra.p)
 
     def _cyclic_closure(self, M, v0, vec):
         A = self.algebra
@@ -426,18 +433,20 @@ class Catalogue:
                     work.append((a.target, img))
         return tuple(row_space(tuple(spans[v]), p) for v in range(A.n))
 
+    @memo
     def submodule_dimvectors(self, idx):
-        return sorted(
-            {tuple(len(fam[v]) for v in range(self.algebra.n)) for fam in self.submodule_families(idx)}
+        return tuple(
+            sorted({tuple(len(f) for f in fam) for fam in self.submodule_families(idx)})
         )
 
+    @memo
     def quotient_dimvectors(self, idx):
         dims = self.reps[idx].dims
-        return sorted(
-            {
+        return tuple(
+            sorted(
                 tuple(d - s for d, s in zip(dims, sub))
                 for sub in self.submodule_dimvectors(idx)
-            }
+            )
         )
 
     @memo

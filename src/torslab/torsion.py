@@ -1,11 +1,16 @@
 """Torsion classes inside a catalogue window.
 
-Subcategories of the window are bitmasks over catalogue indices.  Quotient and
-submodule closures are decided by trace and reject arguments against explicit
-hom bases, so membership is exact for every item of the window even when the
-generating modules live outside it.  Extension closure is the filtration DP
-over submodule lattices; filtrations of an in-window module only ever use
-in-window subquotients, so that closure is exact as well.
+Subcategories of the window are bitmasks over catalogue indices.  Quotient
+and submodule closures and both perps are decided on indecomposables: each
+is closed under finite sums and summands, so an item is in exactly when its
+Krull-Schmidt summands are, and indexed generators are replaced by their
+indecomposable summands.  An indecomposable item is tested by trace and
+reject arguments against explicit hom bases, read from tables cached per
+pair of indecomposable items, so membership is exact for every item of the
+window even when the generating modules live outside it.  Extension
+closure stays item-level, exact for any mask: it is the filtration DP over
+submodule lattices, and filtrations of an in-window module only ever use
+in-window subquotients.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from functools import cached_property
 
 from .algebra import hom_space, memo
 from .catalogue import BudgetError, Catalogue, WindowError
-from .linalg import nullspace, rank
+from .linalg import rank, row_space
 
 
 def mask_of(indices):
@@ -38,71 +43,117 @@ def indices_of(mask):
 # -- closures (mask in, mask out) --------------------------------------------
 
 
-def _norm_gens(cat, gens):
+def _generators(cat, gens):
     """Accept a mask, an index iterable, or explicit representations.
 
-    Returns a list of (index_or_None, rep); indexed generators use the
-    catalogue's hom cache.
+    Returns (sorted indices of the indecomposable summands of the indexed
+    generators, the nonzero explicit ones).  Fac, Sub and both perps of a
+    direct sum are those of its summands.
     """
     if isinstance(gens, int):
-        pairs = [(i, cat.rep(i)) for i in indices_of(gens)]
-    else:
-        pairs = [
-            (g, cat.rep(g)) if isinstance(g, int) else (None, g) for g in gens
-        ]
-    return [(i, r) for i, r in pairs if r.total_dim() > 0]
+        gens = indices_of(gens)
+    items = set()
+    explicit = []
+    for g in gens:
+        if isinstance(g, int):
+            items.update(cat.signature(g))
+        elif g.total_dim() > 0:
+            explicit.append(g)
+    return sorted(items), explicit
 
 
-def _homs(cat, src, dst):
-    si, sr = src
-    di, dr = dst
-    if si is not None and di is not None:
-        return cat.hom_basis(si, di)
-    return hom_space(sr, dr)
+def _on_indecomposables(cat, member):
+    """Mask of the items all of whose indecomposable summands pass member.
+
+    Fac, Sub and both perps are closed under finite sums and summands, so a
+    decomposable item is in exactly when its summands are; they are smaller,
+    hence decided first in order of total dimension.
+    """
+    out = 0
+    for idx in cat.by_total_dim():
+        sig = cat.signature(idx)
+        if sig == (idx,):
+            ok = member(idx)
+        else:
+            ok = all((out >> s) & 1 for s in sig)
+        if ok:
+            out |= 1 << idx
+    return out
+
+
+def _images(homs, v):
+    """The columns of every map at vertex v: the images of basis vectors."""
+    return [col for phi in homs for col in zip(*phi[v])]
+
+
+def _rows(homs, v):
+    return [row for phi in homs for row in phi[v]]
+
+
+@memo
+def _trace_rows(cat, g, x):
+    """Per vertex, a basis of the images of all maps from item g to item x."""
+    homs = cat.hom_basis(g, x)
+    p = cat.algebra.p
+    return tuple(row_space(_images(homs, v), p) for v in range(cat.algebra.n))
+
+
+@memo
+def _reject_rows(cat, x, g):
+    """Per vertex, a basis of the rows of all maps from item x to item g;
+    their common kernel is the reject of g in x."""
+    homs = cat.hom_basis(x, g)
+    p = cat.algebra.p
+    return tuple(row_space(_rows(homs, v), p) for v in range(cat.algebra.n))
+
+
+def _full_rank(cat, x, blocks):
+    """Whether the per-vertex rows of the blocks have rank dim X_v at every
+    vertex v of item x."""
+    p = cat.algebra.p
+    return all(
+        rank([r for b in blocks for r in b[v]], p) == d
+        for v, d in enumerate(cat.dims_of(x))
+    )
 
 
 def fac_closure(cat, gens):
-    """Items that are quotients of finite direct sums of the generators."""
-    pairs = _norm_gens(cat, gens)
-    A = cat.algebra
-    out = 0
-    for idx in range(len(cat)):
-        X = cat.rep(idx)
-        if X.total_dim() == 0:
-            out |= 1 << idx
-            continue
-        spans = [[] for _ in range(A.n)]
-        for gi, g in pairs:
-            for phi in _homs(cat, (gi, g), (idx, X)):
-                for v in range(A.n):
-                    m = phi[v]
-                    for c in range(g.dims[v]):
-                        spans[v].append(tuple(m[r][c] for r in range(X.dims[v])))
-        if all(rank(spans[v], A.p) == X.dims[v] for v in range(A.n)):
-            out |= 1 << idx
-    return out
+    """Items that are quotients of finite direct sums of the generators.
+
+    An indecomposable X is in exactly when the images of all maps from the
+    generators span X at every vertex.  Every item's Krull-Schmidt
+    signature must be computable: on a catalogue where decompose_rep raises
+    BudgetError, this raises too.
+    """
+    items, explicit = _generators(cat, gens)
+    n = cat.algebra.n
+
+    def member(x):
+        homs = [phi for G in explicit for phi in hom_space(G, cat.rep(x))]
+        blocks = [_trace_rows(cat, g, x) for g in items]
+        blocks.append([_images(homs, v) for v in range(n)])
+        return _full_rank(cat, x, blocks)
+
+    return _on_indecomposables(cat, member)
 
 
 def sub_closure(cat, gens):
-    """Items embedding in finite direct sums of the generators."""
-    pairs = _norm_gens(cat, gens)
-    A = cat.algebra
-    out = 0
-    for idx in range(len(cat)):
-        X = cat.rep(idx)
-        if X.total_dim() == 0:
-            out |= 1 << idx
-            continue
-        rows = [[] for _ in range(A.n)]
-        for gi, g in pairs:
-            for phi in _homs(cat, (idx, X), (gi, g)):
-                for v in range(A.n):
-                    rows[v].extend(phi[v])
-        if all(
-            not nullspace(tuple(rows[v]), X.dims[v], A.p) for v in range(A.n)
-        ):
-            out |= 1 << idx
-    return out
+    """Items embedding in finite direct sums of the generators.
+
+    An indecomposable X is in exactly when the maps into the generators
+    have no common kernel: their rows have rank dim X_v at every vertex v.
+    Every item's signature must be computable, as for fac_closure.
+    """
+    items, explicit = _generators(cat, gens)
+    n = cat.algebra.n
+
+    def member(x):
+        homs = [phi for G in explicit for phi in hom_space(cat.rep(x), G)]
+        blocks = [_reject_rows(cat, x, g) for g in items]
+        blocks.append([_rows(homs, v) for v in range(n)])
+        return _full_rank(cat, x, blocks)
+
+    return _on_indecomposables(cat, member)
 
 
 def filt_closure(cat, mask):
@@ -119,25 +170,33 @@ def filt_closure(cat, mask):
 
 
 def left_perp(cat, gens):
-    """Items X with Hom(X, G) = 0 for every generator G."""
-    pairs = _norm_gens(cat, gens)
-    out = 0
-    for idx in range(len(cat)):
-        X = cat.rep(idx)
-        if all(not _homs(cat, (idx, X), (gi, g)) for gi, g in pairs):
-            out |= 1 << idx
-    return out
+    """Items X with Hom(X, G) = 0 for every generator G.
+
+    Every item's signature must be computable, as for fac_closure.
+    """
+    items, explicit = _generators(cat, gens)
+
+    def member(x):
+        return not any(cat.hom_basis(x, g) for g in items) and not any(
+            hom_space(cat.rep(x), G) for G in explicit
+        )
+
+    return _on_indecomposables(cat, member)
 
 
 def right_perp(cat, gens):
-    """Items X with Hom(G, X) = 0 for every generator G."""
-    pairs = _norm_gens(cat, gens)
-    out = 0
-    for idx in range(len(cat)):
-        X = cat.rep(idx)
-        if all(not _homs(cat, (gi, g), (idx, X)) for gi, g in pairs):
-            out |= 1 << idx
-    return out
+    """Items X with Hom(G, X) = 0 for every generator G.
+
+    Every item's signature must be computable, as for fac_closure.
+    """
+    items, explicit = _generators(cat, gens)
+
+    def member(x):
+        return not any(cat.hom_basis(g, x) for g in items) and not any(
+            hom_space(G, cat.rep(x)) for G in explicit
+        )
+
+    return _on_indecomposables(cat, member)
 
 
 def t_of(cat, gens):
@@ -177,22 +236,6 @@ def enumerate_torsion_classes(cat):
         if fac_closure(cat, m) != m or filt_closure(cat, m) != m:
             raise WindowError("semibrick sweep produced a non-closed class")
     return sorted(seen, key=lambda m: (m.bit_count(), m))
-
-
-def hasse_edges(classes):
-    """Cover relations of the inclusion order on a list of masks."""
-    edges = []
-    for i, a in enumerate(classes):
-        for j, b in enumerate(classes):
-            if a == b or (a & b) != a:
-                continue
-            if any(
-                c != a and c != b and (a & c) == a and (c & b) == c
-                for c in classes
-            ):
-                continue
-            edges.append((i, j))
-    return tuple(edges)
 
 
 # -- compactness and finiteness predicates -------------------------------------
@@ -251,25 +294,6 @@ def cocompact_witness(cat, tmask, fmask):
     for i in _candidates(cat, fmask):
         if left_perp_of_single(cat, i) == tmask:
             return i
-    return None
-
-
-def cocompact_pair_of(cat, idx):
-    """The torsion pair (perp of M, smallest torsion-free class containing M)."""
-    tmask = left_perp(cat, (idx,))
-    fmask = f_of(cat, (idx,))
-    if right_perp(cat, tmask) != fmask:
-        raise WindowError("window too small to close the pair of %d" % idx)
-    return tmask, fmask
-
-
-def widely_generated_witness(cat, tmask):
-    """Smallest semibrick generating the class, or None."""
-    for sb in sorted(cat.semibricks(), key=lambda s: (len(s), s)):
-        if mask_of(sb) & ~tmask:
-            continue
-        if t_of(cat, mask_of(sb)) == tmask:
-            return sb
     return None
 
 

@@ -241,13 +241,13 @@ def test_f4_brick_has_no_middle_submodule(cat_kron_big):
         if cat_kron_big.dims_of(i) == (2, 2):
             f4 = i
     assert f4 is not None
-    assert cat_kron_big.submodule_dimvectors(f4) == [
+    assert cat_kron_big.submodule_dimvectors(f4) == (
         (0, 0),
         (0, 1),
         (0, 2),
         (1, 2),
         (2, 2),
-    ]
+    )
 
 
 def test_semibricks(cat_a2, cat_kron):

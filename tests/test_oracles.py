@@ -1,0 +1,117 @@
+"""The closures and submodule lattices against the item-level oracles, and
+the work they may do."""
+
+import random
+import sys
+
+import pytest
+
+import oracles
+from conftest import bundled
+from torslab import torsion
+from torslab.algebra import direct_sum
+from torslab.catalogue import Catalogue
+from torslab.presentations import map_from_coeffs, presentation_space, tbar_of_map
+from torslab.silting import cohomology, direct_sum_complex, enumerate_silting
+from torslab.torsion import Window, enumerate_torsion_classes
+
+CLOSURES = ("fac_closure", "sub_closure", "left_perp", "right_perp")
+
+# (bundled name, field, bound)
+WINDOWS = (
+    ("a2", None, (2, 2)),
+    ("kronecker", None, (2, 2)),
+    ("kronecker", 3, (1, 2)),
+    ("loop", None, (2,)),
+    ("kxk", None, (1, 1)),
+)
+
+
+@pytest.fixture(scope="module", params=WINDOWS, ids=lambda w: "%s-p%s-%s" % w)
+def window(request):
+    name, p, bound = request.param
+    A = bundled(name, p)
+    return A, Catalogue(A, bound)
+
+
+def _agree(cat, gens):
+    for name in CLOSURES:
+        got = getattr(torsion, name)(cat, gens)
+        assert got == getattr(oracles, name)(cat, gens), (name, gens)
+
+
+def test_closures_match_oracle_on_masks(window):
+    # random masks are rarely closed under sums or summands; the torsion
+    # classes and their perps are
+    _, cat = window
+    rng = random.Random(20261018)
+    full = (1 << len(cat)) - 1
+    masks = [0, full] + [rng.randrange(full + 1) for _ in range(12)]
+    masks += [rng.randrange(full + 1) & rng.randrange(full + 1) for _ in range(6)]
+    for tmask in enumerate_torsion_classes(cat):
+        masks += [tmask, torsion.right_perp(cat, tmask)]
+    for m in masks:
+        _agree(cat, m)
+
+
+def test_closures_match_oracle_on_explicit_modules(window):
+    # the cohomology of walk vertices, which may leave the window, and direct
+    # sums of two items, alone and beside an indexed generator
+    A, cat = window
+    for vert in enumerate_silting(A, 4)["vertices"]:
+        h0, hm1 = cohomology(direct_sum_complex(vert["summands"], A))
+        _agree(cat, [h0])
+        _agree(cat, [hm1])
+    rng = random.Random(7)
+    for _ in range(6):
+        i, j, k = (rng.randrange(len(cat)) for _ in range(3))
+        both = direct_sum(cat.rep(i), cat.rep(j))
+        _agree(cat, [both])
+        _agree(cat, [k, both])
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("kronecker", (2, 3)), ("a2", (3, 3)), ("kxk", (1, 1)), ("loop", (2,))],
+)
+def test_submodule_families_match_all_pairs_join(name, bound):
+    cat = Catalogue(bundled(name), bound)
+    for idx in range(len(cat)):
+        assert cat.submodule_families(idx) == oracles.submodule_families(cat, idx)
+
+
+def test_census_and_witnesses_read_homs_between_indecomposables(monkeypatch, kronecker):
+    calls = []
+    original = Catalogue.hom_basis
+
+    def counted(cat, i, j):
+        calls.append((i, j))
+        return original(cat, i, j)
+
+    monkeypatch.setattr(Catalogue, "hom_basis", counted)
+    w = Window(kronecker, (2, 3))
+    for tmask in w.classes:
+        w.witnesses(tmask)
+    assert calls
+    assert all(w.cat.is_indec(i) and w.cat.is_indec(j) for i, j in calls)
+
+
+def test_tbar_of_map_computes_one_hom_space_per_indecomposable(monkeypatch, a2):
+    cat = Catalogue(a2, (2, 2))
+    # every signature is computed here, so the decompositions' own hom
+    # spaces are not counted below
+    indecs = [i for i in range(len(cat)) if cat.is_indec(i)]
+    U = map_from_coeffs(a2, presentation_space(a2, (1, -1)), (0,))
+    calls = []
+    original = torsion.hom_space
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("torslab.") and getattr(module, "hom_space", None) is original:
+            monkeypatch.setattr(module, "hom_space", counted)
+    tmask = tbar_of_map(cat, U)
+    assert tmask != 1 << cat.zero_index()
+    assert 0 < len(calls) <= len(indecs) < len(cat)
