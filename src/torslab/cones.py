@@ -1,14 +1,16 @@
 """Exact rational cone geometry for class vectors of a module window.
 
-Cones are nonnegative rational spans of integer generator lists.  Every
-decision runs in Fraction arithmetic.  Two engines are kept deliberately
-separate so tests can compare them: a two-phase simplex with Bland's rule
-answers the programming questions (trivial intersection, strong convexity,
-best separating vector), and an incremental double description pass over
-facet systems re-decides intersection triviality from the H-side.  The
-double description decides ray adjacency by a rank from ``linalg.rref_q``;
-the simplex keeps its own tableau pivoting, so the two engines share no
-elimination code.
+Cones are nonnegative rational spans of integer generator lists.  Every sign
+is decided exactly on Python integers; Fraction is left only in the
+solutions the simplex returns, the separator program's normalized generators
+and the adjacency rank of the double description.  Two engines are kept
+deliberately separate so tests can compare them: a two-phase simplex with
+Bland's rule on a fraction-free tableau answers the programming questions
+(trivial intersection, strong convexity, best separating vector), and an
+incremental double description pass over facet systems re-decides
+intersection triviality from the H-side.  The double description decides ray
+adjacency by a rank from ``linalg.rref_q``; the simplex keeps its own
+tableau pivoting, so the two engines share no elimination code.
 """
 
 from __future__ import annotations
@@ -16,31 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import rref_q
 from .stability import class_dimvectors
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ConeError(Exception):
     pass
 
 
+def _scale(vals, den):
+    """Rationals or ints times a common multiple of their denominators."""
+    return [v.numerator * (den // v.denominator) for v in vals]
+
+
 def primitive_vector(vec):
     """Scale a rational vector to coprime integers, keeping its direction."""
-    fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
+    ints = _scale(vec, lcm(*(x.denominator for x in vec)))
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,10 @@ def difference_cone(cone_t, cone_f):
 # tableau, Bland's rule for both the entering and the leaving choice, so
 # termination is unconditional.  The identity block appended to the tableau
 # tracks the basis inverse, which yields Farkas certificates on infeasibility.
+# The tableau is fraction-free (Bareiss): rows and rhs are scaled to integers
+# by one common positive factor, which keeps the sign of every phase-1 reduced
+# cost and so Bland's path, and the rational tableau is T / det with det > 0
+# the basis determinant, so each pivot's division is exact.
 
 
 def solve_program(rows, rhs, cost=None):
@@ -93,69 +94,67 @@ def solve_program(rows, rhs, cost=None):
     farkas.  With cost None only feasibility is decided."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
+    den = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
+    sgn = [-1 if b < 0 else 1 for b in rhs]
     tab = []
-    sgn = []
-    for i in range(m):
-        s = -1 if rhs[i] < 0 else 1
-        sgn.append(s)
+    for i, s in enumerate(sgn):
         tab.append(
-            [Fraction(s * v) for v in rows[i]]
-            + [_ONE if j == i else _ZERO for j in range(m)]
-            + [s * Fraction(rhs[i])]
+            _scale([s * v for v in rows[i]], den)
+            + [1 if j == i else 0 for j in range(m)]
+            + _scale([s * rhs[i]], den)
         )
     basis = [ncols + i for i in range(m)]
+    det = 1
 
     def pivot(r, c):
-        piv = tab[r][c]
-        tab[r] = [v / piv for v in tab[r]]
-        row_r = tab[r]
-        for i in range(m):
-            if i != r and tab[i][c]:
-                f = tab[i][c]
-                tab[i] = [a - f * b for a, b in zip(tab[i], row_r)]
+        nonlocal det, tab
+        row_r, piv = tab[r], tab[r][c]
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[c]
+                tab[i] = [(a * piv - f * b) // det for a, b in zip(row, row_r)]
+        det = piv
+        if det < 0:
+            # the phase-2 pin-out may pivot on a negative entry
+            det, tab = -det, [[-v for v in row] for row in tab]
         basis[r] = c
 
     def run(c_full, allowed):
         while True:
+            costed = [(c_full[b], tab[i]) for i, b in enumerate(basis) if c_full[b]]
             enter = -1
             for j in allowed:
                 if j in basis:
                     continue
-                rj = c_full[j] - sum(
-                    c_full[basis[i]] * tab[i][j] for i in range(m) if c_full[basis[i]]
-                )
-                if rj < 0:
+                if c_full[j] * det < sum(cb * row[j] for cb, row in costed):
                     enter = j
                     break
             if enter < 0:
                 return
             leave = -1
-            best = None
-            for i in range(m):
-                d = tab[i][enter]
+            for i, row in enumerate(tab):
+                d = row[enter]
                 if d > 0:
-                    ratio = tab[i][-1] / d
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])
-                    ):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    best = tab[leave]
+                    new, old = row[-1] * best[enter], best[-1] * d
+                    if new < old or (new == old and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 raise ConeError("unbounded program")
             pivot(leave, enter)
 
-    phase1 = [_ZERO] * ncols + [_ONE] * m
+    phase1 = [0] * ncols + [1] * m
     run(phase1, range(ncols))
-    value1 = sum(phase1[basis[i]] * tab[i][-1] for i in range(m))
-    if value1 > 0:
+    if any(tab[i][-1] for i in range(m) if basis[i] >= ncols):
         y = [
-            sgn[i]
-            * sum(phase1[basis[k]] * tab[k][ncols + i] for k in range(m))
+            Fraction(sgn[i] * sum(tab[k][ncols + i] for k in range(m) if basis[k] >= ncols), det)
             for i in range(m)
         ]
         return {"status": "infeasible", "x": None, "value": None, "farkas": tuple(y)}
+    tab = [row[:ncols] + row[-1:] for row in tab]
     if cost is not None:
         # pin phase-2 feasibility: pivot leftover zero-level artificials out of
         # the basis, dropping rows that turn out redundant
@@ -166,23 +165,22 @@ def solve_program(rows, rhs, cost=None):
             if col is None:
                 del tab[i]
                 del basis[i]
-                m -= 1
             else:
                 pivot(i, col)
-        c_full = [Fraction(c) for c in cost] + [_ZERO] * (len(rows))
+        c_full = _scale(cost, lcm(*(c.denominator for c in cost)))
         run(c_full, range(ncols))
-    x = [_ZERO] * ncols
-    for i in range(m):
-        if basis[i] < ncols:
-            x[basis[i]] = tab[i][-1]
+    x = [Fraction(0)] * ncols
+    for i, b in enumerate(basis):
+        if b < ncols:
+            x[b] = Fraction(tab[i][-1], det)
     val = None
     if cost is not None:
-        val = sum(Fraction(c) * v for c, v in zip(cost, x))
+        val = sum(c * v for c, v in zip(cost, x))
     return {"status": "optimal", "x": tuple(x), "value": val, "farkas": None}
 
 
 def _dot(a, b):
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # -- LP-side predicates ------------------------------------------------------------
@@ -200,17 +198,12 @@ def intersect_trivially(c1, c2):
         return True, ("farkas", ())
     n = c1.dim
     g1, g2 = c1.generators, c2.generators
-    base = [
-        [Fraction(g[c]) for g in g1] + [Fraction(-h[c]) for h in g2]
-        for c in range(n)
-    ]
+    base = [[g[c] for g in g1] + [-h[c] for h in g2] for c in range(n)]
     certs = []
     for k in range(n):
         for s in (1, -1):
-            rows = [list(r) for r in base]
-            rows.append([Fraction(g[k]) for g in g1] + [_ZERO] * len(g2))
-            rhs = [_ZERO] * n + [Fraction(s)]
-            res = solve_program(rows, rhs)
+            rows = base + [[g[k] for g in g1] + [0] * len(g2)]
+            res = solve_program(rows, [0] * n + [s])
             if res["status"] == "optimal":
                 lam = res["x"][: len(g1)]
                 common = tuple(
@@ -228,10 +221,23 @@ def is_strongly_convex(cone):
     dependence, which the normalization row turns into plain feasibility."""
     if cone.is_zero():
         return True
-    rows = [[Fraction(g[c]) for g in cone.generators] for c in range(cone.dim)]
-    rows.append([_ONE] * len(cone.generators))
-    rhs = [_ZERO] * cone.dim + [_ONE]
+    rows = [[g[c] for g in cone.generators] for c in range(cone.dim)]
+    rows.append([1] * len(cone.generators))
+    rhs = [0] * cone.dim + [1]
     return solve_program(rows, rhs)["status"] == "infeasible"
+
+
+def _separable(cone_t, cone_f):
+    """Whether some theta has theta.g >= 1 on the first cone's generators and
+    theta.h <= -1 on the second's, that is, whether a strict separator exists.
+
+    Variables: theta = u - w with u, w >= 0, then one surplus per generator."""
+    gens = list(cone_t.generators) + [tuple(-x for x in h) for h in cone_f.generators]
+    rows = [
+        list(g) + [-x for x in g] + [-int(k == i) for k in range(len(gens))]
+        for i, g in enumerate(gens)
+    ]
+    return solve_program(rows, [1] * len(gens))["status"] == "optimal"
 
 
 def _separator_program(norm_t, norm_f, n, fixed):
@@ -246,32 +252,32 @@ def _separator_program(norm_t, norm_f, n, fixed):
     rhs = []
     gi = 0
     for g in norm_t:
-        row = [_ZERO] * ncols
+        row = [0] * ncols
         for i in range(n):
             row[i] = g[i]
-        row[n] = -_ONE
-        row[n + 1 + gi] = -_ONE
+        row[n] = -1
+        row[n + 1 + gi] = -1
         rows.append(row)
         rhs.append(sum(g) - 1)
         gi += 1
     for h in norm_f:
-        row = [_ZERO] * ncols
+        row = [0] * ncols
         for i in range(n):
             row[i] = -h[i]
-        row[n] = -_ONE
-        row[n + 1 + gi] = -_ONE
+        row[n] = -1
+        row[n + 1 + gi] = -1
         rows.append(row)
         rhs.append(-sum(h) - 1)
         gi += 1
     for i in range(n + 1):
-        row = [_ZERO] * ncols
-        row[i] = _ONE
-        row[n + 1 + ngen + i] = _ONE
+        row = [0] * ncols
+        row[i] = 1
+        row[n + 1 + ngen + i] = 1
         rows.append(row)
-        rhs.append(Fraction(2))
+        rhs.append(2)
     for var, val in fixed:
-        row = [_ZERO] * ncols
-        row[var] = _ONE
+        row = [0] * ncols
+        row[var] = 1
         rows.append(row)
         rhs.append(val)
     return rows, rhs, ncols
@@ -281,11 +287,15 @@ def separating_functional(cone_t, cone_f):
     """Integer theta with theta.g > 0 on the first cone's generators and
     theta.h < 0 on the second's, or None.
 
-    Maximizes the minimum slack over l1-normalized generators inside the box
-    [-1,1]^n, then fixes that value and minimizes each coordinate in turn, so
-    the output is the lexicographically smallest optimum, scaled primitive."""
+    A small feasibility program decides first whether any such theta exists.
+    If one does, maximizes the minimum slack over l1-normalized generators
+    inside the box [-1,1]^n, then fixes that value and minimizes each
+    coordinate in turn, so the output is the lexicographically smallest
+    optimum, scaled primitive."""
     if cone_t.dim != cone_f.dim:
         raise ConeError("ambient dimension mismatch")
+    if not _separable(cone_t, cone_f):
+        return None
     n = cone_t.dim
     norm_t = [
         tuple(Fraction(x, sum(abs(v) for v in g)) for x in g)
@@ -297,19 +307,19 @@ def separating_functional(cone_t, cone_f):
     ]
     fixed = []
     rows, rhs, ncols = _separator_program(norm_t, norm_f, n, fixed)
-    cost = [_ZERO] * ncols
-    cost[n] = -_ONE
+    cost = [0] * ncols
+    cost[n] = -1
     res = solve_program(rows, rhs, cost)
     if res["status"] != "optimal":
         raise ConeError("separator program must be feasible")
     sigma = res["x"][n]
     if sigma <= 1:
-        return None
+        raise ConeError("separable cones with no positive minimum slack")
     fixed.append((n, sigma))
     for i in range(n):
         rows, rhs, ncols = _separator_program(norm_t, norm_f, n, fixed)
-        cost = [_ZERO] * ncols
-        cost[i] = _ONE
+        cost = [0] * ncols
+        cost[i] = 1
         res = solve_program(rows, rhs, cost)
         fixed.append((i, res["x"][i]))
     theta = primitive_vector([val - 1 for var, val in fixed[1:]])
@@ -320,17 +330,6 @@ def separating_functional(cone_t, cone_f):
         if _dot(theta, h) >= 0:
             raise ConeError("separator failed sign check on %r" % (h,))
     return theta
-
-
-def cone_contains(cone, vec):
-    """Exact membership of a rational vector in the cone."""
-    target = [Fraction(x) for x in vec]
-    if len(target) != cone.dim:
-        raise ConeError("vector of wrong dimension")
-    if cone.is_zero():
-        return not any(target)
-    rows = [[Fraction(g[c]) for g in cone.generators] for c in range(cone.dim)]
-    return solve_program(rows, target)["status"] == "optimal"
 
 
 # -- double description ------------------------------------------------------------
@@ -350,11 +349,10 @@ def dd_rays(ineqs, eqs, dim):
     """Lineality basis and extreme rays of the solution cone of the system
     {a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
-    Incremental double description; adjacency is decided by the rank of the
-    tight-constraint matrix, which stays valid while lineality is nonzero."""
-    lin = [
-        tuple(_ONE if j == i else _ZERO for j in range(dim)) for i in range(dim)
-    ]
+    Incremental double description over integer vectors; adjacency is
+    decided by the rank of the tight-constraint matrix, which stays valid
+    while lineality is nonzero."""
+    lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays = []
     processed = []
 
@@ -363,16 +361,18 @@ def dd_rays(ineqs, eqs, dim):
         return len(rref_q(common)[1]) == dim - len(lin) - 2
 
     def project(v, a, l0, al0):
+        # a positive multiple of v - (a.v / a.l0) l0, since a.l0 > 0
         av = _dot(a, v)
-        return tuple(Fraction(x) - av / al0 * Fraction(y) for x, y in zip(v, l0))
+        return tuple(al0 * x - av * y for x, y in zip(v, l0))
 
     for is_eq, a in [(True, e) for e in eqs] + [(False, a) for a in ineqs]:
+        a = primitive_vector(a)
         pidx = next((i for i, l in enumerate(lin) if _dot(a, l) != 0), None)
         if pidx is not None:
             l0 = lin.pop(pidx)
-            if not is_eq and _dot(a, l0) < 0:
-                l0 = tuple(-x for x in l0)
             al0 = _dot(a, l0)
+            if al0 < 0:
+                l0, al0 = tuple(-x for x in l0), -al0
             lin = [_canon_line(project(l, a, l0, al0)) for l in lin]
             lin = [l for l in lin if any(l)]
             new_rays = []
@@ -392,10 +392,7 @@ def dd_rays(ineqs, eqs, dim):
                 for rm in minus:
                     if adjacent(rp, rm):
                         ap, am = _dot(a, rp), _dot(a, rm)
-                        combo = tuple(
-                            ap * Fraction(x) - am * Fraction(y)
-                            for x, y in zip(rm, rp)
-                        )
+                        combo = tuple(ap * x - am * y for x, y in zip(rm, rp))
                         keep.append(primitive_vector(combo))
             rays = []
             seen = set()
@@ -403,7 +400,7 @@ def dd_rays(ineqs, eqs, dim):
                 if r not in seen:
                     seen.add(r)
                     rays.append(r)
-        processed.append(tuple(Fraction(x) for x in a))
+        processed.append(a)
     return tuple(sorted(lin)), tuple(sorted(rays))
 
 

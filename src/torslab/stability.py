@@ -1,21 +1,15 @@
 """Exact stability data over the window: the four classes cut out by a
 weight vector (two weights are TF equivalent when their quadruples are
-equal), the coordinatewise order, and robustness certificates.  All
-comparisons run in Fraction arithmetic."""
+equal).  A weight is scaled to integers by a positive factor, which keeps
+every sign, so all comparisons run on Python integers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .algebra import euler_pairing
-
-
-def parse_theta(text, n):
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != n:
-        raise ValueError("expected %d weights, got %d" % (n, len(parts)))
-    return tuple(Fraction(t) for t in parts)
+from .algebra import AlgebraError, end_constants
 
 
 @dataclass(frozen=True)
@@ -29,21 +23,18 @@ class Quadruple:
 
 
 def quadruple(cat, theta):
+    """The four classes at theta, a vector of ints or Fractions."""
     A = cat.algebra
+    if len(theta) != A.n:
+        raise AlgebraError("length mismatch in pairing")
+    den = lcm(*(t.denominator for t in theta))
+    w = [t.numerator * (den // t.denominator) * c for t, c in zip(theta, end_constants(A))]
     zero_bit = 1 << cat.zero_index()
     T = Tbar = F = Fbar = 0
     for idx in range(len(cat)):
         bit = 1 << idx
-        qvals = [
-            euler_pairing(A, theta, v)
-            for v in cat.quotient_dimvectors(idx)
-            if any(v)
-        ]
-        svals = [
-            euler_pairing(A, theta, v)
-            for v in cat.submodule_dimvectors(idx)
-            if any(v)
-        ]
+        qvals = [sum(map(mul, w, v)) for v in cat.quotient_dimvectors(idx) if any(v)]
+        svals = [sum(map(mul, w, v)) for v in cat.submodule_dimvectors(idx) if any(v)]
         if all(x > 0 for x in qvals):
             T |= bit
         if all(x >= 0 for x in qvals):
@@ -57,31 +48,6 @@ def quadruple(cat, theta):
     if T & Fbar != zero_bit or Tbar & F != zero_bit:
         raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
     return Quadruple(T, Tbar, F, Fbar)
-
-
-def cw_less(eta, theta):
-    """Strict coordinatewise order on weight vectors."""
-    return all(Fraction(t) - Fraction(e) > 0 for e, t in zip(eta, theta))
-
-
-def epsilon_certificate(cat, theta, idx):
-    """Sup-norm radius around theta keeping the item strictly quotient-positive.
-
-    Any eta with max_i |eta_i - theta_i| < eps keeps every nonzero quotient
-    value positive, since |eta(v) - theta(v)| <= eps * |v|_1.
-    """
-    A = cat.algebra
-    best = None
-    for v in cat.quotient_dimvectors(idx):
-        if not any(v):
-            continue
-        val = euler_pairing(A, theta, v)
-        if val <= 0:
-            raise ValueError("item %d is not strictly quotient-positive at theta" % idx)
-        bound = Fraction(val, sum(abs(x) for x in v))
-        if best is None or bound < best:
-            best = bound
-    return best
 
 
 def class_dimvectors(cat, mask):

@@ -1,4 +1,4 @@
-"""Item-level reference implementations, kept as test oracles.
+"""Reference implementations, kept as test oracles.
 
 Each closure here tests every item of the catalogue against every generator,
 decomposable or not, with hom spaces computed straight from the modules.
@@ -7,14 +7,26 @@ every nonzero vector.  With the code under test they share only
 ``hom_space``, the F_p kernels and the cyclic submodule of one vector: no
 Krull-Schmidt reduction, cached rows or seed-only join.  They are slow on
 purpose.
+
+``solve_program`` and ``dd_rays`` are the cone engines in plain ``Fraction``
+arithmetic: a rational simplex tableau normalised at every pivot and a double
+description that projects with rational coefficients.  They share nothing
+with ``torslab.cones`` but ``ConeError``, and ``dd_rays`` takes its adjacency
+rank from ``rref_q`` as the engine does.  ``cone_contains`` decides membership
+on the oracle simplex.  ``quadruple`` evaluates ``euler_pairing`` in
+``Fraction`` for every sign test.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 
-from torslab.algebra import hom_space
-from torslab.linalg import nullspace, rank, row_space
+from torslab.algebra import euler_pairing, hom_space
+from torslab.cones import ConeError
+from torslab.linalg import nullspace, rank, row_space, rref_q
+from torslab.stability import Quadruple
 from torslab.torsion import indices_of
 
 
@@ -104,3 +116,221 @@ def submodule_families(cat, idx):
                 queue.append(joined)
     return tuple(sorted(fams))
 
+
+
+# -- cone engines in Fraction arithmetic -------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def solve_program(rows, rhs, cost=None):
+    """Two-phase simplex with Bland's rule on a rational tableau; returns a
+    dict with keys status ('optimal' or 'infeasible'), x, value, farkas."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    tab = []
+    sgn = []
+    for i in range(m):
+        s = -1 if rhs[i] < 0 else 1
+        sgn.append(s)
+        tab.append(
+            [Fraction(s * v) for v in rows[i]]
+            + [_ONE if j == i else _ZERO for j in range(m)]
+            + [s * Fraction(rhs[i])]
+        )
+    basis = [ncols + i for i in range(m)]
+
+    def pivot(r, c):
+        piv = tab[r][c]
+        tab[r] = [v / piv for v in tab[r]]
+        row_r = tab[r]
+        for i in range(m):
+            if i != r and tab[i][c]:
+                f = tab[i][c]
+                tab[i] = [a - f * b for a, b in zip(tab[i], row_r)]
+        basis[r] = c
+
+    def run(c_full, allowed):
+        while True:
+            enter = -1
+            for j in allowed:
+                if j in basis:
+                    continue
+                rj = c_full[j] - sum(
+                    c_full[basis[i]] * tab[i][j] for i in range(m) if c_full[basis[i]]
+                )
+                if rj < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return
+            leave = -1
+            best = None
+            for i in range(m):
+                d = tab[i][enter]
+                if d > 0:
+                    ratio = tab[i][-1] / d
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                raise ConeError("unbounded program")
+            pivot(leave, enter)
+
+    phase1 = [_ZERO] * ncols + [_ONE] * m
+    run(phase1, range(ncols))
+    value1 = sum(phase1[basis[i]] * tab[i][-1] for i in range(m))
+    if value1 > 0:
+        y = [
+            sgn[i]
+            * sum(phase1[basis[k]] * tab[k][ncols + i] for k in range(m))
+            for i in range(m)
+        ]
+        return {"status": "infeasible", "x": None, "value": None, "farkas": tuple(y)}
+    if cost is not None:
+        for i in range(m - 1, -1, -1):
+            if basis[i] < ncols:
+                continue
+            col = next((j for j in range(ncols) if tab[i][j]), None)
+            if col is None:
+                del tab[i]
+                del basis[i]
+                m -= 1
+            else:
+                pivot(i, col)
+        c_full = [Fraction(c) for c in cost] + [_ZERO] * (len(rows))
+        run(c_full, range(ncols))
+    x = [_ZERO] * ncols
+    for i in range(m):
+        if basis[i] < ncols:
+            x[basis[i]] = tab[i][-1]
+    val = None
+    if cost is not None:
+        val = sum(Fraction(c) * v for c, v in zip(cost, x))
+    return {"status": "optimal", "x": tuple(x), "value": val, "farkas": None}
+
+
+def cone_contains(cone, vec):
+    """Exact membership of a rational vector in the cone."""
+    target = [Fraction(x) for x in vec]
+    if len(target) != cone.dim:
+        raise ConeError("vector of wrong dimension")
+    if cone.is_zero():
+        return not any(target)
+    rows = [[Fraction(g[c]) for g in cone.generators] for c in range(cone.dim)]
+    return solve_program(rows, target)["status"] == "optimal"
+
+
+def _dot(a, b):
+    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+
+
+def _primitive(vec):
+    fr = [Fraction(x) for x in vec]
+    den = 1
+    for x in fr:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return tuple(ints)
+    return tuple(x // g for x in ints)
+
+
+def _canon_line(v):
+    pv = _primitive(v)
+    for x in pv:
+        if x < 0:
+            return tuple(-y for y in pv)
+        if x > 0:
+            return pv
+    return pv
+
+
+def dd_rays(ineqs, eqs, dim):
+    """Lineality basis and extreme rays of {a.x >= 0 for a in ineqs, e.x = 0
+    for e in eqs}, by incremental double description in Fraction arithmetic."""
+    lin = [
+        tuple(_ONE if j == i else _ZERO for j in range(dim)) for i in range(dim)
+    ]
+    rays = []
+    processed = []
+
+    def adjacent(r1, r2):
+        common = [a for a in processed if _dot(a, r1) == 0 and _dot(a, r2) == 0]
+        return len(rref_q(common)[1]) == dim - len(lin) - 2
+
+    def project(v, a, l0, al0):
+        av = _dot(a, v)
+        return tuple(Fraction(x) - av / al0 * Fraction(y) for x, y in zip(v, l0))
+
+    for is_eq, a in [(True, e) for e in eqs] + [(False, a) for a in ineqs]:
+        pidx = next((i for i, l in enumerate(lin) if _dot(a, l) != 0), None)
+        if pidx is not None:
+            l0 = lin.pop(pidx)
+            if not is_eq and _dot(a, l0) < 0:
+                l0 = tuple(-x for x in l0)
+            al0 = _dot(a, l0)
+            lin = [_canon_line(project(l, a, l0, al0)) for l in lin]
+            lin = [l for l in lin if any(l)]
+            new_rays = []
+            for r in rays:
+                pr = _primitive(project(r, a, l0, al0))
+                if any(pr) and pr not in new_rays:
+                    new_rays.append(pr)
+            rays = new_rays
+            if not is_eq:
+                rays.append(_primitive(l0))
+        else:
+            plus = [r for r in rays if _dot(a, r) > 0]
+            zero = [r for r in rays if _dot(a, r) == 0]
+            minus = [r for r in rays if _dot(a, r) < 0]
+            keep = zero + (plus if not is_eq else [])
+            for rp in plus:
+                for rm in minus:
+                    if adjacent(rp, rm):
+                        ap, am = _dot(a, rp), _dot(a, rm)
+                        combo = tuple(
+                            ap * Fraction(x) - am * Fraction(y)
+                            for x, y in zip(rm, rp)
+                        )
+                        keep.append(_primitive(combo))
+            rays = []
+            seen = set()
+            for r in keep:
+                if r not in seen:
+                    seen.add(r)
+                    rays.append(r)
+        processed.append(tuple(Fraction(x) for x in a))
+    return tuple(sorted(lin)), tuple(sorted(rays))
+
+
+def quadruple(cat, theta):
+    """The four classes at theta from rational Euler pairings."""
+    A = cat.algebra
+    zero_bit = 1 << cat.zero_index()
+    T = Tbar = F = Fbar = 0
+    for idx in range(len(cat)):
+        bit = 1 << idx
+        qvals = [euler_pairing(A, theta, v) for v in cat.quotient_dimvectors(idx) if any(v)]
+        svals = [euler_pairing(A, theta, v) for v in cat.submodule_dimvectors(idx) if any(v)]
+        if all(x > 0 for x in qvals):
+            T |= bit
+        if all(x >= 0 for x in qvals):
+            Tbar |= bit
+        if all(x < 0 for x in svals):
+            F |= bit
+        if all(x <= 0 for x in svals):
+            Fbar |= bit
+    if T & ~Tbar or F & ~Fbar:
+        raise ValueError("strict class not inside its weak class at %r" % (theta,))
+    if T & Fbar != zero_bit or Tbar & F != zero_bit:
+        raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
+    return Quadruple(T, Tbar, F, Fbar)

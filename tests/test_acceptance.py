@@ -19,7 +19,7 @@ from torslab.presentations import fei_union_check
 from torslab.reports import exit_code
 from torslab.silting import enumerate_silting, induced_torsion_pairs, mutate
 from torslab.silting import direct_sum_complex, vertex_key
-from torslab.stability import cw_less, quadruple
+from torslab.stability import quadruple
 from torslab.torsion import (
     enumerate_torsion_classes,
     fac_closure,
@@ -235,7 +235,7 @@ def test_criterion_09_property_suites():
                 q_eta, q_theta = quadruple(cat, eta), quadruple(cat, theta)
                 assert q_eta.T & ~q_eta.Tbar == 0
                 assert q_theta.T & ~q_theta.Tbar == 0
-                if cw_less(eta, theta) or eta == theta:
+                if all(e < t for e, t in zip(eta, theta)) or eta == theta:
                     assert q_eta.T & ~q_theta.T == 0
                     assert q_eta.Tbar & ~q_theta.Tbar == 0
                     assert q_theta.F & ~q_eta.F == 0

@@ -1,14 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import cone_contains
+from torslab import cones
 from torslab.catalogue import Catalogue
 from torslab.cones import (
     ConeError,
     RationalCone,
-    cone_contains,
     cone_of_subcat,
     dd_intersection_nontrivial,
+    dd_rays,
     difference_cone,
     dual_description,
     intersect_trivially,
@@ -58,6 +64,81 @@ def test_solver_basic():
     assert y[0] + y[1] <= 0 and y[0] + 2 * y[1] > 0
 
 
+def _farkas_holds(rows, rhs, y):
+    """y.A_j <= 0 on every column and y.b > 0: no x >= 0 solves A x = b."""
+    ncols = len(rows[0]) if rows else 0
+    cols_ok = all(sum(yi * row[j] for yi, row in zip(y, rows)) <= 0 for j in range(ncols))
+    return cols_ok and sum(yi * b for yi, b in zip(y, rhs)) > 0
+
+
+def _entry(rng, rational):
+    if rng.random() < 0.35:
+        return 0
+    if rational:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return rng.randint(-3, 3)
+
+
+def _random_program(rng):
+    """Small equality-form programs: degenerate (zero rhs), redundant rows
+    (a sum or multiple of other rows), rational entries, often infeasible
+    or unbounded once a cost is given."""
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rational = rng.random() < 0.3
+    rows = [[_entry(rng, rational) for _ in range(n)] for _ in range(m)]
+    rhs = [_entry(rng, rational) for _ in range(m)]
+    if rng.random() < 0.3:
+        i, k = rng.randrange(m), rng.randrange(m)
+        f = rng.choice((1, 2, -1, Fraction(1, 2)))
+        rows.append([a + f * b for a, b in zip(rows[i], rows[k])])
+        rhs.append(rhs[i] + f * rhs[k])
+    cost = None
+    if rng.random() < 0.5:
+        cost = [_entry(rng, rational) for _ in range(n)]
+    return rows, rhs, cost
+
+
+def _outcome(solver, rows, rhs, cost):
+    try:
+        return solver(rows, rhs, cost)
+    except ConeError as exc:
+        return ("ConeError", str(exc))
+
+
+def test_solve_program_matches_rational_oracle():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(3000):
+        rows, rhs, cost = _random_program(rng)
+        got = _outcome(solve_program, rows, rhs, cost)
+        assert got == _outcome(oracles.solve_program, rows, rhs, cost), (rows, rhs, cost)
+        if isinstance(got, tuple):
+            kinds.add("unbounded")
+            continue
+        kinds.add(got["status"])
+        if got["status"] == "infeasible":
+            assert _farkas_holds(rows, rhs, got["farkas"]), (rows, rhs)
+        else:
+            x = got["x"]
+            assert all(v >= 0 for v in x)
+            assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+    assert kinds == {"optimal", "infeasible", "unbounded"}
+
+
+def test_dd_rays_matches_rational_oracle():
+    rng = random.Random(20261019)
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        rational = rng.random() < 0.2
+
+        def vec():
+            return tuple(_entry(rng, rational) for _ in range(dim))
+
+        ineqs = [vec() for _ in range(rng.randint(0, 5))]
+        eqs = [vec() for _ in range(rng.randint(0, 2))]
+        assert dd_rays(ineqs, eqs, dim) == oracles.dd_rays(ineqs, eqs, dim), (ineqs, eqs)
+
+
 def test_intersect_trivially():
     ok, cert = intersect_trivially(C((1, 0)), C((0, 1)))
     assert ok and cert[0] == "farkas"
@@ -89,6 +170,16 @@ def test_separating_functional():
     assert separating_functional(C((1, 0)), C((0, 1))) == (1, -1)
     assert separating_functional(C((1, 0)), C((1, 0))) is None
     assert separating_functional(C((1, 0), (0, 1)), C((1, 1))) is None
+
+
+def test_separator_needs_no_wide_program_without_a_separator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("max-min program built for inseparable cones")
+
+    monkeypatch.setattr(cones, "_separator_program", refuse)
+    # the cones share the class vector (1, 1)
+    assert separating_functional(C((1, 1), (0, 1)), C((1, 1))) is None
+    assert separating_functional(C((1, 0), (0, 1)), C((1, 1), (2, 1))) is None
 
 
 def test_cone_contains():
@@ -172,13 +263,39 @@ def test_numerically_disjoint(a2, cat_a2):
 
 
 def _four_way(cat, tmask, fmask):
-    ct = cone_of_subcat(cat, tmask)
-    cf = cone_of_subcat(cat, fmask)
+    return _four_way_cones(cone_of_subcat(cat, tmask), cone_of_subcat(cat, fmask))
+
+
+def _four_way_cones(ct, cf):
     lp = intersect_trivially(ct, cf)[0]
     dd = not dd_intersection_nontrivial(ct, cf)[0]
     sc = is_strongly_convex(difference_cone(ct, cf))
     sep = separating_functional(ct, cf) is not None
     return lp, dd, sc, sep
+
+
+@st.composite
+def _cone_pairs(draw):
+    dim = draw(st.integers(2, 4))
+    vecs = st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=4)
+    return RationalCone.from_vectors(dim, draw(vecs)), RationalCone.from_vectors(dim, draw(vecs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_cone_pairs())
+def test_four_legs_agree_on_random_cones(pair):
+    ct, cf = pair
+    lp, dd, sc, sep = _four_way_cones(ct, cf)
+    # meeting only at 0 is one question, a pointed difference cone another
+    assert lp == dd
+    assert sc == sep
+    # they coincide when both cones are pointed, as class cones are
+    if is_strongly_convex(ct) and is_strongly_convex(cf):
+        assert lp == sc
+    theta = separating_functional(ct, cf)
+    if theta is not None:
+        assert all(sum(a * b for a, b in zip(theta, g)) > 0 for g in ct.generators)
+        assert all(sum(a * b for a, b in zip(theta, h)) < 0 for h in cf.generators)
 
 
 def test_four_way_equivalence(cat_a2, cat_kron):

@@ -1,17 +1,22 @@
+import fractions
+import random
 from fractions import Fraction
 
 import pytest
 
-from torslab.algebra import direct_sum, load_algebra, projective_module, simple_module
+import oracles
+from conftest import bundled
+from torslab.algebra import (
+    AlgebraError,
+    direct_sum,
+    load_algebra,
+    projective_module,
+    simple_module,
+)
 from torslab.catalogue import Catalogue, WindowError
 from torslab.reports import _semibrick_spans
 from torslab.silting import enumerate_silting
-from torslab.stability import (
-    cw_less,
-    epsilon_certificate,
-    parse_theta,
-    quadruple,
-)
+from torslab.stability import quadruple
 from torslab.torsion import (
     cocompact_witness,
     compact_witness,
@@ -189,8 +194,7 @@ def test_dynkin_closed_forms(name, p):
 
 
 def test_quadruple_a2(cat_a2, idx_a2):
-    th = parse_theta("1,-1", 2)
-    q = quadruple(cat_a2, th)
+    q = quadruple(cat_a2, (1, -1))
     assert set(indices_of(q.T)) == {idx_a2["Z"], idx_a2["S1"]}
     assert set(indices_of(q.Tbar)) == {idx_a2["Z"], idx_a2["S1"], idx_a2["P1"]}
     assert set(indices_of(q.F)) == {idx_a2["Z"], idx_a2["S2"]}
@@ -198,8 +202,7 @@ def test_quadruple_a2(cat_a2, idx_a2):
 
 
 def test_quadruple_kronecker_strict_vs_weak(cat_kron):
-    th = parse_theta("1,-1", 2)
-    q = quadruple(cat_kron, th)
+    q = quadruple(cat_kron, (1, -1))
     # the three one-parameter bricks are weakly but not strictly positive
     assert q.T != q.Tbar
     bricks = [i for i in cat_kron.bricks() if cat_kron.dims_of(i) == (1, 1)]
@@ -217,16 +220,41 @@ def test_tf_equivalence_and_cw(cat_a2):
     # wall point vs chamber interior
     assert quadruple(cat_a2, (one, -one)) != quadruple(cat_a2, (one, -2 * one))
     assert quadruple(cat_a2, (one, -one)) != quadruple(cat_a2, (one, one))
-    assert cw_less((0, -1), (1, 1))
-    assert not cw_less((0, 2), (1, 1))
+    # monotone in the coordinatewise order: (0, -1) < (1, 1)
+    low, high = quadruple(cat_a2, (0, -one)), quadruple(cat_a2, (one, one))
+    assert low.T & ~high.T == 0 and high.F & ~low.F == 0
 
 
-def test_epsilon_certificate(cat_a2, idx_a2):
-    th = parse_theta("1,-1", 2)
-    eps = epsilon_certificate(cat_a2, th, idx_a2["S1"])
-    assert eps == 1
-    with pytest.raises(ValueError):
-        epsilon_certificate(cat_a2, th, idx_a2["S2"])
-    # scaling invariance
-    eps2 = epsilon_certificate(cat_a2, tuple(3 * t for t in th), idx_a2["S1"])
-    assert eps2 == 3 * eps
+def _random_rational_theta(rng, n):
+    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+
+
+@pytest.mark.parametrize("name,bound", [("a2", (2, 2)), ("kronecker", (2, 2)), ("loop", (3,))])
+def test_quadruple_matches_rational_oracle(name, bound, monkeypatch):
+    cat = Catalogue(bundled(name), bound)
+    n = cat.algebra.n
+    rng = random.Random(8)
+    thetas = [(0,) * n, (Fraction(0),) * n, (1, -1)[:n], (Fraction(1, 3), Fraction(-1, 2))[:n]]
+    thetas += [_random_rational_theta(rng, n) for _ in range(150)]
+    thetas += [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(50)]
+    want = []
+    for theta in thetas:
+        try:
+            want.append(oracles.quadruple(cat, theta))
+        except ValueError as exc:
+            want.append(str(exc))
+    quadruple(cat, thetas[0])
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("Fraction constructed inside quadruple")
+
+    # every operand exists before the patch, so only quadruple can construct one
+    monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+    for theta, expected in zip(thetas, want):
+        try:
+            got = quadruple(cat, theta)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, theta
+    with pytest.raises(AlgebraError):
+        quadruple(cat, (1,) * (n + 1))
