@@ -138,10 +138,11 @@ class TwoTermComplex:
     value.
     """
 
-    __slots__ = ("algebra", "minus", "zero", "mat")
+    __slots__ = ("algebra", "minus", "zero", "mat", "_hash")
 
     def __init__(self, algebra, minus, zero, mat):
         self.algebra = algebra
+        self._hash = None
         self.minus = tuple(minus)
         self.zero = tuple(zero)
         if not all(0 <= v < algebra.n for v in self.minus + self.zero):
@@ -190,8 +191,10 @@ class TwoTermComplex:
         )
 
     def __hash__(self):
-        cells = tuple(tuple(frozenset(cell.items()) for cell in row) for row in self.mat)
-        return hash((id(self.algebra), self.minus, self.zero, cells))
+        if self._hash is None:
+            cells = tuple(tuple(frozenset(cell.items()) for cell in row) for row in self.mat)
+            self._hash = hash((id(self.algebra), self.minus, self.zero, cells))
+        return self._hash
 
     def __repr__(self):
         return "TwoTermComplex(minus=%r, zero=%r)" % (self.minus, self.zero)
@@ -202,13 +205,6 @@ def projective_complex(A, i):
     if not 0 <= i < A.n:
         raise SiltingError("invalid vertex %r" % (i,))
     return TwoTermComplex(A, (), (i,), ((),))
-
-
-def shifted_projective_complex(A, i):
-    """Stalk complex P(i) in degree -1."""
-    if not 0 <= i < A.n:
-        raise SiltingError("invalid vertex %r" % (i,))
-    return TwoTermComplex(A, (i,), (), ())
 
 
 def initial_silting(A):
@@ -241,24 +237,45 @@ def direct_sum_complex(parts, A):
 # -- chain maps up to homotopy -------------------------------------------------
 
 
-def _delta(A, X, Y, sa, sb, sc):
+def _products(A, X, Y, sa, sb):
+    """Per-row product tables of the Hom complex.
+
+    fy[(l, b)] lists (j, Y.mat[j][l] b) over the rows j of Y for the (l, b)
+    of the slots sa, and xf[(k, b)] lists (j, b X.mat[k][j]) over the columns
+    j of X for the (k, b) of the slots sb.  A product does not depend on the
+    slot's other summand index, so each is computed once however many slots
+    share it."""
+    fy = {}
+    for (l, _, b) in sa:
+        if (l, b) not in fy:
+            fy[(l, b)] = tuple(
+                (j, A.mult(row[l], {b: 1})) for j, row in enumerate(Y.mat) if row[l]
+            )
+    xf = {}
+    for (_, k, b) in sb:
+        if (k, b) not in xf:
+            xf[(k, b)] = tuple((j, A.mult({b: 1}, x)) for j, x in enumerate(X.mat[k]) if x)
+    return fy, xf
+
+
+def _delta(p, sa, sb, sc, fy, xf):
     """Columns of the Hom-complex differential Hom^0(X, Y) -> Hom^1(X, Y),
     (alpha, beta) |-> beta f_X - f_Y alpha: one column over the slots sc per
-    alpha slot of sa, then per beta slot of sb.  Its kernel is the chain
-    maps X -> Y, its cokernel Hom(X, Y[1])."""
-    p = A.p
+    alpha slot of sa, then per beta slot of sb, read from the tables of
+    _products.  Its kernel is the chain maps X -> Y, its cokernel
+    Hom(X, Y[1])."""
     scpos = {slot: j for j, slot in enumerate(sc)}
     cols = []
     for (l, k, b) in sa:
         v = [0] * len(sc)
-        for j in range(len(Y.zero)):
-            for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
+        for j, prod in fy[(l, b)]:
+            for bi, c in prod.items():
                 v[scpos[(j, k, bi)]] = -c % p
         cols.append(tuple(v))
     for (l, k, b) in sb:
         v = [0] * len(sc)
-        for j in range(len(X.minus)):
-            for bi, c in A.mult({b: 1}, X.mat[k][j]).items():
+        for j, prod in xf[(k, b)]:
+            for bi, c in prod.items():
                 v[scpos[(l, j, bi)]] = c
         cols.append(tuple(v))
     return tuple(cols)
@@ -272,19 +289,21 @@ def _chain_data(A, X, Y):
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
     sc = _layout(A, X.minus, Y.zero)
+    sh = _layout(A, X.zero, Y.minus)
     na, nb = len(sa), len(sb)
-    sol = nullspace(tuple(zip(*_delta(A, X, Y, sa, sb, sc))), na + nb, p)
+    fy, xf = _products(A, X, Y, sa + sh, sb + sh)
+    sol = nullspace(tuple(zip(*_delta(p, sa, sb, sc, fy, xf))), na + nb, p)
     # null-homotopic chain maps (h f_X, f_Y h) for h: X^0 -> Y^{-1}
     sapos = {slot: j for j, slot in enumerate(sa)}
     sbpos = {slot: na + j for j, slot in enumerate(sb)}
     hvecs = []
-    for (l, k, b) in _layout(A, X.zero, Y.minus):
+    for (l, k, b) in sh:
         v = [0] * (na + nb)
-        for j in range(len(X.minus)):
-            for bi, c in A.mult({b: 1}, X.mat[k][j]).items():
+        for j, prod in xf[(k, b)]:
+            for bi, c in prod.items():
                 v[sapos[(l, j, bi)]] = c
-        for j in range(len(Y.zero)):
-            for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
+        for j, prod in fy[(l, b)]:
+            for bi, c in prod.items():
                 v[sbpos[(j, k, bi)]] = c
         hvecs.append(tuple(v))
     hot, _ = rref(tuple(hvecs), p)
@@ -328,21 +347,14 @@ def _pair_vec(X, Y, pair):
 # -- presilting ----------------------------------------------------------------
 
 
-def is_presilting(U):
-    """Whether Hom(U, U[1]) vanishes up to homotopy."""
-    return _self_ok(U) if isinstance(U, TwoTermComplex) else _set_presilting(U)
-
-
 @memo
 def _vanishing_rank_ok(A, X, Y):
     """Hom(X, Y[1]) = 0: maps X^{-1} -> Y^0 must all be null-homotopic."""
+    sa = _layout(A, X.minus, Y.minus)
+    sb = _layout(A, X.zero, Y.zero)
     sc = _layout(A, X.minus, Y.zero)
-    cols = _delta(A, X, Y, _layout(A, X.minus, Y.minus), _layout(A, X.zero, Y.zero), sc)
+    cols = _delta(A.p, sa, sb, sc, *_products(A, X, Y, sa, sb))
     return rank(cols, A.p) == len(sc)
-
-
-def _self_ok(U):
-    return _vanishing_rank_ok(U.algebra, U, U)
 
 
 def _set_presilting(summands):
@@ -655,17 +667,38 @@ def silting_cone(summands):
     return RationalCone.from_vectors(A.n, rays)
 
 
-def _positive_combination(rays, theta):
-    """Strictly positive exact solution of sum(a_i rays_i) = theta, or None.
+@memo
+def _face_solver(A, rays):
+    """Rows that solve sum(a_i rays_i) = theta for every theta at once, or
+    None when the rays are dependent.
 
-    The augmented system has a unique solution exactly when its pivots are
-    the ray columns: a pivot in the last column makes it inconsistent, a
-    missing one leaves it underdetermined."""
-    m = len(rays)
-    red, pivots = rref_q([[g[i] for g in rays] + [t] for i, t in enumerate(theta)])
-    if pivots != tuple(range(m)):
+    One rref of [rays^T | I] leaves [E rays^T | E] with E invertible and
+    E rays^T the identity over zero rows.  The system is consistent exactly
+    when theta is orthogonal to the rows of E under the zero rows (the null
+    rows), and then its unique solution is the upper rows of E times theta
+    (the coefficient rows)."""
+    m, n = len(rays), A.n
+    red, pivots = rref_q(
+        [[g[i] for g in rays] + [int(i == c) for c in range(n)] for i in range(n)]
+    )
+    if pivots[:m] != tuple(range(m)):
         return None
-    coeffs = tuple(row[m] for row in red)
+    return tuple(row[m:] for row in red[:m]), tuple(row[m:] for row in red[m:])
+
+
+def _dot(row, theta):
+    return sum(a * t for a, t in zip(row, theta) if a)
+
+
+def _positive_combination(A, rays, theta):
+    """Strictly positive exact solution of sum(a_i rays_i) = theta, or None."""
+    solver = _face_solver(A, rays)
+    if solver is None:
+        return None
+    coeff_rows, null_rows = solver
+    if any(_dot(row, theta) for row in null_rows):
+        return None
+    coeffs = tuple(_dot(row, theta) for row in coeff_rows)
     if all(x > 0 for x in coeffs):
         return coeffs
     return None
@@ -682,6 +715,7 @@ def rigidity(theta, graph):
     depth = graph["depth"]
     if all(t == 0 for t in theta):
         return {"verdict": "rigid", "rays": (), "coeffs": (), "vertex": None, "depth": depth}
+    A = graph["vertices"][0]["summands"][0].algebra
     seen = set()
     for vert in graph["vertices"]:
         gvs = vert["key"]
@@ -690,7 +724,7 @@ def rigidity(theta, graph):
                 if subset in seen:
                     continue
                 seen.add(subset)
-                coeffs = _positive_combination(subset, theta)
+                coeffs = _positive_combination(A, subset, theta)
                 if coeffs is not None:
                     return {
                         "verdict": "rigid",

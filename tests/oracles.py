@@ -15,6 +15,13 @@ with ``torslab.cones`` but ``ConeError``, and ``dd_rays`` takes its adjacency
 rank from ``rref_q`` as the engine does.  ``cone_contains`` decides membership
 on the oracle simplex.  ``quadruple`` evaluates ``euler_pairing`` in
 ``Fraction`` for every sign test.
+
+``hom_complex_columns`` and ``chain_data`` build the Hom complex of two
+two-term complexes one slot at a time, one algebra product per slot and
+summand, with no product table; they share the slot layouts, the F_p kernels
+and ``Algebra.mult`` with ``torslab.silting``.  ``positive_combination``
+solves each face and weight with its own augmented ``rref_q``, and
+``rigidity`` walks the faces with it, with no per-face solver.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from math import gcd, lcm
 
 from torslab.algebra import euler_pairing, hom_space
 from torslab.cones import ConeError
-from torslab.linalg import nullspace, rank, row_space, rref_q
+from torslab.linalg import nullspace, rank, residual, row_space, rref, rref_q
+from torslab.silting import _layout, _unvec
 from torslab.stability import Quadruple
 from torslab.torsion import indices_of
 
@@ -334,3 +342,109 @@ def quadruple(cat, theta):
     if T & Fbar != zero_bit or Tbar & F != zero_bit:
         raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
     return Quadruple(T, Tbar, F, Fbar)
+
+
+# -- the Hom complex of two-term complexes, one product per slot ---------------------
+
+
+def hom_complex_columns(A, X, Y, sa, sb, sc):
+    """Columns of (alpha, beta) |-> beta f_X - f_Y alpha over the slots sc, one
+    per alpha slot of sa, then one per beta slot of sb."""
+    p = A.p
+    scpos = {slot: j for j, slot in enumerate(sc)}
+    cols = []
+    for (l, k, b) in sa:
+        v = [0] * len(sc)
+        for j in range(len(Y.zero)):
+            for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
+                v[scpos[(j, k, bi)]] = -c % p
+        cols.append(tuple(v))
+    for (l, k, b) in sb:
+        v = [0] * len(sc)
+        for j in range(len(X.minus)):
+            for bi, c in A.mult({b: 1}, X.mat[k][j]).items():
+                v[scpos[(l, j, bi)]] = c
+        cols.append(tuple(v))
+    return tuple(cols)
+
+
+def chain_data(A, X, Y):
+    """Null-homotopic span and homotopy-class representatives of the chain maps
+    X -> Y, as a dict with keys hot, k_vecs and k_mats."""
+    p = A.p
+    sa = _layout(A, X.minus, Y.minus)
+    sb = _layout(A, X.zero, Y.zero)
+    sc = _layout(A, X.minus, Y.zero)
+    na, nb = len(sa), len(sb)
+    sol = nullspace(tuple(zip(*hom_complex_columns(A, X, Y, sa, sb, sc))), na + nb, p)
+    sapos = {slot: j for j, slot in enumerate(sa)}
+    sbpos = {slot: na + j for j, slot in enumerate(sb)}
+    hvecs = []
+    for (l, k, b) in _layout(A, X.zero, Y.minus):
+        v = [0] * (na + nb)
+        for j in range(len(X.minus)):
+            for bi, c in A.mult({b: 1}, X.mat[k][j]).items():
+                v[sapos[(l, j, bi)]] = c
+        for j in range(len(Y.zero)):
+            for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
+                v[sbpos[(j, k, bi)]] = c
+        hvecs.append(tuple(v))
+    hot, _ = rref(tuple(hvecs), p)
+    work = hot
+    k_vecs = []
+    k_mats = []
+    for v in sol:
+        r = residual(v, work, p)
+        if any(r):
+            k_vecs.append(v)
+            alpha = _unvec(sa, len(X.minus), len(Y.minus), v[:na])
+            beta = _unvec(sb, len(X.zero), len(Y.zero), v[na:])
+            k_mats.append((alpha, beta))
+            work, _ = rref(work + (r,), p)
+    return {"hot": hot, "k_vecs": tuple(k_vecs), "k_mats": tuple(k_mats)}
+
+
+# -- faces of the g-vector fan, one augmented solve per face and weight ----------------
+
+
+def positive_combination(rays, theta):
+    """Strictly positive exact solution of sum(a_i rays_i) = theta, or None.
+
+    The augmented system has a unique solution exactly when its pivots are
+    the ray columns."""
+    m = len(rays)
+    red, pivots = rref_q([[g[i] for g in rays] + [t] for i, t in enumerate(theta)])
+    if pivots != tuple(range(m)):
+        return None
+    coeffs = tuple(row[m] for row in red)
+    if all(x > 0 for x in coeffs):
+        return coeffs
+    return None
+
+
+def rigidity(theta, graph):
+    """The first face, in vertex and subset order, holding theta in its relative
+    interior; the same dict as ``torslab.silting.rigidity``."""
+    theta = tuple(Fraction(t) for t in theta)
+    depth = graph["depth"]
+    if all(t == 0 for t in theta):
+        return {"verdict": "rigid", "rays": (), "coeffs": (), "vertex": None, "depth": depth}
+    seen = set()
+    for vert in graph["vertices"]:
+        gvs = vert["key"]
+        for r in range(1, len(gvs) + 1):
+            for subset in itertools.combinations(gvs, r):
+                if subset in seen:
+                    continue
+                seen.add(subset)
+                coeffs = positive_combination(subset, theta)
+                if coeffs is not None:
+                    return {
+                        "verdict": "rigid",
+                        "rays": subset,
+                        "coeffs": coeffs,
+                        "vertex": vert["key"],
+                        "depth": depth,
+                    }
+    verdict = "not_rigid" if graph["complete"] else "unknown"
+    return {"verdict": verdict, "rays": None, "coeffs": None, "vertex": None, "depth": depth}

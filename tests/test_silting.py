@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+import oracles
 from conftest import bundled
 from torslab import silting
+from torslab.algebra import Algebra
 from torslab.catalogue import Catalogue
 from torslab.silting import (
     MutationError,
@@ -16,17 +19,26 @@ from torslab.silting import (
     hom_k_basis,
     induced_torsion_pairs,
     initial_silting,
-    is_presilting,
     is_silting,
     mutate,
     projective_complex,
     reduced,
     rigidity,
-    shifted_projective_complex,
     silting_cone,
     vertex_key,
 )
 from torslab.torsion import indices_of
+
+
+def shifted_projective_complex(A, i):
+    """Stalk complex P(i) in degree -1."""
+    return TwoTermComplex(A, (i,), (), ())
+
+
+def is_presilting(U):
+    """Whether Hom(U, U[1]) vanishes up to homotopy, for one complex or a
+    collection of summands."""
+    return silting._set_presilting((U,) if isinstance(U, TwoTermComplex) else U)
 
 
 def unit_path(A, v):
@@ -401,3 +413,122 @@ def test_equal_complexes_share_chain_data(monkeypatch):
     monkeypatch.setattr(silting, "nullspace", counted)
     assert hom_k_basis(X, Y) == hom_k_basis(X2, Y2)
     assert len(calls) == 1
+
+
+# -- the Hom complex and the face fan against the oracles ---------------------------
+
+# (bundled name, field, depth) of the exchange graphs the oracles walk
+GRAPHS = (("a2", None, 6), ("kronecker", None, 6), ("kronecker", 3, 6))
+
+
+def _agree_on_hom_complex(X, Y):
+    A = X.algebra
+    sa = silting._layout(A, X.minus, Y.minus)
+    sb = silting._layout(A, X.zero, Y.zero)
+    sc = silting._layout(A, X.minus, Y.zero)
+    cols = silting._delta(A.p, sa, sb, sc, *silting._products(A, X, Y, sa, sb))
+    assert cols == oracles.hom_complex_columns(A, X, Y, sa, sb, sc)
+    data = silting._chain_data(A, X, Y)
+    assert {key: data[key] for key in ("hot", "k_vecs", "k_mats")} == oracles.chain_data(A, X, Y)
+
+
+@pytest.mark.parametrize("name,p,depth", GRAPHS)
+def test_hom_complex_matches_oracle_on_walk(name, p, depth):
+    g = enumerate_silting(bundled(name, p), depth)
+    pairs = 0
+    for vert in g["vertices"]:
+        for X in vert["summands"]:
+            for Y in vert["summands"]:
+                _agree_on_hom_complex(X, Y)
+                pairs += 1
+    assert pairs == 4 * len(g["vertices"])
+
+
+@pytest.mark.parametrize(
+    "name,p,shapes",
+    [
+        ("a2", None, ((1, 0, 1, 1), (1, 0, 2, 1), (1, 0, 1, 2), (1, 0, 2, 2))),
+        ("kronecker", None, ((1, 0, 1, 1), (1, 0, 2, 1), (1, 0, 1, 2), (1, 0, 2, 2))),
+        ("kronecker", 3, ((1, 0, 1, 1), (1, 0, 2, 1), (1, 0, 1, 2))),
+        ("loop", None, ((0, 0, 1, 1), (0, 0, 2, 1), (0, 0, 1, 2))),
+    ],
+)
+def test_hom_complex_matches_oracle_on_all_matrices(name, p, shapes):
+    A = bundled(name, p)
+    cplx = [
+        TwoTermComplex(A, (src_v,) * c, (dst_v,) * b, mat)
+        for src_v, dst_v, b, c in shapes
+        for mat in all_matrices(A, src_v, dst_v, b, c)
+    ]
+    rng = random.Random(0)
+    for _ in range(300):
+        _agree_on_hom_complex(rng.choice(cplx), rng.choice(cplx))
+
+
+def _faces(graph):
+    faces = []
+    for vert in graph["vertices"]:
+        for r in range(1, len(vert["key"]) + 1):
+            for face in combinations(vert["key"], r):
+                if face not in faces:
+                    faces.append(face)
+    return faces
+
+
+# grid weights with zero coordinates, and weights off the integer grid
+WEIGHTS = tuple(product(range(-3, 4), repeat=2)) + (
+    (Fraction(1, 2), Fraction(-1, 3)),
+    (Fraction(-5, 2), 0),
+    (0, Fraction(7, 3)),
+    (Fraction(3, 2), Fraction(-3, 2)),
+    (Fraction(9, 4), Fraction(-3, 2)),
+)
+
+
+@pytest.mark.parametrize("name,p,depth", GRAPHS)
+def test_face_solver_matches_augmented_solve(name, p, depth, monkeypatch):
+    A = bundled(name, p)
+    g = enumerate_silting(A, depth)
+    faces = _faces(g)
+    dependent = [((1, 0), (2, 0)), ((1, -1), (-1, 1)), ((1, 0), (0, 1), (1, 1))]
+    solves = []
+    original = silting.rref_q
+
+    def counted(rows):
+        solves.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(silting, "rref_q", counted)
+    verdicts = set()
+    for theta in WEIGHTS:
+        theta = tuple(Fraction(t) for t in theta)
+        for face in faces + dependent:
+            got = silting._positive_combination(A, face, theta)
+            assert got == oracles.positive_combination(face, theta), (face, theta)
+        got = rigidity(theta, g)
+        assert got == oracles.rigidity(theta, g), theta
+        verdicts.add(got["verdict"])
+    # one solve per face, whatever the number of weights
+    assert len(solves) == len(faces) + len(dependent)
+    assert "rigid" in verdicts
+
+
+def test_walk_computes_each_product_once_per_hom_complex(monkeypatch):
+    A = bundled("kronecker")
+    calls = []
+    original = Algebra.mult
+
+    def counted(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(Algebra, "mult", counted)
+    g = enumerate_silting(A, 8)
+    assert len(g["vertices"]) == 17
+    # one product per slot and summand makes 21,158 calls on this walk,
+    # one per per-row table entry 4,400
+    assert len(calls) <= 5000
+    for vert in g["vertices"]:
+        for c in vert["summands"]:
+            twin = TwoTermComplex(A, c.minus, c.zero, c.mat)
+            assert twin == c and hash(twin) == hash(c)
