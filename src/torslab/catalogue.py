@@ -601,26 +601,3 @@ def _combine(homs, coeffs, p):
         out.append(tuple(tuple(row) for row in acc))
     return tuple(out)
 
-
-def is_isomorphic_rep(M, N, cap=SWEEP_CAP):
-    """Exhaustive search for an invertible homomorphism."""
-    if M.dims != N.dims:
-        return False
-    if M.total_dim() == 0:
-        return True
-    p = M.algebra.p
-    homs = hom_space(M, N)
-    r = len(homs)
-    if r == 0:
-        return False
-    if len(hom_space(N, M)) != r:
-        return False
-    if p**r > cap:
-        raise BudgetError("isomorphism sweep too large: %d^%d" % (p, r))
-    for coeffs in itertools.product(range(p), repeat=r):
-        if not any(coeffs):
-            continue
-        phi = _combine(homs, coeffs, p)
-        if all(inverse(m, p) is not None for m in phi if m):
-            return True
-    return False

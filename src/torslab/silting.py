@@ -789,20 +789,24 @@ def _nakayama_block_maps(A, src, dst, mat):
     return tuple(out)
 
 
+def twisted_kernel(U):
+    """H^{-1} of the Nakayama twist, the kernel of nu P1 -> nu P0, as a
+    representation."""
+    A = U.algebra
+    Nm = direct_sum_many(A, [injective_module(A, i) for i in U.minus])
+    Nz = direct_sum_many(A, [injective_module(A, i) for i in U.zero])
+    nf = _nakayama_block_maps(A, U.minus, U.zero, U.mat)
+    return submodule_rep(Nm, kernel_submodule(nf, Nm, Nz))[0]
+
+
 def cohomology(U):
     """(H^0(U), H^{-1} of the Nakayama twist), both as representations."""
     A = U.algebra
     Mm = direct_sum_many(A, [projective_module(A, i) for i in U.minus])
     Mz = direct_sum_many(A, [projective_module(A, i) for i in U.zero])
     f = _proj_block_maps(A, U.minus, U.zero, U.mat)
-    img = image_submodule(f, Mm, Mz)
-    h0 = quotient_module(Mz, img)[0]
-    Nm = direct_sum_many(A, [injective_module(A, i) for i in U.minus])
-    Nz = direct_sum_many(A, [injective_module(A, i) for i in U.zero])
-    nf = _nakayama_block_maps(A, U.minus, U.zero, U.mat)
-    ker = kernel_submodule(nf, Nm, Nz)
-    hm1 = submodule_rep(Nm, ker)[0]
-    return h0, hm1
+    h0 = quotient_module(Mz, image_submodule(f, Mm, Mz))[0]
+    return h0, twisted_kernel(U)
 
 
 def induced_torsion_pairs(cat, U):

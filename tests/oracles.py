@@ -6,7 +6,11 @@ decomposable or not, with hom spaces computed straight from the modules.
 every nonzero vector.  With the code under test they share only
 ``hom_space``, the F_p kernels and the cyclic submodule of one vector: no
 Krull-Schmidt reduction, cached rows or seed-only join.  They are slow on
-purpose.
+purpose.  ``covered_mask`` is the rank form of a presentation map's perp
+class on every item, from path matrices built per item; it shares only
+``path_matrix`` and ``rank`` with ``torslab.presentations``.
+``is_isomorphic_rep`` sweeps a hom space for an invertible map; the
+catalogue locates modules by orbit labels and runs no such test.
 
 ``solve_program`` and ``dd_rays`` are the cone engines in plain ``Fraction``
 arithmetic: a rational simplex tableau normalised at every pivot and a double
@@ -31,8 +35,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from torslab.algebra import euler_pairing, hom_space
+from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import ConeError
-from torslab.linalg import nullspace, rank, residual, row_space, rref, rref_q
+from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref, rref_q
 from torslab.silting import _layout, _unvec
 from torslab.stability import Quadruple
 from torslab.torsion import indices_of
@@ -102,6 +107,58 @@ def right_perp(cat, gens):
         if all(not hom_space(g, X) for g in gens):
             out |= 1 << idx
     return out
+
+
+def covered_mask(cat, U):
+    """Items X on which composition with U, Hom(P0, X) -> Hom(P1, X), is onto.
+
+    Hom(P(v), X) is X_v, and the entry U[l][k], a combination of paths from
+    zero[l] to minus[k], acts through the path matrices of X.  Every item
+    is tested, decomposable or not, with its path matrices built afresh.
+    """
+    A = cat.algebra
+    p = A.p
+    out = 0
+    for idx in range(len(cat)):
+        X = cat.rep(idx)
+        rows = []
+        for k, mv in enumerate(U.minus):
+            for r in range(X.dims[mv]):
+                row = []
+                for l, zv in enumerate(U.zero):
+                    block = [0] * X.dims[zv]
+                    for b, c in U.mat[l][k].items():
+                        pm = X.path_matrix(A.basis[b])
+                        block = [(x + c * y) % p for x, y in zip(block, pm[r])]
+                    row.extend(block)
+                rows.append(tuple(row))
+        if rank(tuple(rows), p) == len(rows):
+            out |= 1 << idx
+    return out
+
+
+def is_isomorphic_rep(M, N, cap=SWEEP_CAP):
+    """Exhaustive search for an invertible homomorphism."""
+    if M.dims != N.dims:
+        return False
+    if M.total_dim() == 0:
+        return True
+    p = M.algebra.p
+    homs = hom_space(M, N)
+    r = len(homs)
+    if r == 0:
+        return False
+    if len(hom_space(N, M)) != r:
+        return False
+    if p**r > cap:
+        raise BudgetError("isomorphism sweep too large: %d^%d" % (p, r))
+    for coeffs in itertools.product(range(p), repeat=r):
+        if not any(coeffs):
+            continue
+        phi = _combine(homs, coeffs, p)
+        if all(inverse(m, p) is not None for m in phi if m):
+            return True
+    return False
 
 
 def submodule_families(cat, idx):

@@ -12,15 +12,11 @@ from torslab.algebra import (
     projective_module,
     simple_module,
 )
-from torslab.catalogue import (
-    BudgetError,
-    Catalogue,
-    WindowError,
-    is_isomorphic_rep,
-)
+from torslab.catalogue import BudgetError, Catalogue, WindowError
 from torslab.linalg import inverse, mat_mul
 
 from conftest import bundled
+from oracles import is_isomorphic_rep
 
 
 def raw_class_count(A, bound):
@@ -144,10 +140,10 @@ def test_find_index_runs_no_isomorphism_test(a2, monkeypatch):
     want = [j for j in range(len(cat)) if is_isomorphic_rep(M, cat.rep(j))]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("find_index ran a hom or isomorphism sweep")
+        raise AssertionError("find_index ran a hom sweep")
 
+    # the isomorphism test is the oracle's: the catalogue has none to run
     monkeypatch.setattr(catalogue, "hom_space", refuse)
-    monkeypatch.setattr(catalogue, "is_isomorphic_rep", refuse)
     assert [cat.find_index(M)] == want
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import bundled
-from torslab import torsion
+from torslab import presentations, torsion
 from torslab.algebra import direct_sum
 from torslab.catalogue import Catalogue
 from torslab.presentations import map_from_coeffs, presentation_space, tbar_of_map
@@ -96,22 +96,31 @@ def test_census_and_witnesses_read_homs_between_indecomposables(monkeypatch, kro
     assert all(w.cat.is_indec(i) and w.cat.is_indec(j) for i, j in calls)
 
 
-def test_tbar_of_map_computes_one_hom_space_per_indecomposable(monkeypatch, a2):
+def test_tbar_of_map_reads_the_rank_form_once_per_indecomposable(monkeypatch, a2):
     cat = Catalogue(a2, (2, 2))
     # every signature is computed here, so the decompositions' own hom
     # spaces are not counted below
     indecs = [i for i in range(len(cat)) if cat.is_indec(i)]
     U = map_from_coeffs(a2, presentation_space(a2, (1, -1)), (0,))
-    calls = []
+    homs = []
     original = torsion.hom_space
 
     def counted(*args):
-        calls.append(args)
+        homs.append(args)
         return original(*args)
 
     for modname, module in list(sys.modules.items()):
         if modname.startswith("torslab.") and getattr(module, "hom_space", None) is original:
             monkeypatch.setattr(module, "hom_space", counted)
+    ranks = []
+    original_rank = presentations.in_perp_of_kernel
+
+    def counted_rank(U, cat, idx):
+        ranks.append(idx)
+        return original_rank(U, cat, idx)
+
+    monkeypatch.setattr(presentations, "in_perp_of_kernel", counted_rank)
     tmask = tbar_of_map(cat, U)
     assert tmask != 1 << cat.zero_index()
-    assert 0 < len(calls) <= len(indecs) < len(cat)
+    assert homs == []
+    assert 0 < len(ranks) <= len(indecs) < len(cat)

@@ -1,17 +1,21 @@
+from itertools import product
+
 import pytest
 
+import oracles
+from conftest import bundled
 from torslab.algebra import simple_module
 from torslab.catalogue import Catalogue
 from torslab.presentations import (
     PresentationError,
-    covered_mask,
     fei_union_check,
     map_from_coeffs,
     presentation_pair,
     presentation_space,
     tbar_of_map,
 )
-from torslab.silting import TwoTermComplex
+from torslab.reports import TBAR_SWEEP_COST
+from torslab.silting import TwoTermComplex, _layout, cohomology
 from torslab.stability import quadruple
 
 
@@ -65,16 +69,44 @@ def test_tbar_of_arrow_map(cat_kron, kronecker):
     assert (got >> s1) & 1
 
 
-def test_rank_form_matches_kernel_form(cat_a2, a2):
-    sp = presentation_space(a2, (2, -2))
-    for code in range(a2.p ** sp["dim"]):
-        coeffs = []
-        c = code
-        for _ in range(sp["dim"]):
-            coeffs.append(c % a2.p)
-            c //= a2.p
-        U = map_from_coeffs(a2, sp, tuple(coeffs))
-        assert covered_mask(cat_a2, U) == tbar_of_map(cat_a2, U)
+def _swept_spaces(A, cat):
+    """The presentation spaces of every weight of a small grid at levels 1
+    and 2, and those of P(v)^a -> P(v)^b for a, b <= 2 at each vertex v (no
+    weight splits into these, and on `loop` they carry the relation), each
+    kept when its sweep fits the semistable suite's cost cap."""
+    spaces = [
+        presentation_space(A, tuple(level * t for t in theta))
+        for theta in product(range(-2, 3), repeat=A.n)
+        for level in (1, 2)
+    ]
+    for v, a, b in product(range(A.n), (1, 2), (1, 2)):
+        slots = _layout(A, (v,) * a, (v,) * b)
+        spaces.append({"minus": (v,) * a, "zero": (v,) * b, "slots": slots, "dim": len(slots)})
+    return [sp for sp in spaces if A.p ** sp["dim"] * len(cat) <= TBAR_SWEEP_COST]
+
+
+def test_rank_form_matches_kernel_form():
+    # the rank form on indecomposables, the perp of the twisted kernel and
+    # the rank form on every item agree on every swept map
+    windows = (
+        ("a2", None, (2, 2)),
+        ("kronecker", None, (2, 2)),
+        ("kronecker", 3, (2, 2)),
+        ("loop", None, (3,)),
+        ("kxk", None, (2, 2)),
+    )
+    for name, p, bound in windows:
+        A = bundled(name, p)
+        cat = Catalogue(A, bound)
+        classes = set()
+        for space in _swept_spaces(A, cat):
+            for coeffs in product(range(A.p), repeat=space["dim"]):
+                U = map_from_coeffs(A, space, coeffs)
+                tmask = tbar_of_map(cat, U)
+                assert tmask == oracles.left_perp(cat, [cohomology(U)[1]]), (name, U)
+                assert tmask == oracles.covered_mask(cat, U), (name, U)
+                classes.add(tmask)
+        assert len(classes) >= 2, name
 
 
 def test_fei_union_a2(cat_a2):
