@@ -254,10 +254,6 @@ class Algebra:
 
     # -- element arithmetic ------------------------------------------------
 
-    def unit(self, v):
-        """The trivial path e_v as an element."""
-        return {self.basis_index[(v, ())]: 1}
-
     def reduce_path(self, path):
         combo = self._nf.get(path)
         if combo is None:

@@ -11,7 +11,8 @@ The sweep keeps, for every code, the first code of its orbit, so an explicit
 representation is located by encoding its matrices and reading that label: no
 isomorphism test runs after the sweep.  Krull-Schmidt data (signatures, brick
 tests) is computed by Fitting splittings found by sweeping endomorphism
-spaces; the sweeps are exhaustive, capped, and never sampled.
+spaces; the sweeps are exhaustive, never sampled, and refused past SWEEP_CAP.
+Semibricks are every pairwise hom-orthogonal set of bricks, with no size cap.
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ from .linalg import (
     inverse,
     mat_mul,
     mat_vec,
-    nullspace,
     rank,
-    residual,
     row_space,
-    rref,
 )
 
 BUDGET_DEFAULT = 22
@@ -97,7 +95,7 @@ def _all_dims(bound):
 
 
 class Catalogue:
-    def __init__(self, algebra, bound, budget=BUDGET_DEFAULT, code_cap=CODE_CAP):
+    def __init__(self, algebra, bound):
         self.algebra = algebra
         self.bound = tuple(bound)
         if len(self.bound) != algebra.n:
@@ -105,21 +103,21 @@ class Catalogue:
         load = sum(
             self.bound[a.source] * self.bound[a.target] for a in algebra.arrows
         )
-        if load > budget:
+        if load > BUDGET_DEFAULT:
             raise BudgetError(
                 "enumeration budget exceeded at dims %r: %d > %d"
-                % (self.bound, load, budget)
+                % (self.bound, load, BUDGET_DEFAULT)
             )
         # per dimension vector: the first code of each code's orbit
         self._orbit_of = {}
-        self._enumerate(code_cap)
+        self._enumerate()
         self._by_total = sorted(
             range(len(self.reps)), key=lambda i: (sum(self.dims_of(i)), i)
         )
 
     # -- enumeration --------------------------------------------------------
 
-    def _enumerate(self, code_cap):
+    def _enumerate(self):
         A = self.algebra
         p = A.p
         # check every dimension vector against the cap before sweeping any, so
@@ -128,7 +126,7 @@ class Catalogue:
         for dims in _all_dims(self.bound):
             cells = [dims[a.target] * dims[a.source] for a in A.arrows]
             N = sum(cells)
-            if p**N > code_cap:
+            if p**N > CODE_CAP:
                 raise BudgetError(
                     "orbit sweep too large at dims %r: %d^%d codes" % (dims, p, N)
                 )
@@ -355,8 +353,13 @@ class Catalogue:
     def bricks(self):
         return tuple(i for i in range(len(self.reps)) if self.is_brick(i))
 
-    def semibricks(self, size_cap=8):
-        """All pairwise hom-orthogonal sets of bricks, as sorted index tuples."""
+    def semibricks(self):
+        """All pairwise hom-orthogonal sets of bricks, as sorted index tuples,
+        ordered by size and then lexicographically.
+
+        The sweep grows every orthogonal prefix by the later bricks, so it is
+        exhaustive; a semibrick has at most as many members as there are
+        bricks, which bounds it."""
         bricks = self.bricks()
         ortho = {
             (i, j)
@@ -371,8 +374,7 @@ class Catalogue:
                 if all((a, b) in ortho for a in prefix):
                     nxt = prefix + (b,)
                     out.append(nxt)
-                    if len(nxt) < size_cap:
-                        grow(nxt, rest[k + 1 :])
+                    grow(nxt, rest[k + 1 :])
 
         grow((), bricks)
         return tuple(sorted(out, key=lambda s: (len(s), s)))
@@ -461,122 +463,6 @@ class Catalogue:
             Q, _ = quotient_module(M, fam)
             pairs.add((self.find_index(S), self.find_index(Q)))
         return tuple(sorted(pairs))
-
-    # -- extensions ----------------------------------------------------------------
-
-    @memo
-    def extensions(self, xi, yi):
-        """Middle terms of short exact sequences 0 -> Y -> E -> X -> 0.
-
-        Returns (sorted tuple of catalogue indices, truncated flag); the flag
-        is set when the middle dimension vector leaves the window.
-        """
-        X, Y = self.reps[xi], self.reps[yi]
-        A = self.algebra
-        p = A.p
-        dims = tuple(x + y for x, y in zip(X.dims, Y.dims))
-        if not self.in_window(dims):
-            return ((), True)
-        offs = []
-        acc = 0
-        for a in A.arrows:
-            offs.append(acc)
-            acc += Y.dims[a.target] * X.dims[a.source]
-        D = acc
-        rows = []
-        for rel in A.relations:
-            src = rel[0][1][0]
-            tgt = None
-            block = {}
-            for coeff, (psrc, arrs) in rel:
-                cur_tgt = A.arrows[arrs[-1]].target
-                tgt = cur_tgt
-                for i, ai in enumerate(arrs):
-                    a = A.arrows[ai]
-                    left = Y.path_matrix((a.target, arrs[i + 1 :]))
-                    right = X.path_matrix((psrc, arrs[:i]))
-                    for u in range(Y.dims[cur_tgt]):
-                        lrow = left[u] if left else ()
-                        for w in range(X.dims[psrc]):
-                            for rr in range(Y.dims[a.target]):
-                                lv = lrow[rr] if rr < len(lrow) else 0
-                                if not lv:
-                                    continue
-                                for ss in range(X.dims[a.source]):
-                                    rv = right[ss][w] if right else 0
-                                    if not rv:
-                                        continue
-                                    var = offs[ai] + rr * X.dims[a.source] + ss
-                                    bkey = (u, w, var)
-                                    block[bkey] = (block.get(bkey, 0) + coeff * lv * rv) % p
-            if tgt is None:
-                continue
-            per_entry = {}
-            for (u, w, var), val in block.items():
-                per_entry.setdefault((u, w), [0] * D)[var] = val
-            for row in per_entry.values():
-                if any(row):
-                    rows.append(tuple(row))
-        Z = nullspace(tuple(rows), D, p)
-        bvecs = []
-        for v in range(A.n):
-            for i in range(Y.dims[v]):
-                for j in range(X.dims[v]):
-                    vec = [0] * D
-                    for ai, a in enumerate(A.arrows):
-                        if a.source == v:
-                            for rr in range(Y.dims[a.target]):
-                                val = Y.mats[ai][rr][i]
-                                if val:
-                                    vec[offs[ai] + rr * X.dims[a.source] + j] = (
-                                        vec[offs[ai] + rr * X.dims[a.source] + j] + val
-                                    ) % p
-                        if a.target == v:
-                            for ss in range(X.dims[a.source]):
-                                val = X.mats[ai][j][ss]
-                                if val:
-                                    vec[offs[ai] + i * X.dims[a.source] + ss] = (
-                                        vec[offs[ai] + i * X.dims[a.source] + ss] - val
-                                    ) % p
-                    if any(vec):
-                        bvecs.append(tuple(vec))
-        stack, _ = rref(bvecs, p)
-        comp = []
-        for z in Z:
-            r = residual(z, stack, p)
-            if any(r):
-                comp.append(z)
-                stack, _ = rref(stack + (r,), p)
-        if p ** len(comp) > SWEEP_CAP:
-            raise BudgetError("extension sweep too large: %d^%d" % (p, len(comp)))
-        found = set()
-        for coeffs in itertools.product(range(p), repeat=len(comp)):
-            cvec = [0] * D
-            for c, z in zip(coeffs, comp):
-                if c:
-                    cvec = [(x + c * y) % p for x, y in zip(cvec, z)]
-            found.add(self.find_index(self._glue(X, Y, offs, cvec)))
-        return (tuple(sorted(found)), False)
-
-    def _glue(self, X, Y, offs, cvec):
-        A = self.algebra
-        dims = tuple(x + y for x, y in zip(X.dims, Y.dims))
-        mats = []
-        for ai, a in enumerate(A.arrows):
-            dt, ds = dims[a.target], dims[a.source]
-            yt, ys = Y.dims[a.target], Y.dims[a.source]
-            m = [[0] * ds for _ in range(dt)]
-            for r in range(yt):
-                for c in range(ys):
-                    m[r][c] = Y.mats[ai][r][c]
-            for r in range(X.dims[a.target]):
-                for c in range(X.dims[a.source]):
-                    m[yt + r][ys + c] = X.mats[ai][r][c]
-            for r in range(yt):
-                for c in range(X.dims[a.source]):
-                    m[r][ys + c] = cvec[offs[ai] + r * X.dims[a.source] + c]
-            mats.append(tuple(tuple(row) for row in m))
-        return Representation(A, dims, mats, check=False)
 
 
 def _combine(homs, coeffs, p):

@@ -23,12 +23,12 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import euler_pairing, memo
+from .catalogue import SWEEP_CAP
 from .linalg import rank
 from .silting import TwoTermComplex, _layout, twisted_kernel
 from .stability import quadruple
 from .torsion import _on_indecomposables, left_perp
 
-SWEEP_CAP = 10**6
 SAMPLE_CHECKS = 24
 _SAMPLE_SEED = 9173
 
@@ -162,13 +162,13 @@ def _exclusion_certificates(cat, theta, target):
     return certs
 
 
-def fei_union_check(cat, theta, l_max, cap=SWEEP_CAP, sample_checks=SAMPLE_CHECKS):
+def fei_union_check(cat, theta, l_max):
     """Sweep the presentation spaces of theta, 2 theta, ..., l_max theta and
     compare the union of the induced classes with the weak semistable class.
 
     Containment of every induced class in the weak class is certified once
     per excluded item by a negative quotient weight; coverage is accumulated
-    over swept maps.  Levels whose space exceeds the cap are sampled and
+    over swept maps.  Levels whose space exceeds SWEEP_CAP are sampled and
     flagged partial.  Returns a report dict.
     """
     A = cat.algebra
@@ -186,10 +186,12 @@ def fei_union_check(cat, theta, l_max, cap=SWEEP_CAP, sample_checks=SAMPLE_CHECK
         space = presentation_space(A, tuple(l * t for t in theta))
         dim = space["dim"]
         total = A.p**dim
-        partial = total > cap
+        partial = total > SWEEP_CAP
         if partial:
-            sweep = (tuple(rng.randrange(A.p) for _ in range(dim)) for _ in range(cap))
-            swept = cap
+            sweep = (
+                tuple(rng.randrange(A.p) for _ in range(dim)) for _ in range(SWEEP_CAP)
+            )
+            swept = SWEEP_CAP
         else:
             sweep = product(range(A.p), repeat=dim)
             swept = total
@@ -203,9 +205,9 @@ def fei_union_check(cat, theta, l_max, cap=SWEEP_CAP, sample_checks=SAMPLE_CHECK
                     covered |= 1 << i
                 if hits:
                     todo = [i for i in todo if not (covered >> i) & 1]
-            elif len(sampled) >= sample_checks:
+            elif len(sampled) >= SAMPLE_CHECKS:
                 break
-            if len(sampled) < sample_checks and pos % max(1, swept // sample_checks) == 0:
+            if len(sampled) < SAMPLE_CHECKS and pos % max(1, swept // SAMPLE_CHECKS) == 0:
                 sampled.append(coeffs)
         for coeffs in sampled:
             U = map_from_coeffs(A, space, coeffs)

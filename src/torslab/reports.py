@@ -351,7 +351,7 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
 def _semibrick_spans(cat):
     """Generated class per semibrick, smallest sets first."""
     spans = []
-    for sb in sorted(cat.semibricks(), key=lambda s: (len(s), s)):
+    for sb in cat.semibricks():
         spans.append((sb, t_of(cat, mask_of(sb))))
     return spans
 

@@ -523,6 +523,17 @@ def _stack_cols(pairs_mats, nrows):
     return tuple(tuple(r) for r in rows)
 
 
+def _reduced_cone(A, S, T, fa, fb):
+    """Reduced cone of f: S -> T, whose components are fa: S^-1 -> T^-1 and
+    fb: S^0 -> T^0.  Its terms are S^-1, S^0 + T^-1 and T^0, with
+    differentials D0 = [-d_S ; fa] and D1 = [fb | d_T]."""
+    sm, sz, tm = range(len(S.minus)), range(len(S.zero)), range(len(T.minus))
+    D0 = [[_elem_neg(A.p, S.mat[l][k]) for k in sm] for l in sz]
+    D0 += [[fa[l][k] for k in sm] for l in tm]
+    D1 = [[fb[l][k] for k in sz] + [T.mat[l][k] for k in tm] for l in range(len(T.zero))]
+    return _reduce_chain(A, [S.minus, S.zero + T.minus, T.zero], [D0, D1])
+
+
 def _left_exchange(X, others):
     A = X.algebra
     copies = []
@@ -536,17 +547,7 @@ def _left_exchange(X, others):
     g_alpha = _stack_rows([pair[0] for _, pair in copies])
     g_beta = _stack_rows([pair[1] for _, pair in copies])
     # cone(g: X -> E), degrees -2..0
-    t0 = list(X.minus)
-    t1 = list(X.zero) + list(E.minus)
-    t2 = list(E.zero)
-    D0 = [[_elem_neg(A.p, X.mat[l][k]) for k in range(len(X.minus))] for l in range(len(X.zero))]
-    D0 += [[dict(g_alpha[l][k]) for k in range(len(X.minus))] for l in range(len(E.minus))]
-    D1 = []
-    for l in range(len(E.zero)):
-        row = [dict(g_beta[l][k]) for k in range(len(X.zero))]
-        row += [dict(E.mat[l][k]) for k in range(len(E.minus))]
-        D1.append(row)
-    terms, diffs = _reduce_chain(A, [t0, t1, t2], [D0, D1])
+    terms, diffs = _reduced_cone(A, X, E, g_alpha, g_beta)
     if terms[0]:
         return None
     return TwoTermComplex(A, terms[1], terms[2], diffs[1])
@@ -565,17 +566,7 @@ def _right_exchange(X, others):
     h_alpha = _stack_cols([pair[0] for _, pair in copies], len(X.minus))
     h_beta = _stack_cols([pair[1] for _, pair in copies], len(X.zero))
     # cone(h: E -> X) shifted one step to the right, degrees -1..+1
-    t0 = list(E.minus)
-    t1 = list(E.zero) + list(X.minus)
-    t2 = list(X.zero)
-    D0 = [[_elem_neg(A.p, E.mat[l][k]) for k in range(len(E.minus))] for l in range(len(E.zero))]
-    D0 += [[dict(h_alpha[l][k]) for k in range(len(E.minus))] for l in range(len(X.minus))]
-    D1 = []
-    for l in range(len(X.zero)):
-        row = [dict(h_beta[l][k]) for k in range(len(E.zero))]
-        row += [dict(X.mat[l][k]) for k in range(len(X.minus))]
-        D1.append(row)
-    terms, diffs = _reduce_chain(A, [t0, t1, t2], [D0, D1])
+    terms, diffs = _reduced_cone(A, E, X, h_alpha, h_beta)
     if terms[2]:
         return None
     return TwoTermComplex(A, terms[0], terms[1], diffs[0])

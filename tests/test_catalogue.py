@@ -14,6 +14,7 @@ from torslab.algebra import (
 )
 from torslab.catalogue import BudgetError, Catalogue, WindowError
 from torslab.linalg import inverse, mat_mul
+from torslab.torsion import enumerate_torsion_classes
 
 from conftest import bundled
 from oracles import is_isomorphic_rep
@@ -253,6 +254,15 @@ def test_semibricks(cat_a2, cat_kron):
     sbk = cat_kron.semibricks()
     assert len(sbk) == 11
     assert max(len(s) for s in sbk) == 3  # the p + 1 = 3 one-dimensional bricks
+    # Kronecker at (1,1) over larger fields: the p + 1 orthogonal bricks of
+    # dimension (1,1) give 2^(p+1) semibricks, the two simples three more,
+    # and each semibrick generates its own torsion class
+    for p in (7, 11):
+        cat = Catalogue(bundled("kronecker", p=p), (1, 1))
+        sbs = cat.semibricks()
+        assert len(sbs) == 2 ** (p + 1) + 3
+        assert max(len(s) for s in sbs) == p + 1
+        assert len(enumerate_torsion_classes(cat)) == 2 ** (p + 1) + 3
 
 
 def test_submodules_and_subquots(a2, cat_a2):
@@ -263,30 +273,6 @@ def test_submodules_and_subquots(a2, cat_a2):
     s1 = cat_a2.find_index(simple_module(a2, 0))
     s2 = cat_a2.find_index(simple_module(a2, 1))
     assert set(cat_a2.subquot_pairs(i)) == {(0, i), (s2, s1)}
-
-
-def test_extensions(a2, loop, cat_a2, cat_loop, cat_kron):
-    s1 = cat_a2.find_index(simple_module(a2, 0))
-    s2 = cat_a2.find_index(simple_module(a2, 1))
-    p1 = cat_a2.find_index(projective_module(a2, 0))
-    ss = cat_a2.find_index(direct_sum(simple_module(a2, 0), simple_module(a2, 1)))
-    mids, trunc = cat_a2.extensions(s1, s2)
-    assert not trunc and set(mids) == {ss, p1}
-    mids2, trunc2 = cat_a2.extensions(s2, s1)
-    assert not trunc2 and set(mids2) == {ss}
-    # loop: the self-extension of the simple gives both the split sum and the
-    # regular module
-    s = next(i for i in range(len(cat_loop)) if cat_loop.dims_of(i) == (1,))
-    mids3, _ = cat_loop.extensions(s, s)
-    assert len(mids3) == 2
-    # Kronecker at bound (1,1): four middles for Ext(S1, S2), truncation beyond
-    ks1 = cat_kron.find_index(simple_module(cat_kron.algebra, 0))
-    ks2 = cat_kron.find_index(simple_module(cat_kron.algebra, 1))
-    mids4, trunc4 = cat_kron.extensions(ks1, ks2)
-    assert not trunc4 and len(mids4) == 4
-    b = next(i for i in cat_kron.bricks() if cat_kron.dims_of(i) == (1, 1))
-    _, trunc5 = cat_kron.extensions(b, b)
-    assert trunc5
 
 
 def test_budget_guards(kronecker, monkeypatch):

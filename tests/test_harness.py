@@ -211,18 +211,24 @@ def test_runtime_imports_only_stdlib():
 
 def test_scan_semibrick_sizes():
     text = bundled_text("kronecker")
-    rep = reports.suite_scan(text, grid=(-2, 2), fields=(2, 3), bound=(1, 1))
-    assert exit_code(rep) == 0
-    growth = {
-        tuple(c["witness"]["theta"]): c["witness"]["sizes"]
-        for c in rep["checks"]
-        if c["claim"].startswith("scan-growth")
-    }
-    assert growth == {(1, -1): [3, 4], (2, -2): [3, 4]}
-    for c in rep["checks"]:
-        if c["claim"].startswith("scan-evidence"):
-            w = c["witness"]
-            assert w["orthogonal"] and w["bricks"] and w["generates"]
+    # the semibricks of p + 1 bricks are found for every prime
+    cases = (
+        ((2, 3), (-2, 2), {(1, -1): [3, 4], (2, -2): [3, 4]}),
+        ((7, 11), (-1, 1), {(1, -1): [8, 12]}),
+    )
+    for fields, grid, expected in cases:
+        rep = reports.suite_scan(text, grid=grid, fields=fields, bound=(1, 1))
+        assert exit_code(rep) == 0
+        growth = {
+            tuple(c["witness"]["theta"]): c["witness"]["sizes"]
+            for c in rep["checks"]
+            if c["claim"].startswith("scan-growth")
+        }
+        assert growth == expected
+        for c in rep["checks"]:
+            if c["claim"].startswith("scan-evidence"):
+                w = c["witness"]
+                assert w["orthogonal"] and w["bricks"] and w["generates"]
 
 
 def test_refield_swaps_only_the_field_line():
