@@ -7,10 +7,11 @@ Krull-Schmidt summands are, and indexed generators are replaced by their
 indecomposable summands.  An indecomposable item is tested by trace and
 reject arguments against explicit hom bases, read from tables cached per
 pair of indecomposable items, so membership is exact for every item of the
-window even when the generating modules live outside it.  Extension
-closure stays item-level, exact for any mask: it is the filtration DP over
-submodule lattices, and filtrations of an in-window module only ever use
-in-window subquotients.
+window even when the generating modules live outside it.  The window is
+closed under submodules and quotients, so in it T(C) is the left perp of
+C^perp and F(C) the right perp of the left perp of C (Dickson, Trans. AMS
+121 (1966)).  The filtration DP over submodule lattices only cross-checks
+the census.
 """
 
 from __future__ import annotations
@@ -200,13 +201,13 @@ def right_perp(cat, gens):
 
 
 def t_of(cat, gens):
-    """Smallest torsion class containing the generators (window restriction)."""
-    return filt_closure(cat, fac_closure(cat, gens))
+    """Smallest torsion class containing the generators: a double perp."""
+    return left_perp(cat, right_perp(cat, gens))
 
 
 def f_of(cat, gens):
-    """Smallest torsion-free class containing the generators."""
-    return filt_closure(cat, sub_closure(cat, gens))
+    """Smallest torsion-free class containing the generators: a double perp."""
+    return right_perp(cat, left_perp(cat, gens))
 
 
 def torsion_pair_of(cat, tmask):
@@ -223,9 +224,12 @@ def torsion_pair_of(cat, tmask):
 def enumerate_torsion_classes(cat):
     """All torsion classes met by the window, via the semibrick sweep.
 
-    Every returned mask is verified closed under quotients and filtrations
-    inside the window.  Completeness is certified separately by re-running
-    with a strictly larger bound (see window_stable below).
+    Each class is the double perp of a semibrick.  Every returned mask is
+    then verified closed under quotients by fac_closure and under
+    filtrations by the filtration DP over submodule lattices, a
+    construction independent of the perps.  Completeness is certified
+    separately by re-running with a strictly larger bound (see
+    window_stable below).
     """
     seen = {}
     for sb in cat.semibricks():
@@ -241,60 +245,40 @@ def enumerate_torsion_classes(cat):
 # -- compactness and finiteness predicates -------------------------------------
 
 
-def _candidates(cat, mask):
-    return [i for i in cat.by_total_dim() if (mask >> i) & 1]
-
-
 @memo
-def fac_of_single(cat, i):
-    return fac_closure(cat, (i,))
+def _closure_of_single(cat, closure, i):
+    return closure(cat, (i,))
 
 
-@memo
-def sub_of_single(cat, i):
-    return sub_closure(cat, (i,))
-
-
-@memo
-def t_of_single(cat, i):
-    return filt_closure(cat, fac_of_single(cat, i))
-
-
-@memo
-def left_perp_of_single(cat, i):
-    return left_perp(cat, (i,))
+def _witness(cat, mask, closure, target):
+    """The first item of the mask, in order of total dimension, whose
+    closure is the target, or None."""
+    for i in cat.by_total_dim():
+        if (mask >> i) & 1 and _closure_of_single(cat, closure, i) == target:
+            return i
+    return None
 
 
 def fac_single_witness(cat, tmask):
     """Smallest single module with Fac(M) equal to the class, or None."""
-    for i in _candidates(cat, tmask):
-        if fac_of_single(cat, i) == tmask:
-            return i
-    return None
+    return _witness(cat, tmask, fac_closure, tmask)
 
 
 def sub_single_witness(cat, fmask):
-    for i in _candidates(cat, fmask):
-        if sub_of_single(cat, i) == fmask:
-            return i
-    return None
+    """Smallest single module with Sub(N) equal to the class, or None."""
+    return _witness(cat, fmask, sub_closure, fmask)
 
 
-def compact_witness(cat, tmask):
-    """Smallest M with t_of(M) equal to the class, or None."""
-    for i in _candidates(cat, tmask):
-        if t_of_single(cat, i) == tmask:
-            return i
-    return None
+def compact_witness(cat, tmask, fmask):
+    """Smallest M in the class whose right perp is the class's, fmask, or
+    None; then t_of(M) is the class."""
+    return _witness(cat, tmask, right_perp, fmask)
 
 
 def cocompact_witness(cat, tmask, fmask):
     """Smallest N in the right perp fmask of the class with left_perp(N)
     equal to the class, or None."""
-    for i in _candidates(cat, fmask):
-        if left_perp_of_single(cat, i) == tmask:
-            return i
-    return None
+    return _witness(cat, fmask, left_perp, tmask)
 
 
 def functorially_finite(cat, tmask):
@@ -387,7 +371,7 @@ class Window:
             "perp": fmask,
             "fac": fac_single_witness(cat, tmask),
             "sub": sub_single_witness(cat, fmask),
-            "compact": compact_witness(cat, tmask),
+            "compact": compact_witness(cat, tmask, fmask),
             "cocompact": cocompact_witness(cat, tmask, fmask),
         }
         got["ff"] = got["fac"] is not None and got["sub"] is not None

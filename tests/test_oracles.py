@@ -13,7 +13,7 @@ from torslab.algebra import direct_sum
 from torslab.catalogue import Catalogue
 from torslab.presentations import map_from_coeffs, presentation_space, tbar_of_map
 from torslab.silting import cohomology, direct_sum_complex, enumerate_silting
-from torslab.torsion import Window, enumerate_torsion_classes
+from torslab.torsion import Window, enumerate_torsion_classes, filt_closure, indices_of
 
 CLOSURES = ("fac_closure", "sub_closure", "left_perp", "right_perp")
 
@@ -35,9 +35,13 @@ def window(request):
 
 
 def _agree(cat, gens):
+    want = {name: getattr(oracles, name)(cat, gens) for name in CLOSURES}
     for name in CLOSURES:
-        got = getattr(torsion, name)(cat, gens)
-        assert got == getattr(oracles, name)(cat, gens), (name, gens)
+        assert getattr(torsion, name)(cat, gens) == want[name], (name, gens)
+    # the torsion and torsion-free closures are double perps; their
+    # reference is the filtration DP over the oracle's Fac and Sub
+    assert torsion.t_of(cat, gens) == filt_closure(cat, want["fac_closure"]), gens
+    assert torsion.f_of(cat, gens) == filt_closure(cat, want["sub_closure"]), gens
 
 
 def test_closures_match_oracle_on_masks(window):
@@ -68,6 +72,18 @@ def test_closures_match_oracle_on_explicit_modules(window):
         both = direct_sum(cat.rep(i), cat.rep(j))
         _agree(cat, [both])
         _agree(cat, [k, both])
+
+
+def test_compact_witness_test_matches_filtration_oracle(window):
+    # an item i of a class T generates it exactly when i and T have the same
+    # right perp, which is what compact_witness tests
+    _, cat = window
+    for tmask in enumerate_torsion_classes(cat):
+        fmask = torsion.right_perp(cat, tmask)
+        for i in indices_of(tmask):
+            same_perp = torsion.right_perp(cat, (i,)) == fmask
+            generates = filt_closure(cat, oracles.fac_closure(cat, (i,))) == tmask
+            assert same_perp == generates, (tmask, i)
 
 
 @pytest.mark.parametrize(

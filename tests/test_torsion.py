@@ -117,7 +117,7 @@ def test_enumerate_counts(cat_a2, cat_kron, cat_loop, kxk):
 def test_witnesses_small_window(cat_a2, idx_a2):
     T = mask_of((idx_a2["Z"], idx_a2["S1"], idx_a2["P1"]))
     assert fac_single_witness(cat_a2, T) == idx_a2["P1"]
-    assert compact_witness(cat_a2, T) == idx_a2["P1"]
+    assert compact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["P1"]
     assert cocompact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["S2"]
     assert functorially_finite(cat_a2, T) == (idx_a2["P1"], idx_a2["S2"])
     # the smallest semibrick generating the class, as the brickfinite suite
@@ -135,7 +135,7 @@ def test_witnesses_ample_window(a2):
     assert len(classes) == 5
     for T in classes:
         assert functorially_finite(cat, T) is not None
-        assert compact_witness(cat, T) is not None
+        assert compact_witness(cat, T, right_perp(cat, T)) is not None
         assert cocompact_witness(cat, T, right_perp(cat, T)) is not None
 
 
