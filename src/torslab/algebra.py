@@ -84,6 +84,32 @@ class Arrow:
     target: int
 
 
+def _window_overflow():
+    return AlgebraError(
+        "path window exceeds %d paths; ideal is not admissible "
+        "or the algebra is infinite dimensional" % PATH_CAP
+    )
+
+
+def _has_oriented_cycle(n, arrows):
+    """Whether the quiver has an oriented cycle: peeling off vertices with no
+    incoming arrow (Kahn's algorithm) leaves some vertex behind."""
+    indeg = [0] * n
+    for a in arrows:
+        indeg[a.target] += 1
+    ready = [v for v in range(n) if not indeg[v]]
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for a in arrows:
+            if a.source == v:
+                indeg[a.target] -= 1
+                if not indeg[a.target]:
+                    ready.append(a.target)
+    return peeled < n
+
+
 def _path_target(algebra_arrows, path):
     src, arrows = path
     return algebra_arrows[arrows[-1]].target if arrows else src
@@ -135,10 +161,7 @@ class Algebra:
                         nxt.append((src, arrs + (ai,)))
             total += len(nxt)
             if total > PATH_CAP:
-                raise AlgebraError(
-                    "path window exceeds %d paths; ideal is not admissible "
-                    "or the algebra is infinite dimensional" % PATH_CAP
-                )
+                raise _window_overflow()
             layers.append(nxt)
         return layers
 
@@ -203,6 +226,10 @@ class Algebra:
         return m
 
     def _build_basis(self):
+        if not self.relations and _has_oriented_cycle(self.n, self.arrows):
+            # paths around a free cycle have every length, so every window
+            # would grow to the cap
+            raise _window_overflow()
         maxrel = self._maxrel()
         homogeneous = all(
             len({len(arrs) for _, (_, arrs) in rel}) == 1 for rel in self.relations

@@ -17,8 +17,8 @@ back-substitution.
 
 Over Q, ``rref_q`` is the only Gaussian elimination in Fraction arithmetic.
 It serves the rank tests of double description and of silting g-vectors
-and the exact solves of the rigidity test; the simplex in ``cones`` keeps
-its own tableau pivoting.
+and the inverse g-vector matrices of the rigidity test; the simplex in
+``cones`` keeps its own tableau pivoting.
 """
 
 from __future__ import annotations

@@ -17,9 +17,6 @@ deterministic object.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-
 from .algebra import (
     AlgebraError,
     direct_sum_many,
@@ -467,45 +464,51 @@ def reduced(U):
 # -- mutation ------------------------------------------------------------------
 
 
-def _left_approximates(A, X, others, copies):
-    for s, S in enumerate(others):
-        data = _chain_data(A, X, S)
-        need = len(data["hot"]) + len(data["k_vecs"])
-        rows = [tuple(r) for r in data["hot"]]
+def _approximation(X, others, left):
+    """Minimal left (or right) approximation of X by the others, as the
+    kept (t, pair) copies of the chain maps X -> others[t] (others[t] -> X).
+
+    A set of copies approximates when, for each S among the others, their
+    composites with Hom(others[t], S) (Hom(S, others[t])) and the
+    null-homotopic maps span the chain maps X -> S (S -> X).  Each copy's
+    composite rows are built once.  Approximation is monotone in the kept
+    set, so one pass in copy order drops every copy that can go: a copy
+    kept once stays needed after later copies are dropped.
+    """
+    A = X.algebra
+    copies = [
+        (t, pair)
+        for t, T in enumerate(others)
+        for pair in (hom_k_basis(X, T) if left else hom_k_basis(T, X))
+    ]
+    tests = []
+    for S in others:
+        src, dst = (X, S) if left else (S, X)
+        data = _chain_data(A, src, dst)
+        rows = []
         for t, pair in copies:
-            for psi in hom_k_basis(others[t], S):
-                comp = _pair_compose(A, psi, pair, X, others[t], S)
-                rows.append(_pair_vec(X, S, comp))
-        if rank(rows, A.p) < need:
-            return False
-    return True
+            T = others[t]
+            if left:
+                comps = (_pair_compose(A, psi, pair, X, T, S) for psi in hom_k_basis(T, S))
+            else:
+                comps = (_pair_compose(A, pair, psi, S, T, X) for psi in hom_k_basis(S, T))
+            rows.append(tuple(_pair_vec(src, dst, comp) for comp in comps))
+        tests.append((data["hot"], len(data["hot"]) + len(data["k_vecs"]), rows))
 
+    def approximates(kept):
+        return all(
+            rank(hot + tuple(r for c in kept for r in rows[c]), A.p) == need
+            for hot, need, rows in tests
+        )
 
-def _right_approximates(A, X, others, copies):
-    for s, S in enumerate(others):
-        data = _chain_data(A, S, X)
-        need = len(data["hot"]) + len(data["k_vecs"])
-        rows = [tuple(r) for r in data["hot"]]
-        for t, pair in copies:
-            for psi in hom_k_basis(S, others[t]):
-                comp = _pair_compose(A, pair, psi, S, others[t], X)
-                rows.append(_pair_vec(S, X, comp))
-        if rank(rows, A.p) < need:
-            return False
-    return True
-
-
-def _strip_copies(copies, check):
-    changed = True
-    while changed:
-        changed = False
-        for c in range(len(copies)):
-            trial = copies[:c] + copies[c + 1 :]
-            if check(trial):
-                copies = trial
-                changed = True
-                break
-    return copies
+    kept = range(len(copies))
+    if not approximates(kept):
+        raise MutationError("universal %s fails to approximate" % ("target" if left else "source"))
+    for c in range(len(copies)):
+        trial = [d for d in kept if d != c]
+        if approximates(trial):
+            kept = trial
+    return [copies[c] for c in kept]
 
 
 def _stack_rows(pairs_mats):
@@ -536,13 +539,7 @@ def _reduced_cone(A, S, T, fa, fb):
 
 def _left_exchange(X, others):
     A = X.algebra
-    copies = []
-    for t in range(len(others)):
-        for pair in hom_k_basis(X, others[t]):
-            copies.append((t, pair))
-    if not _left_approximates(A, X, others, copies):
-        raise MutationError("universal target fails to approximate")
-    copies = _strip_copies(copies, lambda c: _left_approximates(A, X, others, c))
+    copies = _approximation(X, others, True)
     E = direct_sum_complex([others[t] for t, _ in copies], A)
     g_alpha = _stack_rows([pair[0] for _, pair in copies])
     g_beta = _stack_rows([pair[1] for _, pair in copies])
@@ -555,13 +552,7 @@ def _left_exchange(X, others):
 
 def _right_exchange(X, others):
     A = X.algebra
-    copies = []
-    for t in range(len(others)):
-        for pair in hom_k_basis(others[t], X):
-            copies.append((t, pair))
-    if not _right_approximates(A, X, others, copies):
-        raise MutationError("universal source fails to approximate")
-    copies = _strip_copies(copies, lambda c: _right_approximates(A, X, others, c))
+    copies = _approximation(X, others, False)
     E = direct_sum_complex([others[t] for t, _ in copies], A)
     h_alpha = _stack_cols([pair[0] for _, pair in copies], len(X.minus))
     h_beta = _stack_cols([pair[1] for _, pair in copies], len(X.zero))
@@ -659,40 +650,23 @@ def silting_cone(summands):
 
 
 @memo
-def _face_solver(A, rays):
-    """Rows that solve sum(a_i rays_i) = theta for every theta at once, or
-    None when the rays are dependent.
-
-    One rref of [rays^T | I] leaves [E rays^T | E] with E invertible and
-    E rays^T the identity over zero rows.  The system is consistent exactly
-    when theta is orthogonal to the rows of E under the zero rows (the null
-    rows), and then its unique solution is the upper rows of E times theta
-    (the coefficient rows)."""
-    m, n = len(rays), A.n
+def _inverse_gvectors(A, key):
+    """Rows of the integer inverse of the matrix whose columns are the
+    g-vectors in key: row i dotted with theta is the coordinate of theta
+    along key[i].  The g-vectors of a two-term silting complex are a basis
+    of Z^n (Adachi-Iyama-Reiten), so the inverse must be integral."""
+    n = A.n
     red, pivots = rref_q(
-        [[g[i] for g in rays] + [int(i == c) for c in range(n)] for i in range(n)]
+        [[g[i] for g in key] + [int(i == c) for c in range(n)] for i in range(n)]
     )
-    if pivots[:m] != tuple(range(m)):
-        return None
-    return tuple(row[m:] for row in red[:m]), tuple(row[m:] for row in red[m:])
-
-
-def _dot(row, theta):
-    return sum(a * t for a, t in zip(row, theta) if a)
-
-
-def _positive_combination(A, rays, theta):
-    """Strictly positive exact solution of sum(a_i rays_i) = theta, or None."""
-    solver = _face_solver(A, rays)
-    if solver is None:
-        return None
-    coeff_rows, null_rows = solver
-    if any(_dot(row, theta) for row in null_rows):
-        return None
-    coeffs = tuple(_dot(row, theta) for row in coeff_rows)
-    if all(x > 0 for x in coeffs):
-        return coeffs
-    return None
+    inv = tuple(row[n:] for row in red)
+    if (
+        len(key) != n
+        or pivots[:n] != tuple(range(n))
+        or any(x.denominator != 1 for row in inv for x in row)
+    ):
+        raise SiltingError("g-vectors %r are not a basis of Z^%d" % (key, n))
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def rigidity(theta, graph):
@@ -700,30 +674,27 @@ def rigidity(theta, graph):
 
     Returns a dict with verdict "rigid" (plus the witnessing rays and their
     strictly positive coefficients), "not_rigid" (only on a complete graph),
-    or "unknown" (the walk was cut off at its depth limit).
+    or "unknown" (the walk was cut off at its depth limit).  The witness is
+    the first vertex, in key order, whose cone holds theta; since its rays
+    are independent, the face whose relative interior holds theta is the
+    rays with positive coordinates.
     """
-    theta = tuple(Fraction(t) for t in theta)
+    theta = tuple(theta)
     depth = graph["depth"]
-    if all(t == 0 for t in theta):
+    if not any(theta):
         return {"verdict": "rigid", "rays": (), "coeffs": (), "vertex": None, "depth": depth}
     A = graph["vertices"][0]["summands"][0].algebra
-    seen = set()
     for vert in graph["vertices"]:
-        gvs = vert["key"]
-        for r in range(1, len(gvs) + 1):
-            for subset in combinations(gvs, r):
-                if subset in seen:
-                    continue
-                seen.add(subset)
-                coeffs = _positive_combination(A, subset, theta)
-                if coeffs is not None:
-                    return {
-                        "verdict": "rigid",
-                        "rays": subset,
-                        "coeffs": coeffs,
-                        "vertex": vert["key"],
-                        "depth": depth,
-                    }
+        key = vert["key"]
+        coords = [sum(a * t for a, t in zip(row, theta)) for row in _inverse_gvectors(A, key)]
+        if all(x >= 0 for x in coords):
+            return {
+                "verdict": "rigid",
+                "rays": tuple(g for g, x in zip(key, coords) if x),
+                "coeffs": tuple(x for x in coords if x),
+                "vertex": key,
+                "depth": depth,
+            }
     if graph["complete"]:
         return {"verdict": "not_rigid", "rays": None, "coeffs": None, "vertex": None, "depth": depth}
     return {"verdict": "unknown", "rays": None, "coeffs": None, "vertex": None, "depth": depth}

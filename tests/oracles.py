@@ -23,9 +23,13 @@ on the oracle simplex.  ``quadruple`` evaluates ``euler_pairing`` in
 ``hom_complex_columns`` and ``chain_data`` build the Hom complex of two
 two-term complexes one slot at a time, one algebra product per slot and
 summand, with no product table; they share the slot layouts, the F_p kernels
-and ``Algebra.mult`` with ``torslab.silting``.  ``positive_combination``
+and ``Algebra.mult`` with ``torslab.silting``.  ``left_approximates`` and
+``right_approximates`` recompose every kept copy on every test, and
+``strip_copies`` restarts its sweep after each removal; they share the chain
+data, composites and rank with ``torslab.silting``.  ``positive_combination``
 solves each face and weight with its own augmented ``rref_q``, and
-``rigidity`` walks the faces with it, with no per-face solver.
+``rigidity`` searches every subset of every vertex's rays with it, with no
+inverse table.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from torslab.algebra import euler_pairing, hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import ConeError
 from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref, rref_q
-from torslab.silting import _layout, _unvec
+from torslab.silting import _chain_data, _layout, _pair_compose, _pair_vec, _unvec, hom_k_basis
 from torslab.stability import Quadruple
 from torslab.torsion import indices_of
 
@@ -459,6 +463,70 @@ def chain_data(A, X, Y):
             k_mats.append((alpha, beta))
             work, _ = rref(work + (r,), p)
     return {"hot": hot, "k_vecs": tuple(k_vecs), "k_mats": tuple(k_mats)}
+
+
+# -- approximations by the other summands, recomposed on every trial ------------------
+
+
+def left_approximates(A, X, others, copies):
+    """Whether the copies (t, pair), pair: X -> others[t], compose to span the
+    chain maps X -> S up to homotopy, for each S among the others."""
+    for S in others:
+        data = _chain_data(A, X, S)
+        need = len(data["hot"]) + len(data["k_vecs"])
+        rows = [tuple(r) for r in data["hot"]]
+        for t, pair in copies:
+            for psi in hom_k_basis(others[t], S):
+                comp = _pair_compose(A, psi, pair, X, others[t], S)
+                rows.append(_pair_vec(X, S, comp))
+        if rank(rows, A.p) < need:
+            return False
+    return True
+
+
+def right_approximates(A, X, others, copies):
+    """The dual of ``left_approximates``, for copies pair: others[t] -> X."""
+    for S in others:
+        data = _chain_data(A, S, X)
+        need = len(data["hot"]) + len(data["k_vecs"])
+        rows = [tuple(r) for r in data["hot"]]
+        for t, pair in copies:
+            for psi in hom_k_basis(S, others[t]):
+                comp = _pair_compose(A, pair, psi, S, others[t], X)
+                rows.append(_pair_vec(S, X, comp))
+        if rank(rows, A.p) < need:
+            return False
+    return True
+
+
+def strip_copies(copies, check):
+    """Drop the first copy whose removal still passes check, and start over,
+    until no copy can go."""
+    changed = True
+    while changed:
+        changed = False
+        for c in range(len(copies)):
+            trial = copies[:c] + copies[c + 1 :]
+            if check(trial):
+                copies = trial
+                changed = True
+                break
+    return copies
+
+
+def approximation(X, others, left):
+    """The copies a minimal left (or right) approximation of X keeps; the
+    same list as ``torslab.silting._approximation``."""
+    A = X.algebra
+    if left:
+        copies = [(t, pair) for t, T in enumerate(others) for pair in hom_k_basis(X, T)]
+        approximates = left_approximates
+    else:
+        copies = [(t, pair) for t, T in enumerate(others) for pair in hom_k_basis(T, X)]
+        approximates = right_approximates
+    if not approximates(A, X, others, copies):
+        raise ValueError("the universal copies fail to approximate")
+    return strip_copies(copies, lambda kept: approximates(A, X, others, kept))
 
 
 # -- faces of the g-vector fan, one augmented solve per face and weight ----------------

@@ -58,9 +58,13 @@ def test_parse_errors():
     # relation paths need length >= 2
     with pytest.raises(AlgebraError):
         load_algebra("field p=2\nvertices 1\narrow x: 1 -> 1\nrelation x")
-    # infinite dimensional: free loop
-    with pytest.raises(AlgebraError):
-        load_algebra("field p=2\nvertices 1\narrow x: 1 -> 1")
+    # infinite dimensional: a free loop, a free 2-cycle
+    for text in (
+        "field p=2\nvertices 1\narrow x: 1 -> 1",
+        "field p=2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1",
+    ):
+        with pytest.raises(AlgebraError, match="path window exceeds 10000 paths"):
+            load_algebra(text)
 
 
 def test_square_path_basis(square):
