@@ -13,7 +13,10 @@ sparse (about 1% nonzero for the silting rank tests), so it keeps each row
 as a dict of its nonzero entries and a row operation touches only those.
 It stops reading rows once the pivots fill every column.  ``rref``
 back-substitutes its echelon rows; ``rank`` counts them and skips the
-back-substitution.
+back-substitution.  A caller that already holds sparse rows may pass them
+as {column: value} dicts together with the column count, which ``rref``,
+``rank`` and ``nullspace`` hand on to ``_echelon``; the silting Hom-complex
+differential is built that way.  Output rows are always dense tuples.
 
 Over Q, ``rref_q`` is the only Gaussian elimination in Fraction arithmetic.
 It serves the rank tests of double description and of silting g-vectors
@@ -83,9 +86,10 @@ def _subtract(d: dict, f: int, row: dict, p: int) -> None:
             del d[j]
 
 
-def _echelon(rows: Iterable[Sequence[int]], p: int) -> tuple[dict, int]:
+def _echelon(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, int]:
     """Row echelon form by sparse elimination: ({pivot column: row}, ncols).
 
+    Rows are dense sequences, or {column: value} dicts when ncols is given.
     Each row is kept as a dict {column: value} of its nonzero entries mod p.
     A new row is reduced at its lowest column against the pivot rows found
     so far until that column has no pivot; it is then scaled so that its
@@ -93,12 +97,15 @@ def _echelon(rows: Iterable[Sequence[int]], p: int) -> tuple[dict, int]:
     rows are in echelon form but not reduced.  Reading stops as soon as the
     pivots fill every column."""
     pivots: dict = {}
-    ncols = None
     for row in rows:
-        if ncols is None:
-            ncols = len(row)
-            cols = range(ncols)
-        d = {c: x for c in compress(cols, row) if (x := row[c] % p)}
+        if isinstance(row, dict):
+            if ncols is None:
+                raise ValueError("dict rows need the column count")
+            d = {c: y for c, x in row.items() if (y := x % p)}
+        else:
+            if ncols is None:
+                ncols = len(row)
+            d = {c: y for c in compress(range(len(row)), row) if (y := row[c] % p)}
         while d:
             c = min(d)
             prow = pivots.get(c)
@@ -114,9 +121,10 @@ def _echelon(rows: Iterable[Sequence[int]], p: int) -> tuple[dict, int]:
     return pivots, ncols or 0
 
 
-def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Mat, tuple]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    pivots, ncols = _echelon(rows, p)
+def rref(rows: Iterable, p: int, ncols: int | None = None) -> tuple[Mat, tuple]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+    ncols is needed only for dict rows (see ``_echelon``)."""
+    pivots, ncols = _echelon(rows, p, ncols)
     order = sorted(pivots)
     for c in reversed(order):
         d = pivots[c]
@@ -131,14 +139,16 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Mat, tuple]:
     return tuple(out), tuple(order)
 
 
-def rank(a: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of the rows of a, read no further than full column rank."""
-    return len(_echelon(a, p)[0])
+def rank(a: Iterable, p: int, ncols: int | None = None) -> int:
+    """Rank of the rows of a, read no further than full column rank.
+    ncols is needed only for dict rows (see ``_echelon``)."""
+    return len(_echelon(a, p, ncols)[0])
 
 
-def nullspace(a: Mat, ncols: int, p: int) -> Mat:
-    """Basis of the right kernel of a (rows = basis vectors of length ncols)."""
-    red, pivots = rref(a, p) if a else ((), ())
+def nullspace(a: Sequence, ncols: int, p: int) -> Mat:
+    """Basis of the right kernel of a (rows = basis vectors of length ncols,
+    dense or as dicts, see ``_echelon``)."""
+    red, pivots = rref(a, p, ncols) if a else ((), ())
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     basis = []

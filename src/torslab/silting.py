@@ -256,26 +256,25 @@ def _products(A, X, Y, sa, sb):
 
 
 def _delta(p, sa, sb, sc, fy, xf):
-    """Columns of the Hom-complex differential Hom^0(X, Y) -> Hom^1(X, Y),
-    (alpha, beta) |-> beta f_X - f_Y alpha: one column over the slots sc per
-    alpha slot of sa, then per beta slot of sb, read from the tables of
-    _products.  Its kernel is the chain maps X -> Y, its cokernel
-    Hom(X, Y[1])."""
+    """Rows of the Hom-complex differential Hom^0(X, Y) -> Hom^1(X, Y),
+    (alpha, beta) |-> beta f_X - f_Y alpha, read from the tables of
+    _products: one sparse row {column: value} per slot of sc, over the
+    columns of the alpha slots of sa and then of the beta slots of sb.  Its
+    kernel is the chain maps X -> Y, its cokernel Hom(X, Y[1])."""
     scpos = {slot: j for j, slot in enumerate(sc)}
-    cols = []
+    rows = [{} for _ in sc]
+    col = 0
     for (l, k, b) in sa:
-        v = [0] * len(sc)
         for j, prod in fy[(l, b)]:
             for bi, c in prod.items():
-                v[scpos[(j, k, bi)]] = -c % p
-        cols.append(tuple(v))
+                rows[scpos[(j, k, bi)]][col] = -c % p
+        col += 1
     for (l, k, b) in sb:
-        v = [0] * len(sc)
         for j, prod in xf[(k, b)]:
             for bi, c in prod.items():
-                v[scpos[(l, j, bi)]] = c
-        cols.append(tuple(v))
-    return tuple(cols)
+                rows[scpos[(l, j, bi)]][col] = c
+        col += 1
+    return rows
 
 
 @memo
@@ -289,7 +288,7 @@ def _chain_data(A, X, Y):
     sh = _layout(A, X.zero, Y.minus)
     na, nb = len(sa), len(sb)
     fy, xf = _products(A, X, Y, sa + sh, sb + sh)
-    sol = nullspace(tuple(zip(*_delta(p, sa, sb, sc, fy, xf))), na + nb, p)
+    sol = nullspace(_delta(p, sa, sb, sc, fy, xf), na + nb, p)
     # null-homotopic chain maps (h f_X, f_Y h) for h: X^0 -> Y^{-1}
     sapos = {slot: j for j, slot in enumerate(sa)}
     sbpos = {slot: na + j for j, slot in enumerate(sb)}
@@ -350,8 +349,8 @@ def _vanishing_rank_ok(A, X, Y):
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
     sc = _layout(A, X.minus, Y.zero)
-    cols = _delta(A.p, sa, sb, sc, *_products(A, X, Y, sa, sb))
-    return rank(cols, A.p) == len(sc)
+    rows = _delta(A.p, sa, sb, sc, *_products(A, X, Y, sa, sb))
+    return rank(rows, A.p, len(sa) + len(sb)) == len(sc)
 
 
 def _set_presilting(summands):
@@ -600,12 +599,18 @@ def enumerate_silting(A, depth):
     The result is complete when every reached vertex was expanded and all
     its neighbours were already known; a vertex parked at the depth limit
     leaves the answer a lower bound instead.
+
+    Each tree edge is derived once, from the parent side.  A vertex records
+    the g-vector of the summand its mutation created, and its expansion
+    skips that summand: an almost complete two-term silting complex has
+    exactly two completions (Adachi-Iyama-Reiten, Thm 2.18), so mutating
+    there can only give back the parent, whose edge is already known.
     """
     if depth < 0:
         raise SiltingError("depth must be nonnegative")
     start = initial_silting(A)
     key0 = vertex_key(start)
-    info = {key0: {"summands": start, "depth": 0}}
+    info = {key0: {"summands": start, "depth": 0, "created": None}}
     order = [key0]
     edges = set()
     complete = True
@@ -617,13 +622,16 @@ def enumerate_silting(A, depth):
         if rec["depth"] >= depth:
             complete = False
             continue
-        for k in range(len(rec["summands"])):
+        for k, X in enumerate(rec["summands"]):
+            if X.g_vector() == rec["created"]:
+                continue
             new = mutate(rec["summands"], k)
             nk = vertex_key(new)
             if nk != key:
                 edges.add((key, nk) if key <= nk else (nk, key))
             if nk not in info:
-                info[nk] = {"summands": new, "depth": rec["depth"] + 1}
+                (created,) = set(nk) - set(key)
+                info[nk] = {"summands": new, "depth": rec["depth"] + 1, "created": created}
                 order.append(nk)
     vertices = tuple(
         {"key": key, "summands": info[key]["summands"], "depth": info[key]["depth"]}

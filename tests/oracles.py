@@ -22,14 +22,17 @@ on the oracle simplex.  ``quadruple`` evaluates ``euler_pairing`` in
 
 ``hom_complex_columns`` and ``chain_data`` build the Hom complex of two
 two-term complexes one slot at a time, one algebra product per slot and
-summand, with no product table; they share the slot layouts, the F_p kernels
-and ``Algebra.mult`` with ``torslab.silting``.  ``left_approximates`` and
-``right_approximates`` recompose every kept copy on every test, and
-``strip_copies`` restarts its sweep after each removal; they share the chain
-data, composites and rank with ``torslab.silting``.  ``positive_combination``
-solves each face and weight with its own augmented ``rref_q``, and
-``rigidity`` searches every subset of every vertex's rays with it, with no
-inverse table.
+summand, with no product table, as dense columns; they share the slot
+layouts, the F_p kernels and ``Algebra.mult`` with ``torslab.silting``.
+``left_approximates`` and ``right_approximates`` recompose every kept copy on
+every test, and ``strip_copies`` restarts its sweep after each removal; they
+take the null-homotopic span and the chain-map dimension from ``chain_data``
+here, and share the homotopy bases, composites and rank with
+``torslab.silting``.  ``positive_combination`` solves each face and weight
+with its own augmented ``rref_q``, and ``rigidity`` searches every subset of
+every vertex's rays with it, with no inverse table.  ``enumerate_silting``
+mutates every summand of every expanded vertex, so each tree edge is derived
+from both ends; it shares ``mutate`` with ``torslab.silting``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,16 @@ from torslab.algebra import euler_pairing, hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import ConeError
 from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref, rref_q
-from torslab.silting import _chain_data, _layout, _pair_compose, _pair_vec, _unvec, hom_k_basis
+from torslab.silting import (
+    _layout,
+    _pair_compose,
+    _unvec,
+    _vec,
+    hom_k_basis,
+    initial_silting,
+    mutate,
+    vertex_key,
+)
 from torslab.stability import Quadruple
 from torslab.torsion import indices_of
 
@@ -468,17 +480,27 @@ def chain_data(A, X, Y):
 # -- approximations by the other summands, recomposed on every trial ------------------
 
 
+def _spans(A, X, Y, comps):
+    """The null-homotopic span of the chain maps X -> Y, stacked on the
+    composites comps, and the dimension of the chain maps."""
+    data = chain_data(A, X, Y)
+    sa = _layout(A, X.minus, Y.minus)
+    sb = _layout(A, X.zero, Y.zero)
+    rows = [tuple(r) for r in data["hot"]]
+    rows += [_vec(sa, alpha) + _vec(sb, beta) for alpha, beta in comps]
+    return rows, len(data["hot"]) + len(data["k_vecs"])
+
+
 def left_approximates(A, X, others, copies):
     """Whether the copies (t, pair), pair: X -> others[t], compose to span the
     chain maps X -> S up to homotopy, for each S among the others."""
     for S in others:
-        data = _chain_data(A, X, S)
-        need = len(data["hot"]) + len(data["k_vecs"])
-        rows = [tuple(r) for r in data["hot"]]
-        for t, pair in copies:
-            for psi in hom_k_basis(others[t], S):
-                comp = _pair_compose(A, psi, pair, X, others[t], S)
-                rows.append(_pair_vec(X, S, comp))
+        comps = [
+            _pair_compose(A, psi, pair, X, others[t], S)
+            for t, pair in copies
+            for psi in hom_k_basis(others[t], S)
+        ]
+        rows, need = _spans(A, X, S, comps)
         if rank(rows, A.p) < need:
             return False
     return True
@@ -487,13 +509,12 @@ def left_approximates(A, X, others, copies):
 def right_approximates(A, X, others, copies):
     """The dual of ``left_approximates``, for copies pair: others[t] -> X."""
     for S in others:
-        data = _chain_data(A, S, X)
-        need = len(data["hot"]) + len(data["k_vecs"])
-        rows = [tuple(r) for r in data["hot"]]
-        for t, pair in copies:
-            for psi in hom_k_basis(S, others[t]):
-                comp = _pair_compose(A, pair, psi, S, others[t], X)
-                rows.append(_pair_vec(S, X, comp))
+        comps = [
+            _pair_compose(A, pair, psi, S, others[t], X)
+            for t, pair in copies
+            for psi in hom_k_basis(S, others[t])
+        ]
+        rows, need = _spans(A, S, X, comps)
         if rank(rows, A.p) < need:
             return False
     return True
@@ -573,3 +594,39 @@ def rigidity(theta, graph):
                     }
     verdict = "not_rigid" if graph["complete"] else "unknown"
     return {"verdict": verdict, "rays": None, "coeffs": None, "vertex": None, "depth": depth}
+
+
+# -- the exchange graph, every summand of every vertex mutated -------------------------
+
+
+def enumerate_silting(A, depth):
+    """Breadth-first mutation walk that mutates every summand of each expanded
+    vertex, the edge back to the parent included; the same dict as
+    ``torslab.silting.enumerate_silting``."""
+    start = initial_silting(A)
+    key0 = vertex_key(start)
+    info = {key0: {"summands": start, "depth": 0}}
+    order = [key0]
+    edges = set()
+    complete = True
+    qpos = 0
+    while qpos < len(order):
+        key = order[qpos]
+        qpos += 1
+        rec = info[key]
+        if rec["depth"] >= depth:
+            complete = False
+            continue
+        for k in range(len(rec["summands"])):
+            new = mutate(rec["summands"], k)
+            nk = vertex_key(new)
+            if nk != key:
+                edges.add((key, nk) if key <= nk else (nk, key))
+            if nk not in info:
+                info[nk] = {"summands": new, "depth": rec["depth"] + 1}
+                order.append(nk)
+    vertices = tuple(
+        {"key": key, "summands": info[key]["summands"], "depth": info[key]["depth"]}
+        for key in sorted(info)
+    )
+    return {"depth": depth, "complete": complete, "vertices": vertices, "edges": tuple(sorted(edges))}

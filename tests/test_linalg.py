@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,10 +178,20 @@ def test_sparse_kernel_matches_dense_oracle():
         assert rank(a, p) == rank((row for row in a), p) == len(red)
         assert row_space(a, p) == red
         free = [j for j in range(c) if j not in piv]
-        assert nullspace(a, c, p) == tuple(
+        kernel = tuple(
             tuple(1 if j == fc else (-red[piv.index(j)][fc]) % p if j in piv else 0 for j in range(c))
             for fc in free
         )
+        assert nullspace(a, c, p) == kernel
+        # the same matrix as sparse dict rows with its column count; entries
+        # stay unreduced, so multiples of p must drop out
+        sparse = tuple({j: x for j, x in enumerate(row) if x} for row in a)
+        assert rref(sparse, p, c) == rref(iter(sparse), p, c) == (red, piv)
+        assert rank(sparse, p, c) == len(red)
+        assert nullspace(sparse, c, p) == kernel
+        if sparse:
+            with pytest.raises(ValueError):
+                rank(sparse, p)
         n = len(a)
         sq = tuple(row[:n] + (0,) * (n - len(row[:n])) for row in a)
         ired, ipiv = _dense_rref(

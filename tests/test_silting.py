@@ -287,6 +287,40 @@ def test_mutation_against_odd_prime(kronecker_p3):
     }
 
 
+def _graph_by_value(g):
+    vertices = tuple((v["key"], v["depth"], v["summands"]) for v in g["vertices"])
+    return g["depth"], g["complete"], g["edges"], vertices
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["a2", "kronecker", "kxk", "loop"])
+def test_walk_matches_both_ends_oracle(name, p):
+    A = bundled(name, p)
+    assert _graph_by_value(enumerate_silting(A, 8)) == _graph_by_value(oracles.enumerate_silting(A, 8))
+
+
+def test_walk_matches_both_ends_oracle_on_square(square):
+    g = enumerate_silting(square, 8)
+    assert g["complete"] and len(g["vertices"]) == 46 and len(g["edges"]) == 92
+    assert _graph_by_value(g) == _graph_by_value(oracles.enumerate_silting(square, 8))
+
+
+def test_walk_derives_each_tree_edge_once(kronecker, monkeypatch):
+    calls = []
+    original = silting.mutate
+
+    def counted(summands, k):
+        calls.append(k)
+        return original(summands, k)
+
+    monkeypatch.setattr(silting, "mutate", counted)
+    g = enumerate_silting(kronecker, 8)
+    # a path of 17 vertices: two mutations at the root, one per other
+    # expanded vertex, and none back to a parent
+    assert len(g["vertices"]) == 17 and len(g["edges"]) == 16
+    assert len(calls) == 16
+
+
 # -- cones and rigidity ------------------------------------------------------------
 
 
@@ -424,8 +458,14 @@ def _agree_on_hom_complex(X, Y):
     sa = silting._layout(A, X.minus, Y.minus)
     sb = silting._layout(A, X.zero, Y.zero)
     sc = silting._layout(A, X.minus, Y.zero)
-    cols = silting._delta(A.p, sa, sb, sc, *silting._products(A, X, Y, sa, sb))
-    assert cols == oracles.hom_complex_columns(A, X, Y, sa, sb, sc)
+    rows = silting._delta(A.p, sa, sb, sc, *silting._products(A, X, Y, sa, sb))
+    # the sparse rows, densified, are the transpose of the oracle's columns
+    ncols = len(sa) + len(sb)
+    assert all(0 <= j < ncols and 0 < x < A.p for row in rows for j, x in row.items())
+    dense = tuple(tuple(row.get(j, 0) for j in range(ncols)) for row in rows)
+    cols = oracles.hom_complex_columns(A, X, Y, sa, sb, sc)
+    assert len(cols) == ncols
+    assert dense == tuple(tuple(col[i] for col in cols) for i in range(len(sc)))
     data = silting._chain_data(A, X, Y)
     assert {key: data[key] for key in ("hot", "k_vecs", "k_mats")} == oracles.chain_data(A, X, Y)
 
