@@ -353,6 +353,7 @@ class Catalogue:
     def bricks(self):
         return tuple(i for i in range(len(self.reps)) if self.is_brick(i))
 
+    @memo
     def semibricks(self):
         """All pairwise hom-orthogonal sets of bricks, as sorted index tuples,
         ordered by size and then lexicographically.

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .algebra import load_algebra
+from .algebra import PRIMES, AlgebraError, load_algebra
 from . import reports
 
 
@@ -29,6 +29,13 @@ def _algebra_text(arg):
     raise SystemExit("no such algebra file or bundled name: %s" % arg)
 
 
+def _load(text):
+    try:
+        return load_algebra(text)
+    except AlgebraError as exc:
+        raise SystemExit("bad algebra: %s" % exc)
+
+
 def _algebra_id(arg):
     base = os.path.basename(arg)
     if base.endswith(".alg"):
@@ -36,11 +43,14 @@ def _algebra_id(arg):
     return base
 
 
-def _parse_bound(text):
+def _parse_bound(text, n):
     try:
-        return tuple(int(x) for x in text.split(","))
+        bound = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise SystemExit("bad bound %r, expected d1,d2,..." % text)
+    if len(bound) != n:
+        raise SystemExit("bound %r needs %d entries, one per vertex" % (text, n))
+    return bound
 
 
 def _parse_range(text, what):
@@ -57,9 +67,19 @@ def _parse_fields(text):
     except ValueError:
         raise SystemExit("bad field list %r, expected 2,3,5" % text)
     for p in fields:
-        if not 2 <= p <= 13:
-            raise SystemExit("field size %d out of range" % p)
+        if p not in PRIMES:
+            raise SystemExit("field size %d is not one of %s" % (p, ", ".join(map(str, PRIMES))))
     return fields
+
+
+def _depth(text):
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid depth %r" % text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError("depth must be nonnegative, got %d" % depth)
+    return depth
 
 
 def _emit(payload, out):
@@ -71,10 +91,9 @@ def _emit(payload, out):
 
 
 def _run_verify(args):
-    text = _algebra_text(args.algebra)
-    algebra = load_algebra(text)
+    algebra = _load(_algebra_text(args.algebra))
     if args.bound:
-        bound = _parse_bound(args.bound)
+        bound = _parse_bound(args.bound, algebra.n)
     else:
         bound = (2,) * algebra.n
     aid = _algebra_id(args.algebra)
@@ -97,7 +116,9 @@ def _run_scan(args):
     text = _algebra_text(args.algebra)
     grid = _parse_range(args.grid, "grid")
     fields = _parse_fields(args.fields)
-    bound = _parse_bound(args.bound) if args.bound else None
+    # a bad file exits here with one line; the suite parses it again
+    algebras = [_load(reports.refield(text, p)) for p in fields]
+    bound = _parse_bound(args.bound, algebras[0].n) if args.bound else None
     t0 = time.perf_counter()
     rep = reports.suite_scan(
         text, grid, fields, args.depth, bound, _algebra_id(args.algebra)
@@ -108,15 +129,15 @@ def _run_scan(args):
 
 
 def _run_fan(args):
-    algebra = load_algebra(_algebra_text(args.algebra))
+    algebra = _load(_algebra_text(args.algebra))
     fan = reports.fan_json(algebra, args.depth, _algebra_id(args.algebra))
     _emit(reports.render_json(fan), args.out)
     return 0
 
 
 def _run_wallchamber(args):
-    algebra = load_algebra(_algebra_text(args.algebra))
-    bound = _parse_bound(args.bound) if args.bound else None
+    algebra = _load(_algebra_text(args.algebra))
+    bound = _parse_bound(args.bound, algebra.n) if args.bound else None
     window = _parse_range(args.window, "window")
     svg = reports.wallchamber_svg(algebra, bound, window, args.depth)
     _emit(svg, args.out)
@@ -143,7 +164,7 @@ def build_parser():
                    choices=("smalo", "semistable", "numdis", "brickfinite"))
     v.add_argument("--bound", help="dimension bound d1,d2,...")
     v.add_argument("--grid", default="-4:4", help="lattice weight grid a:b")
-    v.add_argument("--depth", type=int, default=6, help="mutation walk depth")
+    v.add_argument("--depth", type=_depth, default=6, help="mutation walk depth")
     v.set_defaults(run=_run_verify)
 
     s = sub.add_parser("scan", help="semibrick growth scan across fields")
@@ -151,19 +172,19 @@ def build_parser():
     s.add_argument("--fields", default="2,3,5", help="prime list 2,3,5")
     s.add_argument("--grid", default="-4:4", help="lattice weight grid a:b")
     s.add_argument("--bound", help="dimension bound d1,d2,...")
-    s.add_argument("--depth", type=int, default=6, help="mutation walk depth")
+    s.add_argument("--depth", type=_depth, default=6, help="mutation walk depth")
     s.set_defaults(run=_run_scan)
 
     f = sub.add_parser("fan", help="export the enumerated g-vector fan")
     common(f)
-    f.add_argument("--depth", type=int, default=6, help="mutation walk depth")
+    f.add_argument("--depth", type=_depth, default=6, help="mutation walk depth")
     f.set_defaults(run=_run_fan)
 
     w = sub.add_parser("wallchamber", help="rank 2 wall and chamber SVG")
     common(w)
     w.add_argument("--window", default="-5:5", help="drawing window a:b")
     w.add_argument("--bound", help="dimension bound d1,d2,...")
-    w.add_argument("--depth", type=int, default=6, help="fan overlay depth")
+    w.add_argument("--depth", type=_depth, default=6, help="fan overlay depth")
     w.set_defaults(run=_run_wallchamber)
     return parser
 

@@ -14,9 +14,10 @@ as a dict of its nonzero entries and a row operation touches only those.
 It stops reading rows once the pivots fill every column.  ``rref``
 back-substitutes its echelon rows; ``rank`` counts them and skips the
 back-substitution.  A caller that already holds sparse rows may pass them
-as {column: value} dicts together with the column count, which ``rref``,
-``rank`` and ``nullspace`` hand on to ``_echelon``; the silting Hom-complex
-differential is built that way.  Output rows are always dense tuples.
+to ``rref`` or ``nullspace`` as {column: value} dicts together with the
+column count, which they hand on to ``_echelon``; the silting Hom-complex
+differential is built that way.  ``rank`` takes dense rows only.  Output
+rows are always dense tuples.
 
 Over Q, ``rref_q`` is the only Gaussian elimination in Fraction arithmetic.
 It serves the rank tests of double description and of silting g-vectors
@@ -139,10 +140,9 @@ def rref(rows: Iterable, p: int, ncols: int | None = None) -> tuple[Mat, tuple]:
     return tuple(out), tuple(order)
 
 
-def rank(a: Iterable, p: int, ncols: int | None = None) -> int:
-    """Rank of the rows of a, read no further than full column rank.
-    ncols is needed only for dict rows (see ``_echelon``)."""
-    return len(_echelon(a, p, ncols)[0])
+def rank(a: Iterable, p: int) -> int:
+    """Rank of the dense rows of a, read no further than full column rank."""
+    return len(_echelon(a, p)[0])
 
 
 def nullspace(a: Sequence, ncols: int, p: int) -> Mat:

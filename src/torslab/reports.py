@@ -39,7 +39,7 @@ from .silting import (
     silting_cone,
 )
 from .stability import classes_in, quadruple
-from .torsion import Window, mask_of, t_of
+from .torsion import Window, _closure_of_single, mask_of, right_perp, t_of
 
 # cost cap for the single-map realization sweep inside the semistable suite
 TBAR_SWEEP_COST = 8192
@@ -348,12 +348,24 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
 # -- the brick finiteness suite -----------------------------------------------------
 
 
-def _semibrick_spans(cat):
-    """Generated class per semibrick, smallest sets first."""
-    spans = []
+def _semibrick_spans(cat, target):
+    """The first semibrick, smallest sets first, that generates the torsion
+    class target, or None.
+
+    t_of(S) is the double perp of S, so it equals target exactly when S and
+    target have the same right perp.  The right perp of S is the AND of the
+    right perps of its bricks, each computed once per catalogue; no closure
+    is taken per semibrick."""
+    want = right_perp(cat, target)
+    perps = {i: _closure_of_single(cat, right_perp, i) for i in cat.bricks()}
+    everything = mask_of(range(len(cat)))
     for sb in cat.semibricks():
-        spans.append((sb, t_of(cat, mask_of(sb))))
-    return spans
+        perp = everything
+        for i in sb:
+            perp &= perps[i]
+        if perp == want:
+            return sb
+    return None
 
 
 def suite_brickfinite(algebra, bound, algebra_id="algebra"):
@@ -463,17 +475,12 @@ def suite_scan(algebra_text, grid=(-4, 4), fields=(2, 3, 5), depth=6, bound=None
         A = algebras[p]
         graph = enumerate_silting(A, depth)
         cat = Catalogue(A, bound)
-        span_of = None
         for theta in _grid_points(grid, n):
             verdict = rigidity(theta, graph)
             if verdict["verdict"] == "rigid":
                 continue
             quad = quadruple(cat, theta)
-            if span_of is None:
-                span_of = {}
-                for cand, mask in _semibrick_spans(cat):
-                    span_of.setdefault(mask, cand)
-            sb = span_of.get(quad.Tbar)
+            sb = _semibrick_spans(cat, quad.Tbar)
             claim = "scan-evidence[p=%d][%s]" % (p, ",".join(str(t) for t in theta))
             if sb is None:
                 checks.append(

@@ -279,8 +279,11 @@ def _delta(p, sa, sb, sc, fy, xf):
 
 @memo
 def _chain_data(A, X, Y):
-    """Chain maps X -> Y: solution space, null-homotopic span, and
-    representatives for a basis of the homotopy classes."""
+    """The Hom complex of X and Y, built once per ordered pair: its slot
+    layouts, the nullity of its differential, the null-homotopic span of
+    the chain maps X -> Y, and representatives for a basis of their homotopy
+    classes.  Hom(X, Y[1]) vanishes when the differential is onto, that is
+    when len(sa) + len(sb) - nullity == len(sc)."""
     p = A.p
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
@@ -317,6 +320,8 @@ def _chain_data(A, X, Y):
     return {
         "sa": sa,
         "sb": sb,
+        "sc": sc,
+        "nullity": len(sol),
         "hot": hot,
         "k_vecs": tuple(k_vecs),
         "k_mats": tuple(k_mats),
@@ -343,19 +348,12 @@ def _pair_vec(X, Y, pair):
 # -- presilting ----------------------------------------------------------------
 
 
-@memo
-def _vanishing_rank_ok(A, X, Y):
-    """Hom(X, Y[1]) = 0: maps X^{-1} -> Y^0 must all be null-homotopic."""
-    sa = _layout(A, X.minus, Y.minus)
-    sb = _layout(A, X.zero, Y.zero)
-    sc = _layout(A, X.minus, Y.zero)
-    rows = _delta(A.p, sa, sb, sc, *_products(A, X, Y, sa, sb))
-    return rank(rows, A.p, len(sa) + len(sb)) == len(sc)
-
-
 def _set_presilting(summands):
+    """Hom(X, Y[1]) = 0 for all summands X, Y: the Hom-complex differential
+    of each ordered pair is onto, read from the shared table."""
     summands = tuple(summands)
-    return all(_vanishing_rank_ok(X.algebra, X, Y) for X in summands for Y in summands)
+    tables = (_chain_data(X.algebra, X, Y) for X in summands for Y in summands)
+    return all(len(t["sa"]) + len(t["sb"]) - t["nullity"] == len(t["sc"]) for t in tables)
 
 
 def is_silting(summands):
@@ -391,67 +389,61 @@ def _find_pivot(A, terms, diffs):
 
 
 def _eliminate(A, terms, diffs, d, l0, k0):
+    """Split off the invertible component D[l0][k0] of diffs[d] in place:
+    the rows it touches are updated, then its row and column are dropped."""
     p = A.p
     D = diffs[d]
-    i = terms[d + 1][l0]
-    u = D[l0][k0]
-    uinv = _local_inverse(A, i, u)
-    nr, ncs = len(terms[d + 1]), len(terms[d])
+    uinv = _local_inverse(A, terms[d + 1][l0], D[l0][k0])
+    ncs = len(terms[d])
     w = {k: A.mult(uinv, D[l0][k]) for k in range(ncs) if k != k0}
-    v = {l: A.mult(D[l][k0], uinv) for l in range(nr) if l != l0}
-    newD = []
-    for l in range(nr):
-        if l == l0:
-            continue
-        row = []
-        for k in range(ncs):
-            if k == k0:
-                continue
-            if D[l][k0] and w[k]:
-                row.append(_elem_sub(p, D[l][k], A.mult(D[l][k0], w[k])))
-            else:
-                row.append(dict(D[l][k]))
-        newD.append(row)
-    diffs[d] = newD
+    for l, row in enumerate(D):
+        if l != l0 and row[k0]:
+            for k, wk in w.items():
+                if wk:
+                    row[k] = _elem_sub(p, row[k], A.mult(row[k0], wk))
     if d > 0:
         Dp = diffs[d - 1]
         for j in range(len(terms[d - 1])):
             acc = dict(Dp[k0][j])
-            for k in range(ncs):
-                if k == k0 or not w[k] or not Dp[k][j]:
+            for k, wk in w.items():
+                if not wk or not Dp[k][j]:
                     continue
-                for bi, c in A.mult(w[k], Dp[k][j]).items():
+                for bi, c in A.mult(wk, Dp[k][j]).items():
                     acc[bi] = (acc.get(bi, 0) + c) % p
             if any(c % p for c in acc.values()):
                 raise SiltingError("split summand leaks upstream")
-        diffs[d - 1] = [row for kk, row in enumerate(Dp) if kk != k0]
+        del Dp[k0]
     if d + 1 < len(diffs):
         Dn = diffs[d + 1]
+        v = {l: A.mult(row[k0], uinv) for l, row in enumerate(D) if l != l0}
         for j in range(len(terms[d + 2])):
             acc = dict(Dn[j][l0])
-            for l in range(nr):
-                if l == l0 or not v[l] or not Dn[j][l]:
+            for l, vl in v.items():
+                if not vl or not Dn[j][l]:
                     continue
-                for bi, c in A.mult(Dn[j][l], v[l]).items():
+                for bi, c in A.mult(Dn[j][l], vl).items():
                     acc[bi] = (acc.get(bi, 0) + c) % p
             if any(c % p for c in acc.values()):
                 raise SiltingError("split summand leaks downstream")
-        diffs[d + 1] = [[e for ll, e in enumerate(row) if ll != l0] for row in Dn]
-    terms[d] = [t for kk, t in enumerate(terms[d]) if kk != k0]
-    terms[d + 1] = [t for ll, t in enumerate(terms[d + 1]) if ll != l0]
+        for row in Dn:
+            del row[l0]
+    del D[l0]
+    for row in D:
+        del row[k0]
+    del terms[d][k0]
+    del terms[d + 1][l0]
 
 
 def _reduce_chain(A, terms, diffs):
+    """Strip every invertible component of a chain of differentials.
+
+    Cells are never mutated (``_elem_sub`` returns a new dict), so only the
+    list structure is copied before the in-place eliminations."""
     terms = [list(t) for t in terms]
-    diffs = [[[dict(e) for e in row] for row in D] for D in diffs]
-    while True:
-        hit = _find_pivot(A, terms, diffs)
-        if hit is None:
-            break
+    diffs = [[list(row) for row in D] for D in diffs]
+    while (hit := _find_pivot(A, terms, diffs)) is not None:
         _eliminate(A, terms, diffs, *hit)
-    out_terms = [tuple(t) for t in terms]
-    out_diffs = [tuple(tuple(dict(e) for e in row) for row in D) for D in diffs]
-    return out_terms, out_diffs
+    return [tuple(t) for t in terms], [tuple(tuple(row) for row in D) for D in diffs]
 
 
 def reduced(U):
@@ -510,21 +502,6 @@ def _approximation(X, others, left):
     return [copies[c] for c in kept]
 
 
-def _stack_rows(pairs_mats):
-    rows = []
-    for m in pairs_mats:
-        rows.extend(tuple(dict(e) for e in row) for row in m)
-    return tuple(rows)
-
-
-def _stack_cols(pairs_mats, nrows):
-    rows = [[] for _ in range(nrows)]
-    for m in pairs_mats:
-        for r in range(nrows):
-            rows[r].extend(dict(e) for e in m[r])
-    return tuple(tuple(r) for r in rows)
-
-
 def _reduced_cone(A, S, T, fa, fb):
     """Reduced cone of f: S -> T, whose components are fa: S^-1 -> T^-1 and
     fb: S^0 -> T^0.  Its terms are S^-1, S^0 + T^-1 and T^0, with
@@ -536,30 +513,30 @@ def _reduced_cone(A, S, T, fa, fb):
     return _reduce_chain(A, [S.minus, S.zero + T.minus, T.zero], [D0, D1])
 
 
-def _left_exchange(X, others):
-    A = X.algebra
-    copies = _approximation(X, others, True)
-    E = direct_sum_complex([others[t] for t, _ in copies], A)
-    g_alpha = _stack_rows([pair[0] for _, pair in copies])
-    g_beta = _stack_rows([pair[1] for _, pair in copies])
-    # cone(g: X -> E), degrees -2..0
-    terms, diffs = _reduced_cone(A, X, E, g_alpha, g_beta)
-    if terms[0]:
-        return None
-    return TwoTermComplex(A, terms[1], terms[2], diffs[1])
+def _exchange(X, others, left):
+    """The summand replacing X, or None when the cone leaves two terms.
 
-
-def _right_exchange(X, others):
+    Left: the cone of the minimal left approximation g: X -> E, in degrees
+    -2..0; g stacks the copies as rows.  Right: the cone of the minimal
+    right approximation h: E -> X shifted one step right, in degrees
+    -1..+1; h stacks the copies as columns."""
     A = X.algebra
-    copies = _approximation(X, others, False)
+    copies = _approximation(X, others, left)
     E = direct_sum_complex([others[t] for t, _ in copies], A)
-    h_alpha = _stack_cols([pair[0] for _, pair in copies], len(X.minus))
-    h_beta = _stack_cols([pair[1] for _, pair in copies], len(X.zero))
-    # cone(h: E -> X) shifted one step to the right, degrees -1..+1
-    terms, diffs = _reduced_cone(A, E, X, h_alpha, h_beta)
-    if terms[2]:
+    if left:
+        S, T = X, E
+        fa, fb = ([row for _, pair in copies for row in pair[m]] for m in (0, 1))
+    else:
+        S, T = E, X
+        fa, fb = (
+            [[e for _, pair in copies for e in pair[m][r]] for r in range(nrows)]
+            for m, nrows in ((0, len(X.minus)), (1, len(X.zero)))
+        )
+    terms, diffs = _reduced_cone(A, S, T, fa, fb)
+    if terms[0 if left else 2]:
         return None
-    return TwoTermComplex(A, terms[0], terms[1], diffs[0])
+    d = 1 if left else 0
+    return TwoTermComplex(A, terms[d], terms[d + 1], diffs[d])
 
 
 def mutate(summands, k):
@@ -575,9 +552,9 @@ def mutate(summands, k):
         raise MutationError("mutation requires a basic silting complex")
     X = summands[k]
     others = summands[:k] + summands[k + 1 :]
-    new = _left_exchange(X, others)
+    new = _exchange(X, others, True)
     if new is None:
-        new = _right_exchange(X, others)
+        new = _exchange(X, others, False)
     if new is None:
         raise MutationError("mutation leaves the two-term range")
     out = tuple(sorted(others + (new,), key=lambda c: c.g_vector()))
@@ -600,17 +577,18 @@ def enumerate_silting(A, depth):
     its neighbours were already known; a vertex parked at the depth limit
     leaves the answer a lower bound instead.
 
-    Each tree edge is derived once, from the parent side.  A vertex records
-    the g-vector of the summand its mutation created, and its expansion
-    skips that summand: an almost complete two-term silting complex has
-    exactly two completions (Adachi-Iyama-Reiten, Thm 2.18), so mutating
-    there can only give back the parent, whose edge is already known.
+    Each edge is derived once.  When a mutation reaches a vertex, new or
+    known, that vertex records the g-vector of the summand the mutation
+    created there, and its expansion skips every recorded summand: an
+    almost complete two-term silting complex has exactly two completions
+    (Adachi-Iyama-Reiten, Thm 2.18), so mutating there can only give back a
+    vertex whose edge is already known.
     """
     if depth < 0:
         raise SiltingError("depth must be nonnegative")
     start = initial_silting(A)
     key0 = vertex_key(start)
-    info = {key0: {"summands": start, "depth": 0, "created": None}}
+    info = {key0: {"summands": start, "depth": 0, "done": set()}}
     order = [key0]
     edges = set()
     complete = True
@@ -623,16 +601,17 @@ def enumerate_silting(A, depth):
             complete = False
             continue
         for k, X in enumerate(rec["summands"]):
-            if X.g_vector() == rec["created"]:
+            if X.g_vector() in rec["done"]:
                 continue
             new = mutate(rec["summands"], k)
             nk = vertex_key(new)
+            if nk not in info:
+                info[nk] = {"summands": new, "depth": rec["depth"] + 1, "done": set()}
+                order.append(nk)
             if nk != key:
                 edges.add((key, nk) if key <= nk else (nk, key))
-            if nk not in info:
                 (created,) = set(nk) - set(key)
-                info[nk] = {"summands": new, "depth": rec["depth"] + 1, "created": created}
-                order.append(nk)
+                info[nk]["done"].add(created)
     vertices = tuple(
         {"key": key, "summands": info[key]["summands"], "depth": info[key]["depth"]}
         for key in sorted(info)
@@ -646,15 +625,13 @@ def enumerate_silting(A, depth):
 
 
 def silting_cone(summands):
-    """Cone spanned by the summand g-vectors; rays must be independent."""
+    """Cone spanned by the summand g-vectors, which must be a basis of Z^n."""
     summands = tuple(summands)
     if not summands:
         raise SiltingError("empty summand list")
     A = summands[0].algebra
-    rays = tuple(c.g_vector() for c in summands)
-    if len(rref_q(rays)[1]) != len(rays):
-        raise SiltingError("summand g-vectors are linearly dependent")
-    return RationalCone.from_vectors(A.n, rays)
+    _inverse_gvectors(A, vertex_key(summands))
+    return RationalCone.from_vectors(A.n, tuple(c.g_vector() for c in summands))
 
 
 @memo

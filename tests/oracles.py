@@ -28,11 +28,15 @@ layouts, the F_p kernels and ``Algebra.mult`` with ``torslab.silting``.
 every test, and ``strip_copies`` restarts its sweep after each removal; they
 take the null-homotopic span and the chain-map dimension from ``chain_data``
 here, and share the homotopy bases, composites and rank with
-``torslab.silting``.  ``positive_combination`` solves each face and weight
-with its own augmented ``rref_q``, and ``rigidity`` searches every subset of
-every vertex's rays with it, with no inverse table.  ``enumerate_silting``
-mutates every summand of every expanded vertex, so each tree edge is derived
-from both ends; it shares ``mutate`` with ``torslab.silting``.
+``torslab.silting``.  ``reduce_chain`` strips invertible components the way
+the reduction did before it worked in place: each elimination rebuilds the
+whole differential and copies every cell.  It shares the pivot search, the
+local inverse and the cell subtraction with ``torslab.silting``.
+``positive_combination`` solves each face and weight with its own augmented
+``rref_q``, and ``rigidity`` searches every subset of every vertex's rays
+with it, with no inverse table.  ``enumerate_silting`` mutates every summand
+of every expanded vertex, so each edge is derived from both ends; it shares
+``mutate`` with ``torslab.silting``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,11 @@ from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import ConeError
 from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref, rref_q
 from torslab.silting import (
+    SiltingError,
+    _elem_sub,
+    _find_pivot,
     _layout,
+    _local_inverse,
     _pair_compose,
     _unvec,
     _vec,
@@ -548,6 +556,75 @@ def approximation(X, others, left):
     if not approximates(A, X, others, copies):
         raise ValueError("the universal copies fail to approximate")
     return strip_copies(copies, lambda kept: approximates(A, X, others, kept))
+
+
+# -- reduction of a chain of differentials, one copy per elimination ----------------
+
+
+def _eliminate(A, terms, diffs, d, l0, k0):
+    p = A.p
+    D = diffs[d]
+    i = terms[d + 1][l0]
+    u = D[l0][k0]
+    uinv = _local_inverse(A, i, u)
+    nr, ncs = len(terms[d + 1]), len(terms[d])
+    w = {k: A.mult(uinv, D[l0][k]) for k in range(ncs) if k != k0}
+    v = {l: A.mult(D[l][k0], uinv) for l in range(nr) if l != l0}
+    newD = []
+    for l in range(nr):
+        if l == l0:
+            continue
+        row = []
+        for k in range(ncs):
+            if k == k0:
+                continue
+            if D[l][k0] and w[k]:
+                row.append(_elem_sub(p, D[l][k], A.mult(D[l][k0], w[k])))
+            else:
+                row.append(dict(D[l][k]))
+        newD.append(row)
+    diffs[d] = newD
+    if d > 0:
+        Dp = diffs[d - 1]
+        for j in range(len(terms[d - 1])):
+            acc = dict(Dp[k0][j])
+            for k in range(ncs):
+                if k == k0 or not w[k] or not Dp[k][j]:
+                    continue
+                for bi, c in A.mult(w[k], Dp[k][j]).items():
+                    acc[bi] = (acc.get(bi, 0) + c) % p
+            if any(c % p for c in acc.values()):
+                raise SiltingError("split summand leaks upstream")
+        diffs[d - 1] = [row for kk, row in enumerate(Dp) if kk != k0]
+    if d + 1 < len(diffs):
+        Dn = diffs[d + 1]
+        for j in range(len(terms[d + 2])):
+            acc = dict(Dn[j][l0])
+            for l in range(nr):
+                if l == l0 or not v[l] or not Dn[j][l]:
+                    continue
+                for bi, c in A.mult(Dn[j][l], v[l]).items():
+                    acc[bi] = (acc.get(bi, 0) + c) % p
+            if any(c % p for c in acc.values()):
+                raise SiltingError("split summand leaks downstream")
+        diffs[d + 1] = [[e for ll, e in enumerate(row) if ll != l0] for row in Dn]
+    terms[d] = [t for kk, t in enumerate(terms[d]) if kk != k0]
+    terms[d + 1] = [t for ll, t in enumerate(terms[d + 1]) if ll != l0]
+
+
+def reduce_chain(A, terms, diffs):
+    """The terms and differentials left after stripping every invertible
+    component; the same lists as ``torslab.silting._reduce_chain``."""
+    terms = [list(t) for t in terms]
+    diffs = [[[dict(e) for e in row] for row in D] for D in diffs]
+    while True:
+        hit = _find_pivot(A, terms, diffs)
+        if hit is None:
+            break
+        _eliminate(A, terms, diffs, *hit)
+    out_terms = [tuple(t) for t in terms]
+    out_diffs = [tuple(tuple(dict(e) for e in row) for row in D) for D in diffs]
+    return out_terms, out_diffs
 
 
 # -- faces of the g-vector fan, one augmented solve per face and weight ----------------

@@ -333,6 +333,24 @@ def test_cli_unknown_algebra_errors():
     assert "no such algebra" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("scan", "--algebra", "kronecker", "--fields", "2,4"), "field size 4"),
+        (("verify", "--suite", "numdis", "--algebra", "kronecker", "--bound", "2"), "bound '2'"),
+        (("fan", "--algebra", "BAD_FILE"), "bad algebra: line 3"),
+        (("fan", "--algebra", "kronecker", "--depth", "-1"), "depth must be nonnegative"),
+    ],
+)
+def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("field p=2\nvertices 1 2\narrow a: 1 -> 3\n")
+    proc = _cli(*(str(bad) if a == "BAD_FILE" else a for a in argv))
+    assert proc.returncode != 0 and not proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr.splitlines()[-1]
+
+
 def test_cli_timings_attached():
     proc = _cli(
         "verify", "--suite", "brickfinite", "--algebra", "loop",

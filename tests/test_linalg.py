@@ -187,8 +187,8 @@ def test_sparse_kernel_matches_dense_oracle():
         # stay unreduced, so multiples of p must drop out
         sparse = tuple({j: x for j, x in enumerate(row) if x} for row in a)
         assert rref(sparse, p, c) == rref(iter(sparse), p, c) == (red, piv)
-        assert rank(sparse, p, c) == len(red)
         assert nullspace(sparse, c, p) == kernel
+        # rank takes dense rows only
         if sparse:
             with pytest.raises(ValueError):
                 rank(sparse, p)

@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import bundled
+from conftest import SQUARE, bundled
 from torslab import silting
-from torslab.algebra import Algebra
+from torslab.algebra import Algebra, load_algebra
 from torslab.catalogue import Catalogue
 from torslab.silting import (
     MutationError,
@@ -149,17 +149,6 @@ def test_presilting_shapes_kronecker(kronecker):
     assert feasible == {(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (1, 2)}
     # two entries of a column must stay independent
     assert count_presilting(kronecker, 1, 0, 2, 1) == 6
-
-
-def test_presilting_reads_rank_only(kronecker, monkeypatch):
-    """Hom(U, U[1]) = 0 is a rank test; it needs no reduced echelon form."""
-
-    def refuse(*args):
-        raise AssertionError("rref called for a rank test")
-
-    monkeypatch.setattr(silting, "rref", refuse)
-    assert count_presilting(kronecker, 1, 0, 2, 1) == 6
-    assert count_presilting(kronecker, 1, 0, 2, 2) == 0
 
 
 def test_presilting_count_loop(loop):
@@ -319,6 +308,46 @@ def test_walk_derives_each_tree_edge_once(kronecker, monkeypatch):
     # expanded vertex, and none back to a parent
     assert len(g["vertices"]) == 17 and len(g["edges"]) == 16
     assert len(calls) == 16
+
+
+def test_walk_derives_each_edge_once_on_square(monkeypatch):
+    calls = []
+    original = silting.mutate
+
+    def counted(summands, k):
+        calls.append(k)
+        return original(summands, k)
+
+    monkeypatch.setattr(silting, "mutate", counted)
+    g = enumerate_silting(load_algebra(SQUARE), 8)
+    # 45 tree edges and 47 others, each derived from one end only; deriving
+    # only the tree edges once took 139 mutations, both ends 184
+    assert g["complete"] and len(g["edges"]) == 92
+    assert len(calls) == 92
+
+
+def _agree_on_reductions(g, monkeypatch):
+    """Build the cone of every exchange of every vertex in both directions,
+    each reduced by ``_reduce_chain`` and by the copying oracle; returns the
+    number of exchanges and of cones that leave the two-term range."""
+    original = silting._reduce_chain
+
+    def checked(A, terms, diffs):
+        want = oracles.reduce_chain(A, terms, diffs)
+        got = original(A, terms, diffs)
+        assert got == want
+        return got
+
+    monkeypatch.setattr(silting, "_reduce_chain", checked)
+    exchanges = out_of_range = 0
+    for vert in g["vertices"]:
+        summands = vert["summands"]
+        for k, X in enumerate(summands):
+            others = summands[:k] + summands[k + 1 :]
+            for left in (True, False):
+                exchanges += 1
+                out_of_range += silting._exchange(X, others, left) is None
+    return exchanges, out_of_range
 
 
 # -- cones and rigidity ------------------------------------------------------------
@@ -569,6 +598,36 @@ def test_approximation_strip_matches_on_square(square):
     # with three other summands some copies factor through others and go
     offered, kept = _agree_on_approximations(enumerate_silting(square, 4))
     assert 0 < kept < offered
+
+
+@pytest.mark.parametrize("name,p,depth", GRAPHS)
+def test_in_place_reduction_matches_copying_oracle(name, p, depth, monkeypatch):
+    exchanges, out_of_range = _agree_on_reductions(
+        enumerate_silting(bundled(name, p), depth), monkeypatch
+    )
+    # exactly one of the two exchanges of a silting summand stays two-term
+    assert exchanges == 2 * out_of_range > 0
+
+
+def test_in_place_reduction_matches_copying_oracle_on_square(square, monkeypatch):
+    exchanges, out_of_range = _agree_on_reductions(enumerate_silting(square, 4), monkeypatch)
+    assert exchanges == 2 * out_of_range > 0
+
+
+def test_walk_builds_each_hom_complex_once(monkeypatch):
+    # presilting tests and homotopy bases read one table per ordered pair
+    A = bundled("kronecker")
+    calls = []
+    original = silting._products
+
+    def counted(A, X, Y, sa, sb):
+        calls.append((X, Y))
+        return original(A, X, Y, sa, sb)
+
+    monkeypatch.setattr(silting, "_products", counted)
+    g = enumerate_silting(A, 8)
+    assert len(g["vertices"]) == 17
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_walk_composes_each_composite_once(monkeypatch):

@@ -14,6 +14,7 @@ from torslab.algebra import (
     simple_module,
 )
 from torslab.catalogue import Catalogue, WindowError
+from torslab import reports
 from torslab.reports import _semibrick_spans
 from torslab.silting import enumerate_silting
 from torslab.stability import quadruple
@@ -120,13 +121,38 @@ def test_witnesses_small_window(cat_a2, idx_a2):
     assert compact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["P1"]
     assert cocompact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["S2"]
     assert functorially_finite(cat_a2, T) == (idx_a2["P1"], idx_a2["S2"])
-    # the smallest semibrick generating the class, as the brickfinite suite
-    # finds it
-    spans = [sb for sb, m in _semibrick_spans(cat_a2) if m == T]
-    assert spans[0] == (idx_a2["P1"],)
+    # the smallest semibrick generating the class, as the scan suite finds it
+    assert _semibrick_spans(cat_a2, T) == (idx_a2["P1"],)
     # the full class has no single Fac generator inside the (1,1) window
     full = mask_of(range(len(cat_a2)))
     assert fac_single_witness(cat_a2, full) is None
+
+
+def test_semibrick_lookup_takes_one_perp_per_brick(monkeypatch):
+    # Kronecker over F_11 at (1,1): 14 bricks and 4099 semibricks, so closing
+    # every semibrick would take thousands of closures
+    cat = Catalogue(bundled("kronecker", 11), (1, 1))
+    sbs = cat.semibricks()
+    assert len(cat.bricks()) == 14 and len(sbs) > 4000
+    cases = [(sb, t_of(cat, mask_of(sb))) for sb in (sbs[0], sbs[1], sbs[20], sbs[-1])]
+    calls = []
+    original = reports.right_perp
+
+    def counted(cat, gens):
+        calls.append(gens)
+        return original(cat, gens)
+
+    def refuse(*args):
+        raise AssertionError("t_of called by the semibrick lookup")
+
+    monkeypatch.setattr(reports, "right_perp", counted)
+    monkeypatch.setattr(reports, "t_of", refuse)
+    for sb, target in cases:
+        found = _semibrick_spans(cat, target)
+        assert sbs.index(found) <= sbs.index(sb)
+        assert original(cat, mask_of(found)) == original(cat, target)
+    # one perp per target and at most one per brick
+    assert len(calls) <= len(cases) + len(cat.bricks())
 
 
 def test_witnesses_ample_window(a2):
