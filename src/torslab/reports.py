@@ -39,7 +39,7 @@ from .silting import (
     silting_cone,
 )
 from .stability import classes_in, quadruple
-from .torsion import Window, _closure_of_single, mask_of, right_perp, t_of
+from .torsion import Window, _closure, mask_of, right_perp, t_of
 
 # cost cap for the single-map realization sweep inside the semistable suite
 TBAR_SWEEP_COST = 8192
@@ -357,7 +357,7 @@ def _semibrick_spans(cat, target):
     right perps of its bricks, each computed once per catalogue; no closure
     is taken per semibrick."""
     want = right_perp(cat, target)
-    perps = {i: _closure_of_single(cat, right_perp, i) for i in cat.bricks()}
+    perps = {i: _closure(cat, right_perp, (i,)) for i in cat.bricks()}
     everything = mask_of(range(len(cat)))
     for sb in cat.semibricks():
         perp = everything

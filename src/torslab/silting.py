@@ -281,9 +281,11 @@ def _delta(p, sa, sb, sc, fy, xf):
 def _chain_data(A, X, Y):
     """The Hom complex of X and Y, built once per ordered pair: its slot
     layouts, the nullity of its differential, the null-homotopic span of
-    the chain maps X -> Y, and representatives for a basis of their homotopy
-    classes.  Hom(X, Y[1]) vanishes when the differential is onto, that is
-    when len(sa) + len(sb) - nullity == len(sc)."""
+    the chain maps X -> Y, and the coordinate vectors of representatives
+    for a basis of their homotopy classes; hom_k_basis adds the matrices of
+    those representatives on first read, since the presilting test never
+    reads them.  Hom(X, Y[1]) vanishes when the differential is onto, that
+    is when len(sa) + len(sb) - nullity == len(sc)."""
     p = A.p
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
@@ -308,14 +310,10 @@ def _chain_data(A, X, Y):
     hot, _ = rref(tuple(hvecs), p)
     work = hot
     k_vecs = []
-    k_mats = []
     for v in sol:
         r = residual(v, work, p)
         if any(r):
             k_vecs.append(v)
-            alpha = _unvec(sa, len(X.minus), len(Y.minus), v[:na])
-            beta = _unvec(sb, len(X.zero), len(Y.zero), v[na:])
-            k_mats.append((alpha, beta))
             work, _ = rref(work + (r,), p)
     return {
         "sa": sa,
@@ -324,13 +322,24 @@ def _chain_data(A, X, Y):
         "nullity": len(sol),
         "hot": hot,
         "k_vecs": tuple(k_vecs),
-        "k_mats": tuple(k_mats),
     }
 
 
 def hom_k_basis(X, Y):
-    """Basis of the homotopy classes of chain maps X -> Y, as (alpha, beta)."""
-    return _chain_data(X.algebra, X, Y)["k_mats"]
+    """Basis of the homotopy classes of chain maps X -> Y, as (alpha, beta),
+    unpacked from the coordinate vectors of _chain_data on first read."""
+    data = _chain_data(X.algebra, X, Y)
+    k_mats = data.get("k_mats")
+    if k_mats is None:
+        sa, sb, na = data["sa"], data["sb"], len(data["sa"])
+        k_mats = data["k_mats"] = tuple(
+            (
+                _unvec(sa, len(X.minus), len(Y.minus), v[:na]),
+                _unvec(sb, len(X.zero), len(Y.zero), v[na:]),
+            )
+            for v in data["k_vecs"]
+        )
+    return k_mats
 
 
 def _pair_compose(A, outer, inner, X, Y, Z):

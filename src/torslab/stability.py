@@ -10,6 +10,7 @@ from math import lcm
 from operator import mul
 
 from .algebra import AlgebraError, end_constants
+from .torsion import indices_of
 
 
 @dataclass(frozen=True)
@@ -22,19 +23,28 @@ class Quadruple:
     Fbar: int
 
 
-def quadruple(cat, theta):
-    """The four classes at theta, a vector of ints or Fractions."""
-    A = cat.algebra
+def _integer_weight(A, theta):
+    """theta, a vector of ints or Fractions, scaled to integers by a positive
+    factor and paired with the End constants: the weight of each vertex."""
     if len(theta) != A.n:
         raise AlgebraError("length mismatch in pairing")
     den = lcm(*(t.denominator for t in theta))
-    w = [t.numerator * (den // t.denominator) * c for t, c in zip(theta, end_constants(A))]
+    return [t.numerator * (den // t.denominator) * c for t, c in zip(theta, end_constants(A))]
+
+
+def _pairings(w, dimvectors):
+    return [sum(map(mul, w, v)) for v in dimvectors if any(v)]
+
+
+def quadruple(cat, theta):
+    """The four classes at theta, a vector of ints or Fractions."""
+    w = _integer_weight(cat.algebra, theta)
     zero_bit = 1 << cat.zero_index()
     T = Tbar = F = Fbar = 0
     for idx in range(len(cat)):
         bit = 1 << idx
-        qvals = [sum(map(mul, w, v)) for v in cat.quotient_dimvectors(idx) if any(v)]
-        svals = [sum(map(mul, w, v)) for v in cat.submodule_dimvectors(idx) if any(v)]
+        qvals = _pairings(w, cat.quotient_dimvectors(idx))
+        svals = _pairings(w, cat.submodule_dimvectors(idx))
         if all(x > 0 for x in qvals):
             T |= bit
         if all(x >= 0 for x in qvals):
@@ -62,6 +72,20 @@ def class_dimvectors(cat, mask):
 
 def classes_in(cat, theta, mask_T, mask_F):
     """Check mask_T inside the strict quotient-positive class and mask_F inside
-    the strict sub-negative class at theta; used to re-verify separators."""
-    quad = quadruple(cat, theta)
-    return (mask_T & ~quad.T) == 0 and (mask_F & ~quad.F) == 0
+    the strict sub-negative class at theta; used to re-verify separators.
+
+    Both classes are closed under finite sums and summands (King, Quart. J.
+    Math. 45 (1994)), so a member is in exactly when its Krull-Schmidt
+    summands are; only the indecomposable summands of the members are
+    tested, against their memoised quotient and submodule dimension
+    vectors.  Every member's signature must be computable."""
+    w = _integer_weight(cat.algebra, theta)
+
+    def summands(mask):
+        return {s for i in indices_of(mask) for s in cat.signature(i)}
+
+    return all(
+        x > 0 for i in summands(mask_T) for x in _pairings(w, cat.quotient_dimvectors(i))
+    ) and all(
+        x < 0 for i in summands(mask_F) for x in _pairings(w, cat.submodule_dimvectors(i))
+    )

@@ -10,8 +10,11 @@ pair of indecomposable items, so membership is exact for every item of the
 window even when the generating modules live outside it.  The window is
 closed under submodules and quotients, so in it T(C) is the left perp of
 C^perp and F(C) the right perp of the left perp of C (Dickson, Trans. AMS
-121 (1966)).  The filtration DP over submodule lattices only cross-checks
-the census.
+121 (1966)).  The census is re-checked by two constructions independent
+of the perps: each class must equal its fac_closure and its filt_closure.
+The filtration DP reads the submodule lattices of indecomposable items
+only, because a class closed under quotients is closed under summands
+(see filt_closure).
 """
 
 from __future__ import annotations
@@ -157,12 +160,48 @@ def sub_closure(cat, gens):
     return _on_indecomposables(cat, member)
 
 
+@memo
+def _closure(cat, closure, gens):
+    """closure(cat, gens), taken once per catalogue, closure and generators
+    (a mask or a tuple of indices)."""
+    return closure(cat, gens)
+
+
 def filt_closure(cat, mask):
-    """Items admitting a filtration with subquotients in the given set."""
+    """Items admitting a filtration with subquotients in the given set m.
+
+    The DP over subquotient pairs, in order of total dimension: a nonzero
+    item X is in when some proper submodule S is in and X/S is in m.
+    Filt(m) is closed under extensions, so an item whose Krull-Schmidt
+    summands are all in it is in it, whatever m is.
+
+    When m is closed under quotients inside the window, Filt(m) is the
+    window's part of the torsion class T(m) generated by m: T(m) is
+    Filt(Fac(m)), and each subquotient of a filtration of a window item
+    lies in the window and in Fac(m), hence in m.  T(m) is closed under
+    summands as well as sums, so a decomposable item is in exactly when its
+    summands are, and only indecomposable items read their submodule
+    lattices.  That is no weaker a test of m: m holds the finite sums of
+    its members, so the smallest item of Filt(m) outside m is
+    indecomposable, and it is a one-step extension 0 -> S -> X -> Q -> 0 of
+    members S and Q of m.  Closure under submodules is the mirror case,
+    with a torsion-free class.  Both closures are read from the memoised
+    fac_closure and sub_closure of m; the census post-check has taken the
+    first already.  Every item's signature must be computable, as for
+    fac_closure.
+    """
+    closed = any(_closure(cat, c, mask) == mask for c in (fac_closure, sub_closure))
     out = 1 << cat.zero_index()
     for idx in cat.by_total_dim():
-        if (out >> idx) & 1 or cat.rep(idx).total_dim() == 0:
+        sig = cat.signature(idx)
+        if not sig:
             continue
+        if len(sig) > 1:
+            if all((out >> s) & 1 for s in sig):
+                out |= 1 << idx
+                continue
+            if closed:
+                continue
         for s, q in cat.subquot_pairs(idx):
             if (mask >> q) & 1 and (out >> s) & 1:
                 out |= 1 << idx
@@ -226,8 +265,12 @@ def enumerate_torsion_classes(cat):
 
     Each class is the double perp of a semibrick.  Every returned mask is
     then verified closed under quotients by fac_closure and under
-    filtrations by the filtration DP over submodule lattices, a
-    construction independent of the perps.  Completeness is certified
+    filtrations by filt_closure, whose DP over submodule lattices is a
+    construction independent of the perps.  A class that passes the first
+    check is closed under quotients, so filt_closure decides its
+    decomposable items by their summands and reads the lattices of
+    indecomposable items only; the smallest item its filtrations add would
+    be indecomposable (see filt_closure).  Completeness is certified
     separately by re-running with a strictly larger bound (see
     window_stable below).
     """
@@ -237,7 +280,7 @@ def enumerate_torsion_classes(cat):
         if m not in seen:
             seen[m] = sb
     for m in seen:
-        if fac_closure(cat, m) != m or filt_closure(cat, m) != m:
+        if _closure(cat, fac_closure, m) != m or filt_closure(cat, m) != m:
             raise WindowError("semibrick sweep produced a non-closed class")
     return sorted(seen, key=lambda m: (m.bit_count(), m))
 
@@ -245,16 +288,11 @@ def enumerate_torsion_classes(cat):
 # -- compactness and finiteness predicates -------------------------------------
 
 
-@memo
-def _closure_of_single(cat, closure, i):
-    return closure(cat, (i,))
-
-
 def _witness(cat, mask, closure, target):
     """The first item of the mask, in order of total dimension, whose
     closure is the target, or None."""
     for i in cat.by_total_dim():
-        if (mask >> i) & 1 and _closure_of_single(cat, closure, i) == target:
+        if (mask >> i) & 1 and _closure(cat, closure, (i,)) == target:
             return i
     return None
 

@@ -6,9 +6,12 @@ decomposable or not, with hom spaces computed straight from the modules.
 every nonzero vector.  With the code under test they share only
 ``hom_space``, the F_p kernels and the cyclic submodule of one vector: no
 Krull-Schmidt reduction, cached rows or seed-only join.  They are slow on
-purpose.  ``covered_mask`` is the rank form of a presentation map's perp
-class on every item, from path matrices built per item; it shares only
-``path_matrix`` and ``rank`` with ``torslab.presentations``.
+purpose.  ``filt_closure`` runs the filtration DP over the subquotient pairs
+of every item, decomposable or not; it shares ``Catalogue.subquot_pairs``
+with ``torslab.torsion``.  ``covered_mask`` is the rank form of a
+presentation map's perp class on every item, from path matrices built per
+item; it shares only ``path_matrix`` and ``rank`` with
+``torslab.presentations``.
 ``is_isomorphic_rep`` sweeps a hom space for an invertible map; the
 catalogue locates modules by orbit labels and runs no such test.
 
@@ -130,6 +133,19 @@ def right_perp(cat, gens):
         X = cat.rep(idx)
         if all(not hom_space(g, X) for g in gens):
             out |= 1 << idx
+    return out
+
+
+def filt_closure(cat, mask):
+    """Items admitting a filtration with subquotients in the given set."""
+    out = 1 << cat.zero_index()
+    for idx in cat.by_total_dim():
+        if (out >> idx) & 1 or cat.rep(idx).total_dim() == 0:
+            continue
+        for s, q in cat.subquot_pairs(idx):
+            if (mask >> q) & 1 and (out >> s) & 1:
+                out |= 1 << idx
+                break
     return out
 
 

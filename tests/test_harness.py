@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import bundled_text
-from torslab import cones, reports, torsion
+from torslab import cli, cones, reports, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
 from torslab.algebra import load_algebra
@@ -181,6 +181,28 @@ def test_numdis_computes_perp_and_separator_once_per_class(monkeypatch, a2):
     zero = 1 << cat.zero_index()
     with_zero = [g for _, g in perps if isinstance(g, int) and g & zero]
     assert sorted(with_zero) == torsion.enumerate_torsion_classes(cat)
+
+
+def test_census_reads_lattices_of_indecomposables_only(monkeypatch, capsys):
+    # the census workload, numdis on Kronecker p=2 at (2,3): the filtration
+    # post-check and the separator re-check decide each direct sum by its
+    # summands, so only indecomposable items build submodule lattices
+    seen = {}
+    for name in ("submodule_families", "subquot_pairs"):
+
+        def counted(cat, idx, _name=name, _original=getattr(Catalogue, name)):
+            seen.setdefault(_name, set()).add((cat, idx))
+            return _original(cat, idx)
+
+        monkeypatch.setattr(Catalogue, name, counted)
+    argv = ["verify", "--suite", "numdis", "--algebra", "kronecker", "--bound", "2,3"]
+    assert cli.main(argv) == 2
+    capsys.readouterr()
+    (cat,) = {cat for calls in seen.values() for cat, _ in calls}
+    indec = {i for i in range(len(cat)) if cat.is_indec(i)}
+    assert len(cat) == 61 and len(indec) == 12
+    for name in ("submodule_families", "subquot_pairs"):
+        assert {i for _, i in seen[name]} == indec, name
 
 
 def test_traced_entry_points_exist():

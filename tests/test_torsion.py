@@ -17,7 +17,8 @@ from torslab.catalogue import Catalogue, WindowError
 from torslab import reports
 from torslab.reports import _semibrick_spans
 from torslab.silting import enumerate_silting
-from torslab.stability import quadruple
+from torslab.cones import cone_of_subcat, separating_functional
+from torslab.stability import classes_in, quadruple
 from torslab.torsion import (
     cocompact_witness,
     compact_witness,
@@ -77,6 +78,37 @@ def test_filt_closure(cat_a2, idx_a2):
     base = mask_of((idx_a2["Z"], idx_a2["S1"], idx_a2["S2"]))
     got = filt_closure(cat_a2, base)
     assert got == mask_of(range(len(cat_a2)))
+
+
+# the bundled windows, their neighbours, the census window and two more
+FILT_WINDOWS = (
+    ("a2", None, (1, 1)),
+    ("a2", None, (2, 2)),
+    ("a2", None, (3, 3)),
+    ("kronecker", None, (1, 1)),
+    ("kronecker", None, (2, 2)),
+    ("kronecker", None, (2, 3)),
+    ("kronecker", 3, (2, 2)),
+    ("loop", None, (2,)),
+    ("loop", None, (3,)),
+    ("kxk", None, (1, 1)),
+)
+
+
+@pytest.mark.parametrize("name,p,bound", FILT_WINDOWS)
+def test_filt_closure_matches_general_dp(name, p, bound):
+    # census classes and Fac closures are closed under quotients and Sub
+    # closures under submodules, so filt_closure decides their decomposable
+    # items by summands; random masks mostly run the general DP
+    cat = Catalogue(bundled(name, p), bound)
+    rng = random.Random(16)
+    n = len(cat)
+    gens = [(i,) for i in range(n)] + [tuple(rng.sample(range(n), 3)) for _ in range(10)]
+    masks = list(enumerate_torsion_classes(cat))
+    masks += [closure(cat, g) for g in gens for closure in (fac_closure, sub_closure)]
+    masks += [rng.getrandbits(n) for _ in range(30)]
+    for m in masks:
+        assert filt_closure(cat, m) == oracles.filt_closure(cat, m), m
 
 
 def test_perps(cat_a2, idx_a2):
@@ -249,6 +281,34 @@ def test_tf_equivalence_and_cw(cat_a2):
     # monotone in the coordinatewise order: (0, -1) < (1, 1)
     low, high = quadruple(cat_a2, (0, -one)), quadruple(cat_a2, (one, one))
     assert low.T & ~high.T == 0 and high.F & ~low.F == 0
+
+
+@pytest.mark.parametrize(
+    "name,bound", [("a2", (2, 2)), ("kronecker", (2, 2)), ("loop", (2,)), ("kxk", (1, 1))]
+)
+def test_classes_in_matches_quadruple(name, bound):
+    # classes_in tests the indecomposable summands of the members only; the
+    # strict classes are closed under sums and summands, so that holds for
+    # any pair of masks, not only for the numdis classes and their perps
+    cat = Catalogue(bundled(name), bound)
+    n = cat.algebra.n
+    rng = random.Random(16)
+    pairs = [(t, right_perp(cat, t)) for t in enumerate_torsion_classes(cat)]
+    pairs += [(1 << i, 0) for i in range(len(cat))] + [(0, 1 << i) for i in range(len(cat))]
+    pairs += [(rng.getrandbits(len(cat)), rng.getrandbits(len(cat))) for _ in range(10)]
+    verdicts = set()
+    for tmask, fmask in pairs:
+        thetas = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(10)]
+        thetas += [_random_rational_theta(rng, n) for _ in range(10)]
+        separator = separating_functional(cone_of_subcat(cat, tmask), cone_of_subcat(cat, fmask))
+        if separator is not None:
+            thetas += [separator, tuple(Fraction(x, 3) for x in separator)]
+        for theta in thetas:
+            quad = quadruple(cat, theta)
+            want = (tmask & ~quad.T) == 0 and (fmask & ~quad.F) == 0
+            assert classes_in(cat, theta, tmask, fmask) == want, (tmask, theta)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _random_rational_theta(rng, n):
