@@ -29,7 +29,6 @@ object that owns it, and lives and dies with that object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 
 from .linalg import (
@@ -751,25 +750,3 @@ def image_submodule(f, M, N):
         cols = tuple(tuple(phi[r][c] for r in range(N.dims[v])) for c in range(M.dims[v]))
         out.append(row_space(cols, A.p))
     return tuple(out)
-
-
-# -- Euler pairing ------------------------------------------------------------
-
-
-def end_constants(A):
-    """dim End(S(i)) for each vertex.
-
-    Every simple module S(i) is one-dimensional, so End(S(i)) = F_p and each
-    constant is 1 over a prime field; nothing needs to be solved."""
-    return (1,) * A.n
-
-
-def euler_pairing(A, theta, v):
-    """<theta, v> = sum_i theta_i * dim End(S(i)) * v_i, exact over Q."""
-    if len(theta) != A.n or len(v) != A.n:
-        raise AlgebraError("length mismatch in pairing")
-    cs = end_constants(A)
-    total = Fraction(0)
-    for t, c, x in zip(theta, cs, v):
-        total += Fraction(t) * c * x
-    return total

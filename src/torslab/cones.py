@@ -2,15 +2,15 @@
 
 Cones are nonnegative rational spans of integer generator lists.  Every sign
 is decided exactly on Python integers; Fraction is left only in the
-solutions the simplex returns, the separator program's normalized generators
-and the adjacency rank of the double description.  Two engines are kept
-deliberately separate so tests can compare them: a two-phase simplex with
-Bland's rule on a fraction-free tableau answers the programming questions
-(trivial intersection, strong convexity, best separating vector), and an
-incremental double description pass over facet systems re-decides
-intersection triviality from the H-side.  The double description decides ray
-adjacency by a rank from ``linalg.rref_q``; the simplex keeps its own
-tableau pivoting, so the two engines share no elimination code.
+solutions the simplex returns and the separator program's normalized
+generators.  Two engines are kept deliberately separate so tests can compare
+them: a two-phase simplex with Bland's rule on a fraction-free tableau
+(``linalg.bareiss_pivot``) answers the programming questions (trivial
+intersection, strong convexity, best separating vector), and an incremental
+double description pass over facet systems re-decides intersection
+triviality from the H-side.  The double description eliminates nothing: it
+decides ray adjacency from zero sets, so the two engines share no
+elimination code.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import rref_q
+from .linalg import bareiss_pivot
 from .stability import class_dimvectors
 
 
@@ -108,12 +108,7 @@ def solve_program(rows, rhs, cost=None):
 
     def pivot(r, c):
         nonlocal det, tab
-        row_r, piv = tab[r], tab[r][c]
-        for i, row in enumerate(tab):
-            if i != r:
-                f = row[c]
-                tab[i] = [(a * piv - f * b) // det for a, b in zip(row, row_r)]
-        det = piv
+        det = bareiss_pivot(tab, r, c, det)
         if det < 0:
             # the phase-2 pin-out may pivot on a negative entry
             det, tab = -det, [[-v for v in row] for row in tab]
@@ -349,16 +344,13 @@ def dd_rays(ineqs, eqs, dim):
     """Lineality basis and extreme rays of the solution cone of the system
     {a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
-    Incremental double description over integer vectors; adjacency is
-    decided by the rank of the tight-constraint matrix, which stays valid
-    while lineality is nonzero."""
+    Incremental double description over integer vectors.  Two rays are
+    adjacent when no third ray is zero on every processed constraint that
+    is zero on both (the combinatorial test, Fukuda-Prodon 1996); it holds
+    with lineality too, since every processed constraint is zero on it."""
     lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays = []
     processed = []
-
-    def adjacent(r1, r2):
-        common = [a for a in processed if _dot(a, r1) == 0 and _dot(a, r2) == 0]
-        return len(rref_q(common)[1]) == dim - len(lin) - 2
 
     def project(v, a, l0, al0):
         # a positive multiple of v - (a.v / a.l0) l0, since a.l0 > 0
@@ -388,9 +380,18 @@ def dd_rays(ineqs, eqs, dim):
             zero = [r for r in rays if _dot(a, r) == 0]
             minus = [r for r in rays if _dot(a, r) < 0]
             keep = zero + (plus if not is_eq else [])
+            if plus and minus:
+                # zero sets over the processed constraints, as bitmasks
+                zeros = {
+                    r: sum(1 << i for i, b in enumerate(processed) if _dot(b, r) == 0)
+                    for r in rays
+                }
             for rp in plus:
                 for rm in minus:
-                    if adjacent(rp, rm):
+                    common = zeros[rp] & zeros[rm]
+                    if not any(
+                        common & ~z == 0 for r, z in zeros.items() if r != rp and r != rm
+                    ):
                         ap, am = _dot(a, rp), _dot(a, rm)
                         combo = tuple(ap * x - am * y for x, y in zip(rm, rp))
                         keep.append(primitive_vector(combo))

@@ -19,15 +19,15 @@ column count, which they hand on to ``_echelon``; the silting Hom-complex
 differential is built that way.  ``rank`` takes dense rows only.  Output
 rows are always dense tuples.
 
-Over Q, ``rref_q`` is the only Gaussian elimination in Fraction arithmetic.
-It serves the rank tests of double description and of silting g-vectors
-and the inverse g-vector matrices of the rigidity test; the simplex in
-``cones`` keeps its own tableau pivoting.
+Over Q, ``bareiss_pivot`` is the only elimination step: one fraction-free
+(Bareiss, Math. Comp. 22 (1968)) pivot of an integer tableau, whose every
+division is exact.  The simplex in ``cones`` pivots with it, and
+``unimodular_inverse`` runs it over [a | I] to invert the g-vector matrices
+of the silting layer.  No Fraction enters this module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
@@ -195,27 +195,36 @@ def in_row_space(v: Sequence[int], basis: Mat, p: int) -> bool:
     return not any(residual(v, basis, p))
 
 
-def rref_q(rows: Iterable[Sequence]) -> tuple[Mat, tuple]:
-    """Reduced row echelon form over Q; returns (nonzero rows, pivot column
-    indices), the rows as tuples of Fractions."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    if not work:
-        return (), ()
-    pivots = []
-    r = 0
-    for c in range(len(work[0])):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+def bareiss_pivot(tab: list, r: int, c: int, det: int) -> int:
+    """One fraction-free pivot of the integer rows of tab on entry (r, c), in
+    place; returns the new determinant tab[r][c].
+
+    tab / det is the rational tableau before the pivot.  Every other row
+    becomes (row * tab[r][c] - row[c] * tab[r]) / det, and the division is
+    exact, so tab / tab[r][c] is the rational tableau after it."""
+    row_r, piv = tab[r], tab[r][c]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[c]
+            tab[i] = [(a * piv - f * b) // det for a, b in zip(row, row_r)]
+    return piv
+
+
+def unimodular_inverse(a: Sequence[Sequence[int]]) -> Mat | None:
+    """Integer inverse of the square integer matrix a, or None unless
+    det a = +-1.
+
+    Pivots [a | I] on the diagonal, Bareiss style; afterwards the left block
+    is det * I, so the right block divided by det is the inverse."""
+    n = len(a)
+    tab = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    det = 1
+    for c in range(n):
+        r = next((i for i in range(c, n) if tab[i][c]), None)
+        if r is None:
+            return None
+        tab[c], tab[r] = tab[r], tab[c]
+        det = bareiss_pivot(tab, c, c, det)
+    if abs(det) != 1:
+        return None
+    return tuple(tuple(x * det for x in row[n:]) for row in tab)

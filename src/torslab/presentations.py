@@ -22,11 +22,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .algebra import euler_pairing, memo
+from .algebra import memo
 from .catalogue import SWEEP_CAP
 from .linalg import rank
 from .silting import TwoTermComplex, _layout, twisted_kernel
-from .stability import quadruple
+from .stability import _pairings, quadruple
 from .torsion import _on_indecomposables, left_perp
 
 SAMPLE_CHECKS = 24
@@ -144,16 +144,12 @@ def _exclusion_certificates(cat, theta, target):
     forces the weight of dim Q to be nonnegative.  A negative quotient is
     therefore a certificate that no f at any level covers X.
     """
-    A = cat.algebra
     certs = {}
     for idx in range(len(cat)):
         if (target >> idx) & 1:
             continue
-        wit = None
-        for v in cat.quotient_dimvectors(idx):
-            if any(v) and euler_pairing(A, theta, v) < 0:
-                wit = v
-                break
+        quots = [v for v in cat.quotient_dimvectors(idx) if any(v)]
+        wit = next((v for v, x in zip(quots, _pairings(theta, quots)) if x < 0), None)
         if wit is None:
             raise PresentationError(
                 "item %d lies outside the weak class with no negative quotient" % idx

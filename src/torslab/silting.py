@@ -7,9 +7,10 @@ differential is a matrix of {basis_index: coeff} dicts and every step here
 is exact over F_p.
 
 Mutation exchanges one indecomposable summand through an approximation
-triangle.  The left construction is tried first; when its cone cannot be
-flattened back into two terms the right-hand one is used instead, and for a
-genuine silting input exactly one of the two lands in range.  Summands are
+triangle.  The side is read off the summand's c-vector, its row of the
+inverse g-vector matrix, which is sign-coherent (Fu, J. Algebra 473 (2017);
+Treffinger, JPAA 223 (2019)): a positive row takes the left exchange, a
+negative one the right, so each mutation builds one cone.  Summands are
 kept individually and every vertex of the exchange graph is keyed by its
 sorted tuple of summand g-vectors, which pins the whole walk down to a
 deterministic object.
@@ -31,7 +32,7 @@ from .algebra import (
     submodule_rep,
 )
 from .cones import RationalCone
-from .linalg import inv_mod, nullspace, rank, residual, rref, rref_q
+from .linalg import inv_mod, nullspace, rank, residual, rref, unimodular_inverse
 from .torsion import fac_closure, left_perp
 
 
@@ -550,7 +551,8 @@ def _exchange(X, others, left):
 
 def mutate(summands, k):
     """Exchange summand k of a basic silting complex; returns the sorted
-    summand tuple of the neighbouring silting complex."""
+    summand tuple of the neighbouring silting complex.  The exchange is left
+    when summand k's c-vector is positive, right when it is negative."""
     summands = tuple(summands)
     if not summands:
         raise MutationError("empty complex cannot be mutated")
@@ -561,9 +563,9 @@ def mutate(summands, k):
         raise MutationError("mutation requires a basic silting complex")
     X = summands[k]
     others = summands[:k] + summands[k + 1 :]
-    new = _exchange(X, others, True)
-    if new is None:
-        new = _exchange(X, others, False)
+    key = vertex_key(summands)
+    c_vector = _inverse_gvectors(A, key)[key.index(X.g_vector())]
+    new = _exchange(X, others, min(c_vector) >= 0)
     if new is None:
         raise MutationError("mutation leaves the two-term range")
     out = tuple(sorted(others + (new,), key=lambda c: c.g_vector()))
@@ -650,17 +652,11 @@ def _inverse_gvectors(A, key):
     along key[i].  The g-vectors of a two-term silting complex are a basis
     of Z^n (Adachi-Iyama-Reiten), so the inverse must be integral."""
     n = A.n
-    red, pivots = rref_q(
-        [[g[i] for g in key] + [int(i == c) for c in range(n)] for i in range(n)]
-    )
-    inv = tuple(row[n:] for row in red)
-    if (
-        len(key) != n
-        or pivots[:n] != tuple(range(n))
-        or any(x.denominator != 1 for row in inv for x in row)
-    ):
+    mat = [[g[i] for g in key] for i in range(n)]
+    inv = unimodular_inverse(mat) if len(key) == n else None
+    if inv is None:
         raise SiltingError("g-vectors %r are not a basis of Z^%d" % (key, n))
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return inv
 
 
 def rigidity(theta, graph):

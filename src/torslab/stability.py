@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .algebra import AlgebraError, end_constants
+from .algebra import AlgebraError
 from .torsion import indices_of
 
 
@@ -25,11 +25,13 @@ class Quadruple:
 
 def _integer_weight(A, theta):
     """theta, a vector of ints or Fractions, scaled to integers by a positive
-    factor and paired with the End constants: the weight of each vertex."""
+    factor: the weight of each vertex.  Every simple module is one-dimensional
+    over its prime field, so the pairing of a weight with a dimension vector
+    is their plain dot product."""
     if len(theta) != A.n:
         raise AlgebraError("length mismatch in pairing")
     den = lcm(*(t.denominator for t in theta))
-    return [t.numerator * (den // t.denominator) * c for t, c in zip(theta, end_constants(A))]
+    return [t.numerator * (den // t.denominator) for t in theta]
 
 
 def _pairings(w, dimvectors):

@@ -15,13 +15,16 @@ item; it shares only ``path_matrix`` and ``rank`` with
 ``is_isomorphic_rep`` sweeps a hom space for an invertible map; the
 catalogue locates modules by orbit labels and runs no such test.
 
+``rref_q`` is Gauss-Jordan elimination in ``Fraction`` arithmetic; the
+package itself eliminates over Q only with fraction-free integer pivots.
 ``solve_program`` and ``dd_rays`` are the cone engines in plain ``Fraction``
 arithmetic: a rational simplex tableau normalised at every pivot and a double
 description that projects with rational coefficients.  They share nothing
-with ``torslab.cones`` but ``ConeError``, and ``dd_rays`` takes its adjacency
-rank from ``rref_q`` as the engine does.  ``cone_contains`` decides membership
-on the oracle simplex.  ``quadruple`` evaluates ``euler_pairing`` in
-``Fraction`` for every sign test.
+with ``torslab.cones`` but ``ConeError``; ``dd_rays`` decides adjacency by
+the rank of the constraints tight on both rays, from ``rref_q``, where the
+engine compares zero sets.  ``cone_contains`` decides membership on the
+oracle simplex.  ``quadruple`` pairs each weight with each dimension vector
+in ``Fraction`` for every sign test.
 
 ``hom_complex_columns`` and ``chain_data`` build the Hom complex of two
 two-term complexes one slot at a time, one algebra product per slot and
@@ -48,10 +51,10 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from torslab.algebra import euler_pairing, hom_space
+from torslab.algebra import hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import ConeError
-from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref, rref_q
+from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref
 from torslab.silting import (
     SiltingError,
     _elem_sub,
@@ -227,6 +230,32 @@ def submodule_families(cat, idx):
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def rref_q(rows):
+    """Reduced row echelon form over Q; returns (nonzero rows, pivot column
+    indices), the rows as tuples of Fractions."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
 def solve_program(rows, rhs, cost=None):
@@ -418,14 +447,13 @@ def dd_rays(ineqs, eqs, dim):
 
 
 def quadruple(cat, theta):
-    """The four classes at theta from rational Euler pairings."""
-    A = cat.algebra
+    """The four classes at theta from rational pairings."""
     zero_bit = 1 << cat.zero_index()
     T = Tbar = F = Fbar = 0
     for idx in range(len(cat)):
         bit = 1 << idx
-        qvals = [euler_pairing(A, theta, v) for v in cat.quotient_dimvectors(idx) if any(v)]
-        svals = [euler_pairing(A, theta, v) for v in cat.submodule_dimvectors(idx) if any(v)]
+        qvals = [_dot(theta, v) for v in cat.quotient_dimvectors(idx) if any(v)]
+        svals = [_dot(theta, v) for v in cat.submodule_dimvectors(idx) if any(v)]
         if all(x > 0 for x in qvals):
             T |= bit
         if all(x >= 0 for x in qvals):

@@ -7,19 +7,13 @@ import time
 
 from conftest import bundled, bundled_text
 from torslab import reports
-from torslab.algebra import (
-    end_constants,
-    euler_pairing,
-    hom_space,
-    projective_module,
-    simple_module,
-)
+from torslab.algebra import hom_space, projective_module, simple_module
 from torslab.catalogue import Catalogue
 from torslab.presentations import fei_union_check
 from torslab.reports import exit_code
 from torslab.silting import enumerate_silting, induced_torsion_pairs, mutate
 from torslab.silting import direct_sum_complex, vertex_key
-from torslab.stability import quadruple
+from torslab.stability import _integer_weight, _pairings, quadruple
 from torslab.torsion import (
     enumerate_torsion_classes,
     fac_closure,
@@ -61,18 +55,20 @@ def test_criterion_01_euler_duality():
                         if i == j:
                             sj = simple_module(A, j)
                             want = len(hom_space(sj, sj))
-                        assert euler_pairing(A, basis[i], basis[j]) == want
+                        assert _pairings(_integer_weight(A, basis[i]), [basis[j]]) == [want]
                 cat = Catalogue(A, BOUNDS[name])
                 projs = [projective_module(A, i) for i in range(A.n)]
                 hom = [
                     [len(hom_space(projs[i], cat.rep(m))) for i in range(A.n)]
                     for m in range(len(cat))
                 ]
+                nonzero = [m for m in range(len(cat)) if any(cat.dims_of(m))]
                 for theta in itertools.product(range(-3, 4), repeat=A.n):
-                    for m in range(len(cat)):
+                    w = _integer_weight(A, theta)
+                    for m in nonzero:
                         plus = sum(t * h for t, h in zip(theta, hom[m]) if t > 0)
                         minus = sum(-t * h for t, h in zip(theta, hom[m]) if t < 0)
-                        assert euler_pairing(A, theta, cat.dims_of(m)) == plus - minus
+                        assert _pairings(w, [cat.dims_of(m)]) == [plus - minus]
 
     _criterion(1, "euler-duality", 10, body)
 

@@ -10,8 +10,6 @@ from torslab.algebra import (
     Representation,
     arrow_stable,
     direct_sum,
-    end_constants,
-    euler_pairing,
     hom_dim,
     hom_space,
     image_submodule,
@@ -27,6 +25,7 @@ from torslab.algebra import (
     submodule_rep,
     zero_module,
 )
+from torslab.stability import _integer_weight, _pairings
 
 
 def test_parse_basics(a2, kronecker, loop, kxk):
@@ -201,12 +200,15 @@ def test_direct_sum(a2):
 
 
 def test_euler_pairing(a2, kronecker):
-    assert end_constants(a2) == (1, 1)
-    assert end_constants(kronecker) == (1, 1)
-    th = (Fraction(1), Fraction(-1))
-    assert euler_pairing(a2, th, (1, 1)) == 0
-    assert euler_pairing(a2, (2, -1), (1, 1)) == 1
-    assert euler_pairing(kronecker, (Fraction(1, 2), Fraction(-3, 2)), (2, 1)) == Fraction(-1, 2)
+    # the pairing of stability.quadruple: theta scaled to integers by a
+    # positive factor, dotted with each nonzero dimension vector
+    assert _integer_weight(a2, (Fraction(1), Fraction(-1))) == [1, -1]
+    assert _pairings([1, -1], [(1, 1), (0, 0), (0, 2)]) == [0, -2]
+    assert _pairings(_integer_weight(a2, (2, -1)), [(1, 1)]) == [1]
+    w = _integer_weight(kronecker, (Fraction(1, 2), Fraction(-3, 2)))
+    assert w == [1, -3] and _pairings(w, [(2, 1)]) == [-1]
+    with pytest.raises(AlgebraError):
+        _integer_weight(a2, (1, 2, 3))
 
 
 class _Owner:

@@ -128,13 +128,17 @@ def test_solve_program_matches_rational_oracle():
 def test_dd_rays_matches_rational_oracle():
     rng = random.Random(20261019)
     for _ in range(600):
-        dim = rng.randint(1, 4)
+        dim = rng.randint(1, 5)
         rational = rng.random() < 0.2
 
         def vec():
             return tuple(_entry(rng, rational) for _ in range(dim))
 
         ineqs = [vec() for _ in range(rng.randint(0, 5))]
+        if ineqs and rng.random() < 0.3:
+            # a repeated or positively scaled inequality
+            f = rng.choice((1, 2, 3, Fraction(1, 2)))
+            ineqs.insert(rng.randrange(len(ineqs) + 1), tuple(f * x for x in rng.choice(ineqs)))
         eqs = [vec() for _ in range(rng.randint(0, 2))]
         assert dd_rays(ineqs, eqs, dim) == oracles.dd_rays(ineqs, eqs, dim), (ineqs, eqs)
 

@@ -238,6 +238,24 @@ def test_runtime_imports_only_stdlib():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_only_cone_presentation_and_report_code_imports_fractions():
+    # signs and eliminations run on integers; Fraction is left for the
+    # simplex's solutions, integrality checks of weights and report output
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torslab"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names:
+                importers.add(path.stem)
+    assert importers <= {"cones", "presentations", "reports"}, importers
+
+
 def test_scan_semibrick_sizes():
     text = bundled_text("kronecker")
     # the semibricks of p + 1 bricks are found for every prime

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from torslab.linalg import (
     identity,
     in_row_space,
@@ -18,7 +19,7 @@ from torslab.linalg import (
     residual,
     row_space,
     rref,
-    rref_q,
+    unimodular_inverse,
     zeros,
 )
 
@@ -109,14 +110,71 @@ def test_mat_vec_matches_mat_mul():
 
 
 def test_rref_q():
-    red, piv = rref_q(((2, 4, 1), (1, 2, 3), (3, 6, 4)))
+    red, piv = oracles.rref_q(((2, 4, 1), (1, 2, 3), (3, 6, 4)))
     assert piv == (0, 2)
     assert red == ((1, 2, 0), (0, 0, 1))
     assert all(isinstance(x, Fraction) for row in red for x in row)
-    red, piv = rref_q(((2, 1), (Fraction(1, 2), 0)))
+    red, piv = oracles.rref_q(((2, 1), (Fraction(1, 2), 0)))
     assert piv == (0, 1) and red == ((1, 0), (0, 1))
-    assert rref_q(()) == ((), ())
-    assert rref_q(((0, 0),)) == ((), ())
+    assert oracles.rref_q(()) == ((), ())
+    assert oracles.rref_q(((0, 0),)) == ((), ())
+
+
+def test_unimodular_inverse():
+    assert unimodular_inverse(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    # det -1, and a zero on the diagonal that needs a row swap
+    assert unimodular_inverse(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    assert unimodular_inverse(((1, 1, 0), (0, 1, 0), (2, 0, -1))) == (
+        (1, -1, 0),
+        (0, 1, 0),
+        (2, -2, -1),
+    )
+    assert unimodular_inverse(()) == ()
+    # det 2, det -2 and singular
+    assert unimodular_inverse(((2, 0), (0, 1))) is None
+    assert unimodular_inverse(((1, 3), (1, 1))) is None
+    assert unimodular_inverse(((1, 2), (2, 4))) is None
+    assert unimodular_inverse(((0, 0), (1, 1))) is None
+
+
+def _unimodular(rng, n):
+    """A random matrix of determinant +-1: row operations on the identity."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 6)):
+        i, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        op = rng.randrange(3)
+        if op == 0 and i != k:
+            f = rng.randint(-2, 2)
+            a[i] = [x + f * y for x, y in zip(a[i], a[k])]
+        elif op == 1:
+            a[i], a[k] = a[k], a[i]
+        else:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def test_unimodular_inverse_matches_rational_oracle():
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            a = _unimodular(rng, n)
+        else:
+            a = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
+                 for _ in range(n)]
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        red, piv = oracles.rref_q(aug)
+        inv = tuple(row[n:] for row in red)
+        if piv[:n] != tuple(range(n)):
+            want, kind = None, "singular"
+        elif any(x.denominator != 1 for row in inv for x in row):
+            want, kind = None, "det not +-1"
+        else:
+            want, kind = inv, "inverted"
+        assert unimodular_inverse(a) == want, a
+        kinds.add(kind)
+    assert kinds == {"singular", "det not +-1", "inverted"}
 
 
 def test_stack_helpers():

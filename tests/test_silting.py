@@ -325,6 +325,28 @@ def test_walk_derives_each_edge_once_on_square(monkeypatch):
     assert len(calls) == 92
 
 
+def test_each_mutation_makes_one_exchange_on_square(monkeypatch):
+    mutations, exchanges = [], []
+    original_mutate, original_exchange = silting.mutate, silting._exchange
+
+    def counted_mutate(summands, k):
+        mutations.append(k)
+        return original_mutate(summands, k)
+
+    def counted_exchange(X, others, left):
+        new = original_exchange(X, others, left)
+        exchanges.append((left, new is not None))
+        return new
+
+    monkeypatch.setattr(silting, "mutate", counted_mutate)
+    monkeypatch.setattr(silting, "_exchange", counted_exchange)
+    enumerate_silting(load_algebra(SQUARE), 8)
+    # the c-vector's sign picks the side, so no cone is built and discarded
+    assert len(mutations) == len(exchanges) == 92
+    assert {side for side, landed in exchanges if landed} == {True, False}
+    assert all(landed for _, landed in exchanges)
+
+
 # -- cones and rigidity ------------------------------------------------------------
 
 
@@ -520,15 +542,16 @@ WEIGHTS = tuple(product(range(-3, 4), repeat=2)) + (
 
 @pytest.mark.parametrize("name,p,depth", GRAPHS)
 def test_face_solver_matches_augmented_solve(name, p, depth, monkeypatch):
-    g = enumerate_silting(bundled(name, p), depth)
     solves = []
-    original = silting.rref_q
+    original = silting.unimodular_inverse
 
-    def counted(rows):
+    def counted(a):
         solves.append(1)
-        return original(rows)
+        return original(a)
 
-    monkeypatch.setattr(silting, "rref_q", counted)
+    # counted from the start: the walk's mutations read the same inverses
+    monkeypatch.setattr(silting, "unimodular_inverse", counted)
+    g = enumerate_silting(bundled(name, p), depth)
     verdicts = set()
     for theta in WEIGHTS:
         got = rigidity(theta, g)
