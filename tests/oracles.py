@@ -26,10 +26,17 @@ engine compares zero sets.  ``cone_contains`` decides membership on the
 oracle simplex.  ``quadruple`` pairs each weight with each dimension vector
 in ``Fraction`` for every sign test.
 
+``dense_rref`` is Gauss-Jordan elimination over F_p on dense rows, each row
+operation sweeping the full width, and ``nullspace`` reads a kernel basis
+from it; they share no code with ``torslab.linalg``, whose ``nullspace``
+reads the same basis from sparse rows.  ``sub_closure`` and ``chain_data``
+take their kernels from them.
+
 ``hom_complex_columns`` and ``chain_data`` build the Hom complex of two
 two-term complexes one slot at a time, one algebra product per slot and
-summand, with no product table, as dense columns; they share the slot
-layouts, the F_p kernels and ``Algebra.mult`` with ``torslab.silting``.
+summand, with no product table, as dense columns, and eliminate with
+``dense_rref``; they share the slot layouts, ``residual`` and
+``Algebra.mult`` with ``torslab.silting``.
 ``left_approximates`` and ``right_approximates`` recompose every kept copy on
 every test, and ``strip_copies`` restarts its sweep after each removal; they
 take the null-homotopic span and the chain-map dimension from ``chain_data``
@@ -54,7 +61,7 @@ from math import gcd, lcm
 from torslab.algebra import hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import ConeError
-from torslab.linalg import inverse, nullspace, rank, residual, row_space, rref
+from torslab.linalg import inverse, rank, residual, row_space
 from torslab.silting import (
     SiltingError,
     _elem_sub,
@@ -71,6 +78,49 @@ from torslab.silting import (
 )
 from torslab.stability import Quadruple
 from torslab.torsion import indices_of
+
+
+# -- dense Gauss-Jordan elimination over F_p ----------------------------------------
+
+
+def dense_rref(rows, p):
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot column
+    indices).  Every row operation sweeps the full width."""
+    work = [list(r) for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pr = next((i for i in range(r, len(work)) if work[i][c] % p), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = pow(work[r][c], p - 2, p)
+        work[r] = [(x * inv) % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] % p:
+                f = work[i][c] % p
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def nullspace(rows, ncols, p):
+    """Basis of the right kernel of the dense rows, read from ``dense_rref``:
+    one vector per free column, 1 there and 0 at the other free columns."""
+    red, piv = dense_rref(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(red, piv):
+            v[pc] = -row[fc] % p
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def _modules(cat, gens):
@@ -514,7 +564,7 @@ def chain_data(A, X, Y):
             for bi, c in A.mult(Y.mat[j][l], {b: 1}).items():
                 v[sbpos[(j, k, bi)]] = c
         hvecs.append(tuple(v))
-    hot, _ = rref(tuple(hvecs), p)
+    hot, _ = dense_rref(hvecs, p)
     work = hot
     k_vecs = []
     k_mats = []
@@ -525,7 +575,7 @@ def chain_data(A, X, Y):
             alpha = _unvec(sa, len(X.minus), len(Y.minus), v[:na])
             beta = _unvec(sb, len(X.zero), len(Y.zero), v[na:])
             k_mats.append((alpha, beta))
-            work, _ = rref(work + (r,), p)
+            work, _ = dense_rref(work + (r,), p)
     return {"hot": hot, "k_vecs": tuple(k_vecs), "k_mats": tuple(k_mats)}
 
 

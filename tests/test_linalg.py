@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import bundled
+from torslab import linalg, silting
 from torslab.linalg import (
     identity,
     in_row_space,
@@ -22,6 +24,7 @@ from torslab.linalg import (
     unimodular_inverse,
     zeros,
 )
+from torslab.silting import enumerate_silting
 
 
 def test_inv_mod():
@@ -190,32 +193,6 @@ def test_mat_mul_degenerate():
     assert out == ((1,),)
 
 
-def _dense_rref(rows, p):
-    """The dense Gauss-Jordan elimination that ``rref`` replaced, kept only as
-    an oracle: every row operation sweeps the full width."""
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    pivots = []
-    r = 0
-    for c in range(len(work[0])):
-        pr = next((i for i in range(r, len(work)) if work[i][c] % p), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = inv_mod(work[r][c], p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % p:
-                f = work[i][c] % p
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
-
-
 def _random_matrix(rng, p):
     r, c = rng.randint(0, 12), rng.randint(0, 12)
     density = rng.random()
@@ -225,21 +202,48 @@ def _random_matrix(rng, p):
     ), c
 
 
+def _chain_matrix(rng, p):
+    """Sparse rows shaped like the Hom-complex differentials of the walk:
+    1-2 nonzeros each, 20-40 columns, nullity 0-3.  Each column but the free
+    ones leads one row, whose second entry lies to its right; scaled copies
+    of a few rows follow, and the rows are shuffled.  Entries stay
+    unreduced."""
+    units = [x for x in range(-2 * p, 2 * p + 1) if x % p]
+    c = rng.randint(20, 40)
+    free = set(rng.sample(range(c), rng.randint(0, 3)))
+    rows = []
+    for j in range(c):
+        if j not in free:
+            row = {j: rng.choice(units)}
+            if j + 1 < c and rng.random() < 0.7:
+                row[rng.randrange(j + 1, c)] = rng.choice(units)
+            rows.append(row)
+    for row in rng.sample(rows, min(len(rows), rng.randint(0, 5))):
+        f = rng.choice(units)
+        rows.append({j: x * f for j, x in row.items()})
+    rng.shuffle(rows)
+    return rows, c, len(free)
+
+
 def test_sparse_kernel_matches_dense_oracle():
     rng = random.Random(20)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        rows, c, nullity = _chain_matrix(rng, p)
+        dense = tuple(tuple(row.get(j, 0) for j in range(c)) for row in rows)
+        kernel = oracles.nullspace(dense, c, p)
+        assert len(kernel) == nullity
+        assert nullspace(rows, c, p) == nullspace(dense, c, p) == kernel
+        assert rref(rows, p, c) == oracles.dense_rref(dense, p)
     for _ in range(3000):
         p = rng.choice((2, 3, 5, 7, 13))
         a, c = _random_matrix(rng, p)
-        red, piv = _dense_rref(a, p)
+        red, piv = oracles.dense_rref(a, p)
         assert rref(a, p) == (red, piv)
         assert rref((row for row in a), p) == (red, piv)
         assert rank(a, p) == rank((row for row in a), p) == len(red)
         assert row_space(a, p) == red
-        free = [j for j in range(c) if j not in piv]
-        kernel = tuple(
-            tuple(1 if j == fc else (-red[piv.index(j)][fc]) % p if j in piv else 0 for j in range(c))
-            for fc in free
-        )
+        kernel = oracles.nullspace(a, c, p)
         assert nullspace(a, c, p) == kernel
         # the same matrix as sparse dict rows with its column count; entries
         # stay unreduced, so multiples of p must drop out
@@ -252,7 +256,7 @@ def test_sparse_kernel_matches_dense_oracle():
                 rank(sparse, p)
         n = len(a)
         sq = tuple(row[:n] + (0,) * (n - len(row[:n])) for row in a)
-        ired, ipiv = _dense_rref(
+        ired, ipiv = oracles.dense_rref(
             [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(sq)], p
         )
         if ipiv[:n] == tuple(range(n)):
@@ -286,6 +290,42 @@ def test_rref_invariants(case):
     for v in a:
         combo = [sum(v[c] * row[j] for row, c in zip(red, piv)) for j in range(len(v))]
         assert all((x - y) % p == 0 for x, y in zip(v, combo))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_kernels_of_the_walk_differentials(monkeypatch, p):
+    # every Hom-complex differential the Kronecker walk meets at depth 8
+    seen = []
+
+    def recorded(rows, ncols, q):
+        basis = nullspace(rows, ncols, q)
+        seen.append((rows, ncols, basis))
+        return basis
+
+    monkeypatch.setattr(silting, "nullspace", recorded)
+    enumerate_silting(bundled("kronecker", p=p), 8)
+    assert seen
+    for rows, ncols, basis in seen:
+        piv = oracles.dense_rref([[row.get(j, 0) for j in range(ncols)] for row in rows], p)[1]
+        free = [j for j in range(ncols) if j not in piv]
+        assert len(piv) + len(basis) == ncols
+        for fc, v in zip(free, basis):
+            assert all(sum(x * v[j] for j, x in row.items()) % p == 0 for row in rows)
+            assert [v[j] for j in free] == [int(j == fc) for j in free]
+
+
+def test_nullspace_makes_no_rref_call(monkeypatch):
+    calls = []
+    original = linalg.rref
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    assert nullspace(((1, 2, 0), (0, 0, 1)), 3, 3) == ((1, 1, 0),)
+    assert nullspace(({0: 1, 1: 2}, {2: 4}), 3, 3) == ((1, 1, 0),)
+    assert not calls
 
 
 def _rows_that_raise():

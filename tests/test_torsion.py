@@ -1,4 +1,5 @@
 import fractions
+import math
 import random
 from fractions import Fraction
 
@@ -249,6 +250,38 @@ def test_dynkin_closed_forms(name, p):
     graph = enumerate_silting(A, 12)
     assert graph["complete"]
     assert len(classes) == len(graph["vertices"]) == want
+
+
+# preprojective algebras of type A_n: torsion classes = two-term silting
+# complexes = (n+1)! (Mizuno, Math. Z. 277 (2014)), and 2^(n+1) - n - 2
+# bricks (Iyama-Reading-Reiten-Thomas, Compositio 154 (2018)); every brick
+# has dimension at most 1 at each vertex
+PI_A4 = """
+field p=2
+vertices 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+arrow c: 2 -> 3
+arrow d: 3 -> 2
+arrow e: 3 -> 4
+arrow f: 4 -> 3
+relation a.b
+relation b.a - c.d
+relation d.c - e.f
+relation f.e
+"""
+
+
+@pytest.mark.parametrize(
+    "name,p,n", [("pi_a2", 2, 2), ("pi_a2", 3, 2), ("pi_a3", 2, 3), ("pi_a3", 3, 3), ("pi_a4", 2, 4)]
+)
+def test_preprojective_closed_forms(name, p, n):
+    A = load_algebra(PI_A4) if name == "pi_a4" else bundled(name, p)
+    cat = Catalogue(A, (1,) * n)
+    graph = enumerate_silting(A, 12)
+    assert graph["complete"]
+    assert len(enumerate_torsion_classes(cat)) == len(graph["vertices"]) == math.factorial(n + 1)
+    assert len(cat.bricks()) == 2 ** (n + 1) - n - 2
 
 
 def test_quadruple_a2(cat_a2, idx_a2):
