@@ -9,9 +9,9 @@ scalar, so orbit connectivity under these generators is isomorphism.
 
 The sweep keeps, for every code, the first code of its orbit, so an explicit
 representation is located by encoding its matrices and reading that label: no
-isomorphism test runs after the sweep.  Krull-Schmidt data (signatures, brick
-tests) is computed by Fitting splittings found by sweeping endomorphism
-spaces; the sweeps are exhaustive, never sampled, and refused past SWEEP_CAP.
+isomorphism test runs after the sweep.  Krull-Schmidt signatures come from
+Fitting splittings found by sweeping endomorphism spaces, exhaustively and
+refused past SWEEP_CAP; bricks are read from submodule lattices (is_brick).
 Semibricks are every pairwise hom-orthogonal set of bricks, with no size cap.
 """
 
@@ -100,6 +100,8 @@ class Catalogue:
         self.bound = tuple(bound)
         if len(self.bound) != algebra.n:
             raise BudgetError("bound length does not match the number of vertices")
+        if any(b < 0 for b in self.bound):
+            raise WindowError("bound %r has a negative entry" % (self.bound,))
         load = sum(
             self.bound[a.source] * self.bound[a.target] for a in algebra.arrows
         )
@@ -335,20 +337,16 @@ class Catalogue:
 
     @memo
     def is_brick(self, idx):
-        p = self.algebra.p
-        if not self.is_indec(idx) or self.reps[idx].total_dim() == 0:
+        """A nonzero endomorphism that is not invertible is X -> X/S ~ T -> X,
+        with S its nonzero kernel and T its proper image, so X is a brick
+        unless a quotient by a nonzero submodule is a submodule (X/0 = X is
+        none).  Only indecomposable items build lattices; is_indec may raise
+        BudgetError."""
+        if not self.is_indec(idx):
             return False
-        ends = self.hom_basis(idx, idx)
-        r = len(ends)
-        if p**r > SWEEP_CAP:
-            raise BudgetError("endomorphism sweep too large: %d^%d" % (p, r))
-        for coeffs in itertools.product(range(p), repeat=r):
-            if not any(coeffs):
-                continue
-            phi = _combine(ends, coeffs, p)
-            if any(inverse(m, p) is None for m in phi if m):
-                return False
-        return True
+        pairs = self.subquot_pairs(idx)
+        subs = {s for s, _ in pairs}
+        return not any(q in subs for _, q in pairs)
 
     def bricks(self):
         return tuple(i for i in range(len(self.reps)) if self.is_brick(i))

@@ -50,6 +50,8 @@ def _parse_bound(text, n):
         raise SystemExit("bad bound %r, expected d1,d2,..." % text)
     if len(bound) != n:
         raise SystemExit("bound %r needs %d entries, one per vertex" % (text, n))
+    if min(bound) < 0:
+        raise SystemExit("bound %r has a negative entry" % text)
     return bound
 
 

@@ -25,7 +25,7 @@ from itertools import product
 from .algebra import memo
 from .catalogue import SWEEP_CAP
 from .linalg import rank
-from .silting import TwoTermComplex, _layout, twisted_kernel
+from .silting import TwoTermComplex, _layout, _unvec, twisted_kernel
 from .stability import _pairings, quadruple
 from .torsion import _on_indecomposables, left_perp
 
@@ -74,11 +74,7 @@ def map_from_coeffs(A, space, coeffs):
     if len(coeffs) != len(slots):
         raise PresentationError("coefficient vector has wrong length")
     minus, zero = space["minus"], space["zero"]
-    mat = [[{} for _ in minus] for _ in zero]
-    for (l, k, b), c in zip(slots, coeffs):
-        if c % A.p:
-            mat[l][k][b] = c % A.p
-    return TwoTermComplex(A, minus, zero, tuple(tuple(r) for r in mat))
+    return TwoTermComplex(A, minus, zero, _unvec(slots, len(minus), len(zero), coeffs))
 
 
 def tbar_of_map(cat, U):

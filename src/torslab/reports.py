@@ -39,7 +39,7 @@ from .silting import (
     silting_cone,
 )
 from .stability import classes_in, quadruple
-from .torsion import Window, _closure, mask_of, right_perp, t_of
+from .torsion import Window, mask_of, right_perp, semibrick_perp, t_of
 
 # cost cap for the single-map realization sweep inside the semistable suite
 TBAR_SWEEP_COST = 8192
@@ -353,19 +353,10 @@ def _semibrick_spans(cat, target):
     class target, or None.
 
     t_of(S) is the double perp of S, so it equals target exactly when S and
-    target have the same right perp.  The right perp of S is the AND of the
-    right perps of its bricks, each computed once per catalogue; no closure
-    is taken per semibrick."""
+    target have the same right perp, semibrick_perp(S); no closure is taken
+    per semibrick."""
     want = right_perp(cat, target)
-    perps = {i: _closure(cat, right_perp, (i,)) for i in cat.bricks()}
-    everything = mask_of(range(len(cat)))
-    for sb in cat.semibricks():
-        perp = everything
-        for i in sb:
-            perp &= perps[i]
-        if perp == want:
-            return sb
-    return None
+    return next((sb for sb in cat.semibricks() if semibrick_perp(cat, sb) == want), None)
 
 
 def suite_brickfinite(algebra, bound, algebra_id="algebra"):
@@ -457,12 +448,14 @@ def suite_scan(algebra_text, grid=(-4, 4), fields=(2, 3, 5), depth=6, bound=None
 
     Reparses the algebra over each requested prime, walks the grid, and
     keeps the weights whose rigidity verdict is not rigid.  For each such
-    weight and field the suite extracts the smallest semibrick generating
-    the weak semistable class in the window, re-verifies pairwise hom
-    orthogonality and brickness by direct computation, and tabulates the
-    semibrick sizes.  Growing sizes across fields are the desk-scale
-    shadow of an infinite semibrick.
+    weight and field (each prime once) the suite extracts the smallest
+    semibrick generating the weak semistable class in the window,
+    re-verifies hom orthogonality, brickness from submodule lattices and
+    generation, and tabulates the semibrick sizes.  Growing sizes across
+    fields are the desk-scale shadow of an infinite semibrick.
     """
+    if len(set(fields)) != len(fields):
+        raise ReportError("field list %r repeats a prime" % (tuple(fields),))
     algebras = {}
     for p in sorted(fields):
         algebras[p] = load_algebra(refield(algebra_text, p))

@@ -117,10 +117,7 @@ def _unvec(slots, nsrc, ndst, vec):
     rows = [[{} for _ in range(nsrc)] for _ in range(ndst)]
     for (l, k, b), c in zip(slots, vec):
         if c:
-            cell = rows[l][k]
-            if not cell:
-                rows[l][k] = cell = {}
-            cell[b] = c
+            rows[l][k][b] = c
     return tuple(tuple(rows[l][k] for k in range(nsrc)) for l in range(ndst))
 
 

@@ -260,29 +260,35 @@ def torsion_pair_of(cat, tmask):
     return tmask, fmask
 
 
+@memo
+def semibrick_perp(cat, sb):
+    """Right perp of the semibrick sb: the AND of its bricks' right perps,
+    each taken once per catalogue, one AND per semibrick with its prefix's."""
+    if not sb:
+        return mask_of(range(len(cat)))
+    return semibrick_perp(cat, sb[:-1]) & _closure(cat, right_perp, sb[-1:])
+
+
 def enumerate_torsion_classes(cat):
     """All torsion classes met by the window, via the semibrick sweep.
 
-    Each class is the double perp of a semibrick.  Every returned mask is
-    then verified closed under quotients by fac_closure and under
-    filtrations by filt_closure, whose DP over submodule lattices is a
-    construction independent of the perps.  A class that passes the first
-    check is closed under quotients, so filt_closure decides its
-    decomposable items by their summands and reads the lattices of
-    indecomposable items only; the smallest item its filtrations add would
-    be indecomposable (see filt_closure).  Completeness is certified
-    separately by re-running with a strictly larger bound (see
-    window_stable below).
+    Each class is the double perp of a semibrick: one left perp per
+    distinct semibrick_perp.  Every returned mask is then verified closed
+    under quotients by fac_closure and under filtrations by filt_closure,
+    whose DP over submodule lattices is a construction independent of the
+    perps.  A class that passes the first check is closed under quotients,
+    so filt_closure decides its decomposable items by their summands and
+    reads the lattices of indecomposable items only; the smallest item its
+    filtrations add would be indecomposable (see filt_closure).
+    Completeness is certified separately by re-running with a strictly
+    larger bound (see window_stable below).
     """
-    seen = {}
-    for sb in cat.semibricks():
-        m = t_of(cat, mask_of(sb))
-        if m not in seen:
-            seen[m] = sb
-    for m in seen:
+    perps = {semibrick_perp(cat, sb) for sb in cat.semibricks()}
+    classes = {left_perp(cat, f) for f in perps}
+    for m in classes:
         if _closure(cat, fac_closure, m) != m or filt_closure(cat, m) != m:
             raise WindowError("semibrick sweep produced a non-closed class")
-    return sorted(seen, key=lambda m: (m.bit_count(), m))
+    return sorted(classes, key=lambda m: (m.bit_count(), m))
 
 
 # -- compactness and finiteness predicates -------------------------------------

@@ -14,6 +14,10 @@ item; it shares only ``path_matrix`` and ``rank`` with
 ``torslab.presentations``.
 ``is_isomorphic_rep`` sweeps a hom space for an invertible map; the
 catalogue locates modules by orbit labels and runs no such test.
+``is_brick`` sweeps End(X) for a nonzero map that is not invertible, where
+the catalogue reads submodule lattices.  ``torsion_classes`` takes the double
+perp ``t_of`` of every semibrick, where the census takes one left perp per
+distinct right perp of a semibrick.
 
 ``rref_q`` is Gauss-Jordan elimination in ``Fraction`` arithmetic; the
 package itself eliminates over Q only with fraction-free integer pivots.
@@ -77,7 +81,7 @@ from torslab.silting import (
     vertex_key,
 )
 from torslab.stability import Quadruple
-from torslab.torsion import indices_of
+from torslab.torsion import indices_of, mask_of, t_of
 
 
 # -- dense Gauss-Jordan elimination over F_p ----------------------------------------
@@ -252,6 +256,33 @@ def is_isomorphic_rep(M, N, cap=SWEEP_CAP):
         if all(inverse(m, p) is not None for m in phi if m):
             return True
     return False
+
+
+def is_brick(cat, idx, cap=SWEEP_CAP):
+    """Exhaustive sweep of End(X) for a nonzero map that is not invertible;
+    X must be nonzero."""
+    X = cat.rep(idx)
+    if X.total_dim() == 0:
+        return False
+    p = X.algebra.p
+    ends = hom_space(X, X)
+    r = len(ends)
+    if p**r > cap:
+        raise BudgetError("endomorphism sweep too large: %d^%d" % (p, r))
+    for coeffs in itertools.product(range(p), repeat=r):
+        if not any(coeffs):
+            continue
+        phi = _combine(ends, coeffs, p)
+        if any(inverse(m, p) is None for m in phi if m):
+            return False
+    return True
+
+
+def torsion_classes(cat):
+    """The census as t_of of every semibrick, one double perp per semibrick,
+    ordered as enumerate_torsion_classes orders it."""
+    classes = {t_of(cat, mask_of(sb)) for sb in cat.semibricks()}
+    return sorted(classes, key=lambda m: (m.bit_count(), m))
 
 
 def submodule_families(cat, idx):

@@ -16,7 +16,8 @@ from torslab.catalogue import BudgetError, Catalogue, WindowError
 from torslab.linalg import inverse, mat_mul
 from torslab.torsion import enumerate_torsion_classes
 
-from conftest import bundled
+import oracles
+from conftest import SQUARE, bundled
 from oracles import is_isomorphic_rep
 
 
@@ -230,6 +231,52 @@ def test_bricks(cat_a2, cat_loop, cat_kron, cat_kron_big):
     assert len(cat_kron_big.bricks()) == 8
     indecs = [i for i in range(len(cat_kron_big)) if cat_kron_big.is_indec(i)]
     assert len(indecs) == 11
+
+
+# (bundled name or quiver text, field, bound)
+BRICK_WINDOWS = (
+    ("kronecker", 5, (2, 2)),
+    ("kronecker", 3, (2, 2)),
+    ("kronecker", 7, (1, 2)),
+    ("loop", None, (3,)),
+    ("pi_a2", None, (2, 2)),
+    ("pi_a3", None, (1, 1, 1)),
+    ("a2", None, (3, 3)),
+    (SQUARE, None, (1, 1, 1, 1)),
+)
+
+
+def test_bricks_match_end_sweep_oracle():
+    for name, p, bound in BRICK_WINDOWS:
+        A = load_algebra(name) if name == SQUARE else bundled(name, p)
+        cat = Catalogue(A, bound)
+        want = tuple(i for i in range(len(cat)) if oracles.is_brick(cat, i))
+        assert cat.bricks() == want, (name, p, bound)
+        if (name, p) == ("kronecker", 5):
+            # 20 bricks among 26 indecomposables; the (2,2) bricks of
+            # irreducible quadratics have End = F_25
+            assert len(want) == 20
+            assert sum(cat.is_indec(i) for i in range(len(cat))) == 26
+            assert any(cat.hom_dim(i, i) == 2 for i in want)
+
+
+def test_is_brick_sweeps_no_endomorphisms(kronecker, monkeypatch):
+    cat = Catalogue(kronecker, (2, 2))
+    for i in range(len(cat)):
+        cat.signature(i)
+
+    def refuse(*args):
+        raise AssertionError("is_brick swept an endomorphism space")
+
+    monkeypatch.setattr(catalogue, "_combine", refuse)
+    monkeypatch.setattr(catalogue, "inverse", refuse)
+    monkeypatch.setattr(Catalogue, "hom_basis", refuse)
+    assert len(cat.bricks()) == 8
+
+
+def test_negative_bound_is_a_window_error(a2):
+    with pytest.raises(WindowError):
+        Catalogue(a2, (-1, 2))
 
 
 def test_f4_brick_has_no_middle_submodule(cat_kron_big):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import bundled
+from conftest import SQUARE, bundled
 from torslab.algebra import (
     AlgebraError,
     direct_sum,
@@ -15,7 +15,7 @@ from torslab.algebra import (
     simple_module,
 )
 from torslab.catalogue import Catalogue, WindowError
-from torslab import reports
+from torslab import reports, torsion
 from torslab.reports import _semibrick_spans
 from torslab.silting import enumerate_silting
 from torslab.cones import cone_of_subcat, separating_functional
@@ -179,6 +179,7 @@ def test_semibrick_lookup_takes_one_perp_per_brick(monkeypatch):
         raise AssertionError("t_of called by the semibrick lookup")
 
     monkeypatch.setattr(reports, "right_perp", counted)
+    monkeypatch.setattr(torsion, "right_perp", counted)
     monkeypatch.setattr(reports, "t_of", refuse)
     for sb, target in cases:
         found = _semibrick_spans(cat, target)
@@ -186,6 +187,43 @@ def test_semibrick_lookup_takes_one_perp_per_brick(monkeypatch):
         assert original(cat, mask_of(found)) == original(cat, target)
     # one perp per target and at most one per brick
     assert len(calls) <= len(cases) + len(cat.bricks())
+
+
+# (bundled name or quiver text, field, bound)
+CENSUS_WINDOWS = (
+    ("kronecker", 3, (2, 2)),
+    ("kronecker", 2, (2, 3)),
+    ("kronecker", 7, (1, 2)),
+    ("loop", None, (3,)),
+    ("pi_a3", None, (1, 1, 1)),
+    ("a2", None, (3, 3)),
+    (SQUARE, None, (1, 1, 1, 1)),
+)
+
+
+def test_census_matches_t_of_per_semibrick(monkeypatch):
+    for name, p, bound in CENSUS_WINDOWS:
+        A = load_algebra(name) if name == SQUARE else bundled(name, p)
+        want = oracles.torsion_classes(Catalogue(A, bound))
+        cat = Catalogue(A, bound)
+        calls = []
+        original = torsion.left_perp
+
+        def counted(cat, gens):
+            calls.append(gens)
+            return original(cat, gens)
+
+        def refuse(*args):
+            raise AssertionError("t_of called by the census")
+
+        with monkeypatch.context() as m:
+            m.setattr(torsion, "left_perp", counted)
+            m.setattr(torsion, "t_of", refuse)
+            got = enumerate_torsion_classes(cat)
+        assert got == want, (name, p, bound)
+        # one left perp per distinct right perp of a semibrick, which is one
+        # per class
+        assert len(calls) == len(set(calls)) == len(got)
 
 
 def test_witnesses_ample_window(a2):
