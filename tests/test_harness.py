@@ -378,10 +378,10 @@ def test_cli_unknown_algebra_errors():
     [
         (("scan", "--algebra", "kronecker", "--fields", "2,4"), "field size 4"),
         (("verify", "--suite", "numdis", "--algebra", "kronecker", "--bound", "2"), "bound '2'"),
-        (("verify", "--suite", "numdis", "--algebra", "a2", "--bound", "-1,2"), "negative entry"),
-        (("scan", "--algebra", "kronecker", "--fields", "2,2"), "repeats a prime"),
         (("fan", "--algebra", "BAD_FILE"), "bad algebra: line 3"),
         (("fan", "--algebra", "kronecker", "--depth", "-1"), "depth must be nonnegative"),
+        (("verify", "--suite", "numdis", "--algebra", "a2", "--bound", "-1,2"), "negative entry"),
+        (("scan", "--algebra", "kronecker", "--fields", "2,2"), "repeats a prime"),
     ],
 )
 def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
