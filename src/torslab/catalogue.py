@@ -5,7 +5,10 @@ relations are enumerated up to simultaneous base change by sweeping the code
 space in lexicographic order and marking whole GL-orbits; the first unvisited
 code of an orbit is its canonical form.  GL(d_v, F_p) is generated by a cyclic
 permutation, the transvection I + E_12, and (for p > 2) a primitive diagonal
-scalar, so orbit connectivity under these generators is isomorphism.
+scalar, so orbit connectivity under these generators is isomorphism.  Each
+generator moves the codes of an arrow's block through one transition table,
+built column by column and row by row from the generator's action on short
+vectors, with no matrix product per code.
 
 The sweep keeps, for every code, the first code of its orbit, so an explicit
 representation is located by encoding its matrices and reading that label: no
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from operator import mul
 
 from .algebra import (
     AlgebraError,
@@ -88,6 +92,42 @@ def _gl_generators(d, p):
             )
         )
     return tuple(gens)
+
+
+def _digit_map(p, mat, groups):
+    """Table of a code under a linear map on disjoint groups of its digits.
+
+    Each group is a tuple of digit positions, and the group's digits, read as
+    a vector v, become mat.v at the same positions.  The groups cover every
+    digit, so a code's image is the sum of its groups' images, with no carry.
+    """
+    vecs = [t[::-1] for t in itertools.product(range(p), repeat=len(mat))]
+    images = [tuple(sum(map(mul, row, v)) % p for row in mat) for v in vecs]
+    codes, vals = [0], [0]
+    for pos in groups:
+        weights = [p**k for k in pos]
+        spread = [sum(map(mul, v, weights)) for v in vecs]
+        moved = [sum(map(mul, v, weights)) for v in images]
+        codes = [s + c for s in spread for c in codes]
+        vals = [m + x for m in moved for x in vals]
+    tab = [0] * len(codes)
+    for c, x in zip(codes, vals):
+        tab[c] = x
+    return tab
+
+
+def _transition_table(p, dt, ds, g, h):
+    """Code of g.m.h for every code of a dt x ds block m; g (h) is None when
+    the rows (columns) do not move.  g acts on each column and h on each row,
+    so each factor is a linear map on disjoint groups of the code's digits."""
+    tab = None
+    if g is not None:
+        tab = _digit_map(p, g, [tuple(range(j, dt * ds, ds)) for j in range(ds)])
+    if h is not None:
+        ht = tuple(zip(*h))
+        cols = _digit_map(p, ht, [tuple(range(i * ds, (i + 1) * ds)) for i in range(dt)])
+        tab = cols if tab is None else [cols[x] for x in tab]
+    return tab
 
 
 def _all_dims(bound):
@@ -166,17 +206,15 @@ class Catalogue:
                     if a.source != v and a.target != v:
                         tables.append(None)
                         continue
-                    dt, ds = dims[a.target], dims[a.source]
-                    size = p ** cells[ai]
-                    tab = [0] * size
-                    for bcode in range(size):
-                        m = self._decode_block(dt, ds, bcode)
-                        if a.target == v:
-                            m = mat_mul(g, m, p, inner=dt) if dt else m
-                        if a.source == v:
-                            m = mat_mul(m, ginv, p, inner=ds) if ds else m
-                        tab[bcode] = self._encode((m,))
-                    tables.append(tab)
+                    tables.append(
+                        _transition_table(
+                            p,
+                            dims[a.target],
+                            dims[a.source],
+                            g if a.target == v else None,
+                            ginv if a.source == v else None,
+                        )
+                    )
                 actions.append(tables)
         bases = []
         mult = 1

@@ -299,18 +299,24 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
     w = Window(algebra, bound)
     cat = w.cat
     hereditary = algebra.relations == ()
+    # the four legs depend on the two class cones only; many classes share them
+    pair_memo = {}
     checks = []
     for k, tmask in enumerate(w.classes):
         wit = w.witnesses(tmask)
         fmask = wit["perp"]
         ct = cone_of_subcat(cat, tmask)
         cf = cone_of_subcat(cat, fmask)
-        disjoint, certificate = numerically_disjoint(cat, tmask, fmask)
-        trivial, _ = intersect_trivially(ct, cf)
-        convex = is_strongly_convex(difference_cone(ct, cf))
-        # a disjoint pair's certificate is the simplex separator of these cones
-        separator = certificate[1] if disjoint else separating_functional(ct, cf)
-        legs = (disjoint, trivial, convex, separator is not None)
+        got = pair_memo.get((ct, cf))
+        if got is None:
+            disjoint, certificate = numerically_disjoint(cat, tmask, fmask)
+            trivial, _ = intersect_trivially(ct, cf)
+            convex = is_strongly_convex(difference_cone(ct, cf))
+            # a disjoint pair's certificate is the simplex separator of these cones
+            separator = certificate[1] if disjoint else separating_functional(ct, cf)
+            legs = (disjoint, trivial, convex, separator is not None)
+            got = pair_memo[(ct, cf)] = (disjoint, certificate, legs, separator)
+        disjoint, certificate, legs, separator = got
         agree = all(legs) or not any(legs)
         verified = None
         if separator is not None:

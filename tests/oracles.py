@@ -17,7 +17,11 @@ catalogue locates modules by orbit labels and runs no such test.
 ``is_brick`` sweeps End(X) for a nonzero map that is not invertible, where
 the catalogue reads submodule lattices.  ``torsion_classes`` takes the double
 perp ``t_of`` of every semibrick, where the census takes one left perp per
-distinct right perp of a semibrick.
+distinct right perp of a semibrick.  ``transition_images`` moves each block
+code of the orbit sweep by decoding it and taking matrix products, where the
+catalogue tabulates linear maps on groups of the code's digits.
+``numdis_checks`` solves all four separation legs for every class, where the
+suite solves them once per distinct pair of class cones.
 
 ``rref_q`` is Gauss-Jordan elimination in ``Fraction`` arithmetic; the
 package itself eliminates over Q only with fraction-free integer pivots.
@@ -64,8 +68,17 @@ from math import gcd, lcm
 
 from torslab.algebra import hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
-from torslab.cones import ConeError
-from torslab.linalg import inverse, rank, residual, row_space
+from torslab.cones import (
+    ConeError,
+    cone_of_subcat,
+    difference_cone,
+    intersect_trivially,
+    is_strongly_convex,
+    numerically_disjoint,
+    separating_functional,
+)
+from torslab.linalg import inverse, mat_mul, rank, residual, row_space
+from torslab.reports import _check, _dims, _witness_dims
 from torslab.silting import (
     SiltingError,
     _elem_sub,
@@ -80,8 +93,8 @@ from torslab.silting import (
     mutate,
     vertex_key,
 )
-from torslab.stability import Quadruple
-from torslab.torsion import indices_of, mask_of, t_of
+from torslab.stability import Quadruple, classes_in
+from torslab.torsion import Window, indices_of, mask_of, t_of
 
 
 # -- dense Gauss-Jordan elimination over F_p ----------------------------------------
@@ -276,6 +289,22 @@ def is_brick(cat, idx, cap=SWEEP_CAP):
         if any(inverse(m, p) is None for m in phi if m):
             return False
     return True
+
+
+def transition_images(p, dt, ds, g, h, codes):
+    """Code of g.m.h for each of the given codes of a dt x ds block m (g or h
+    None: that side does not move), by decoding the code and taking matrix
+    products."""
+    tab = []
+    for bcode in codes:
+        flat = [bcode // p**k % p for k in range(dt * ds)]
+        m = tuple(tuple(flat[i * ds : (i + 1) * ds]) for i in range(dt))
+        if g is not None:
+            m = mat_mul(g, m, p)
+        if h is not None:
+            m = mat_mul(m, h, p)
+        tab.append(sum(x * p**k for k, x in enumerate(x for row in m for x in row)))
+    return tab
 
 
 def torsion_classes(cat):
@@ -832,3 +861,57 @@ def enumerate_silting(A, depth):
         for key in sorted(info)
     )
     return {"depth": depth, "complete": complete, "vertices": vertices, "edges": tuple(sorted(edges))}
+
+
+# -- numerical separation, every leg solved for every class --------------------------
+
+
+def numdis_checks(algebra, bound):
+    """The checks of ``torslab.reports.suite_numdis`` with all four legs
+    solved anew for every class, not once per distinct pair of class cones."""
+    w = Window(algebra, bound)
+    cat = w.cat
+    hereditary = algebra.relations == ()
+    checks = []
+    for k, tmask in enumerate(w.classes):
+        wit = w.witnesses(tmask)
+        fmask = wit["perp"]
+        ct = cone_of_subcat(cat, tmask)
+        cf = cone_of_subcat(cat, fmask)
+        disjoint, certificate = numerically_disjoint(cat, tmask, fmask)
+        trivial, _ = intersect_trivially(ct, cf)
+        convex = is_strongly_convex(difference_cone(ct, cf))
+        separator = certificate[1] if disjoint else separating_functional(ct, cf)
+        legs = (disjoint, trivial, convex, separator is not None)
+        agree = all(legs) or not any(legs)
+        verified = None
+        if separator is not None:
+            verified = classes_in(cat, separator, tmask, fmask)
+        payload = {
+            "size": bin(tmask).count("1"),
+            "disjoint": disjoint,
+            "legs": list(legs),
+            "separator": list(separator) if separator is not None else None,
+            "separator-verified": verified,
+        }
+        if not disjoint:
+            payload["common-class"] = list(certificate[1])
+        bad = not agree or verified is False
+        checks.append(_check("numdis-pair[%d]" % k, "fail" if bad else "pass", payload))
+        if disjoint and wit["bicompact"]:
+            checks.append(
+                _check(
+                    "numdis-bicompact-ff[%d]" % k,
+                    "pass" if wit["ff"] else "window-limited",
+                    _witness_dims(cat, wit),
+                )
+            )
+        if hereditary and wit["bicompact"]:
+            checks.append(
+                _check(
+                    "hereditary-bicompact-fac[%d]" % k,
+                    "pass" if wit["fac"] is not None else "window-limited",
+                    {"fac": _dims(cat, wit["fac"])},
+                )
+            )
+    return checks

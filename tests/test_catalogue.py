@@ -246,6 +246,30 @@ BRICK_WINDOWS = (
 )
 
 
+def test_transition_tables_match_matrix_products():
+    # every generator of GL(dt) and GL(ds) on the dt x ds blocks, dims (1..3)^2
+    # at p = 2, 3, 5: as the base change at the target (rows), at the source
+    # (columns) and at both (a loop); at p = 5 the diagonal scalar is not its
+    # own inverse.  The 5^9 codes of (3,3) at p = 5 are left out (seconds of
+    # table building), and blocks of more than 729 codes are compared with the
+    # matrix products on every 13th code; every table must be a permutation.
+    for p in (2, 3, 5):
+        for dt, ds in itertools.product((1, 2, 3), repeat=2):
+            size = p ** (dt * ds)
+            if size > 20_000:
+                continue
+            codes = range(size) if size <= 729 else range(0, size, 13)
+            cases = [(g, None) for g in catalogue._gl_generators(dt, p)]
+            cases += [(None, inverse(g, p)) for g in catalogue._gl_generators(ds, p)]
+            if dt == ds:
+                cases += [(g, inverse(g, p)) for g in catalogue._gl_generators(dt, p)]
+            for g, h in cases:
+                tab = catalogue._transition_table(p, dt, ds, g, h)
+                assert sorted(tab) == list(range(size))
+                want = oracles.transition_images(p, dt, ds, g, h, codes)
+                assert [tab[c] for c in codes] == want, (p, dt, ds, g, h)
+
+
 def test_bricks_match_end_sweep_oracle():
     for name, p, bound in BRICK_WINDOWS:
         A = load_algebra(name) if name == SQUARE else bundled(name, p)

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from conftest import bundled_text
+import oracles
+from conftest import bundled, bundled_text
 from torslab import cli, cones, reports, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
@@ -168,11 +169,14 @@ def _count_calls(monkeypatch, name, original):
     return calls
 
 
-def test_numdis_computes_perp_and_separator_once_per_class(monkeypatch, a2):
+def test_numdis_computes_perp_once_per_class_and_separator_once_per_cone_pair(
+    monkeypatch, a2, kronecker_p3
+):
     perps = _count_calls(monkeypatch, "right_perp", torsion.right_perp)
     separators = _count_calls(monkeypatch, "separating_functional", cones.separating_functional)
     rep = reports.suite_numdis(a2, (2, 2), "a2")
     classes = sum(c["claim"].startswith("numdis-pair") for c in rep["checks"])
+    # on a2 (2,2) each of the 5 classes has its own pair of class cones
     assert classes == 5
     assert len(separators) == classes
     # right_perp also closes semibricks and single items; of its masks, only
@@ -181,6 +185,32 @@ def test_numdis_computes_perp_and_separator_once_per_class(monkeypatch, a2):
     zero = 1 << cat.zero_index()
     with_zero = [g for _, g in perps if isinstance(g, int) and g & zero]
     assert sorted(with_zero) == torsion.enumerate_torsion_classes(cat)
+    # the separation workload's window: 133 classes over 8 pairs of class cones
+    separators.clear()
+    rep = reports.suite_numdis(kronecker_p3, (2, 2), "kronecker")
+    w = torsion.Window(kronecker_p3, (2, 2))
+    pairs = {
+        (cones.cone_of_subcat(w.cat, t), cones.cone_of_subcat(w.cat, torsion.right_perp(w.cat, t)))
+        for t in w.classes
+    }
+    assert sum(c["claim"].startswith("numdis-pair") for c in rep["checks"]) == 133
+    assert len(pairs) == len(separators) == 8
+
+
+@pytest.mark.parametrize(
+    "name, p, bound",
+    (
+        ("kronecker", 3, (2, 2)),
+        ("kronecker", None, (2, 3)),
+        ("a2", None, (3, 3)),
+        ("pi_a3", None, (1, 1, 1)),
+    ),
+)
+def test_numdis_matches_per_class_legs_oracle(name, p, bound):
+    # one solve per distinct pair of class cones gives the checks that
+    # solving all four legs for every class gives
+    A = bundled(name, p)
+    assert reports.suite_numdis(A, bound, name)["checks"] == oracles.numdis_checks(A, bound)
 
 
 def test_census_reads_lattices_of_indecomposables_only(monkeypatch, capsys):
