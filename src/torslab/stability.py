@@ -1,15 +1,27 @@
 """Exact stability data over the window: the four classes cut out by a
 weight vector (two weights are TF equivalent when their quadruples are
 equal).  A weight is scaled to integers by a positive factor, which keeps
-every sign, so all comparisons run on Python integers."""
+every sign, so all comparisons run on Python integers.
+
+Whether an item lies in T_theta, Tbar_theta, F_theta or Fbar_theta depends
+only on the signs of <theta, v> over its nonzero quotient and submodule
+dimension vectors v (King, Quart. J. Math. 45 (1994)).  Every such v lies in
+the box 0 <= v <= bound, since a subquotient of an item is no larger than
+the item.  So the tuple of signs of <theta, v> over the nonzero vectors of
+the box, integers compared with zero, is an exact key: weights with equal
+sign vectors have equal quadruples, at any positive scale.  quadruple reads
+the four masks from a table on the catalogue keyed by it, and runs the
+per-item pass once per distinct sign vector.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 from operator import mul
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, memo
 from .torsion import indices_of
 
 
@@ -38,15 +50,21 @@ def _pairings(w, dimvectors):
     return [sum(map(mul, w, v)) for v in dimvectors if any(v)]
 
 
-def quadruple(cat, theta):
-    """The four classes at theta, a vector of ints or Fractions."""
-    w = _integer_weight(cat.algebra, theta)
-    zero_bit = 1 << cat.zero_index()
+@memo
+def _box(cat):
+    """Every nonzero dimension vector v with 0 <= v <= the bound."""
+    return tuple(v for v in product(*(range(b + 1) for b in cat.bound)) if any(v))
+
+
+@memo
+def _quadruple_of_signs(cat, signs):
+    """The four masks for the sign of the weight on each vector of _box."""
+    sign_of = dict(zip(_box(cat), signs))
     T = Tbar = F = Fbar = 0
     for idx in range(len(cat)):
         bit = 1 << idx
-        qvals = _pairings(w, cat.quotient_dimvectors(idx))
-        svals = _pairings(w, cat.submodule_dimvectors(idx))
+        qvals = [sign_of[v] for v in cat.quotient_dimvectors(idx) if any(v)]
+        svals = [sign_of[v] for v in cat.submodule_dimvectors(idx) if any(v)]
         if all(x > 0 for x in qvals):
             T |= bit
         if all(x >= 0 for x in qvals):
@@ -55,11 +73,21 @@ def quadruple(cat, theta):
             F |= bit
         if all(x <= 0 for x in svals):
             Fbar |= bit
-    if T & ~Tbar or F & ~Fbar:
-        raise ValueError("strict class not inside its weak class at %r" % (theta,))
-    if T & Fbar != zero_bit or Tbar & F != zero_bit:
-        raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
     return Quadruple(T, Tbar, F, Fbar)
+
+
+def quadruple(cat, theta):
+    """The four classes at theta, a vector of ints or Fractions: read from
+    a table on the catalogue, keyed by the weight's sign vector."""
+    w = _integer_weight(cat.algebra, theta)
+    signs = tuple((x > 0) - (x < 0) for x in _pairings(w, _box(cat)))
+    quad = _quadruple_of_signs(cat, signs)
+    zero_bit = 1 << cat.zero_index()
+    if quad.T & ~quad.Tbar or quad.F & ~quad.Fbar:
+        raise ValueError("strict class not inside its weak class at %r" % (theta,))
+    if quad.T & quad.Fbar != zero_bit or quad.Tbar & quad.F != zero_bit:
+        raise ValueError("torsion and torsion-free classes overlap at %r" % (theta,))
+    return quad
 
 
 def class_dimvectors(cat, mask):

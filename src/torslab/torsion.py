@@ -1,20 +1,27 @@
 """Torsion classes inside a catalogue window.
 
 Subcategories of the window are bitmasks over catalogue indices.  Quotient
-and submodule closures and both perps are decided on indecomposables: each
-is closed under finite sums and summands, so an item is in exactly when its
-Krull-Schmidt summands are, and indexed generators are replaced by their
-indecomposable summands.  An indecomposable item is tested by trace and
-reject arguments against explicit hom bases, read from tables cached per
-pair of indecomposable items, so membership is exact for every item of the
-window even when the generating modules live outside it.  The window is
-closed under submodules and quotients, so in it T(C) is the left perp of
-C^perp and F(C) the right perp of the left perp of C (Dickson, Trans. AMS
-121 (1966)).  The census is re-checked by two constructions independent
-of the perps: each class must equal its fac_closure and its filt_closure.
-The filtration DP reads the submodule lattices of indecomposable items
-only, because a class closed under quotients is closed under summands
-(see filt_closure).
+and submodule closures and both perps are closed under finite sums and
+summands, so an item is in exactly when its Krull-Schmidt summands are:
+the members are every item but those having a failing indecomposable as a
+summand, read from one table per catalogue of the items that have each
+indecomposable as a summand.  Indexed generators are replaced by their
+indecomposable summands.  An indexed perp tests no item: it is the full
+mask less the OR of one Hom-support row per generator g, the items with a
+nonzero map to g (left perp) or from g (right perp), each row the OR of the
+summand masks of the indecomposables with a nonzero hom basis to or from g,
+built once per catalogue on first use.  The closures, and the perps of
+explicit generators, test each indecomposable item by trace and reject
+arguments against explicit hom bases, read from tables cached per pair of
+indecomposable items, so membership is exact for every item of the window
+even when the generating modules live outside it.  The window is closed
+under submodules and quotients, so in it T(C) is the left perp of C^perp
+and F(C) the right perp of the left perp of C (Dickson, Trans. AMS 121
+(1966)).  The census is re-checked by two constructions independent of the
+perps: each class must equal its fac_closure and its filt_closure.  The
+filtration DP reads the submodule lattices of indecomposable items only,
+because a class closed under quotients is closed under summands (see
+filt_closure).
 """
 
 from __future__ import annotations
@@ -66,22 +73,28 @@ def _generators(cat, gens):
     return sorted(items), explicit
 
 
+@memo
+def _summand_masks(cat):
+    """Per indecomposable item i, in order of total dimension: (i, the mask
+    of the items that have i as a Krull-Schmidt summand)."""
+    out = {}
+    for idx in cat.by_total_dim():
+        for s in cat.signature(idx):
+            out[s] = out.get(s, 0) | (1 << idx)
+    return tuple(out.items())
+
+
 def _on_indecomposables(cat, member):
     """Mask of the items all of whose indecomposable summands pass member.
 
     Fac, Sub and both perps are closed under finite sums and summands, so a
-    decomposable item is in exactly when its summands are; they are smaller,
-    hence decided first in order of total dimension.
+    decomposable item is in exactly when its summands are: the members are
+    every item but those that have a failing indecomposable as a summand.
     """
-    out = 0
-    for idx in cat.by_total_dim():
-        sig = cat.signature(idx)
-        if sig == (idx,):
-            ok = member(idx)
-        else:
-            ok = all((out >> s) & 1 for s in sig)
-        if ok:
-            out |= 1 << idx
+    out = (1 << len(cat)) - 1
+    for i, having in _summand_masks(cat):
+        if not member(i):
+            out &= ~having
     return out
 
 
@@ -209,34 +222,55 @@ def filt_closure(cat, mask):
     return out
 
 
+@memo
+def _hom_support(cat, g, into):
+    """Mask of the items X with Hom(X, g) != 0 when into, else with
+    Hom(g, X) != 0, for an indecomposable item g: the OR of the summand
+    masks of the indecomposables with a nonzero hom basis to or from g.
+    One row per generator and direction, built on first use."""
+    out = 0
+    for i, having in _summand_masks(cat):
+        if cat.hom_basis(i, g) if into else cat.hom_basis(g, i):
+            out |= having
+    return out
+
+
+def _perp(cat, gens, into):
+    """left_perp when into, else right_perp."""
+    items, explicit = _generators(cat, gens)
+    out = (1 << len(cat)) - 1
+    if explicit:
+
+        def member(x):
+            X = cat.rep(x)
+            return not any(hom_space(X, G) if into else hom_space(G, X) for G in explicit)
+
+        out = _on_indecomposables(cat, member)
+    for g in items:
+        out &= ~_hom_support(cat, g, into)
+    return out
+
+
 def left_perp(cat, gens):
     """Items X with Hom(X, G) = 0 for every generator G.
 
-    Every item's signature must be computable, as for fac_closure.
+    For indexed generators, the full mask less the OR of the rows of items
+    with a nonzero map to each indecomposable summand; explicit generators
+    are tested on indecomposable items.  Every item's signature must be
+    computable, as for fac_closure.
     """
-    items, explicit = _generators(cat, gens)
-
-    def member(x):
-        return not any(cat.hom_basis(x, g) for g in items) and not any(
-            hom_space(cat.rep(x), G) for G in explicit
-        )
-
-    return _on_indecomposables(cat, member)
+    return _perp(cat, gens, True)
 
 
 def right_perp(cat, gens):
     """Items X with Hom(G, X) = 0 for every generator G.
 
-    Every item's signature must be computable, as for fac_closure.
+    For indexed generators, the full mask less the OR of the rows of items
+    with a nonzero map from each indecomposable summand; explicit generators
+    are tested on indecomposable items.  Every item's signature must be
+    computable, as for fac_closure.
     """
-    items, explicit = _generators(cat, gens)
-
-    def member(x):
-        return not any(cat.hom_basis(g, x) for g in items) and not any(
-            hom_space(G, cat.rep(x)) for G in explicit
-        )
-
-    return _on_indecomposables(cat, member)
+    return _perp(cat, gens, False)
 
 
 def t_of(cat, gens):

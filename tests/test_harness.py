@@ -5,15 +5,16 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import oracles
 from conftest import bundled, bundled_text
-from torslab import cli, cones, reports, torsion
+from torslab import cli, cones, reports, stability, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
-from torslab.algebra import load_algebra
+from torslab.algebra import load_algebra, memo
 
 # linear A3: hereditary and representation-finite, so every torsion class is
 # functorially finite (Adachi-Iyama-Reiten), but at bound (1,1,1) some of the
@@ -195,6 +196,29 @@ def test_numdis_computes_perp_once_per_class_and_separator_once_per_cone_pair(
     }
     assert sum(c["claim"].startswith("numdis-pair") for c in rep["checks"]) == 133
     assert len(pairs) == len(separators) == 8
+
+
+def test_semistable_runs_the_per_item_pass_once_per_sign_vector(monkeypatch, a2):
+    # the chambers workload's window and grid: 625 weights, whose signs on the
+    # 8 nonzero vectors of the box (2,2) fall on 5 lines, so 21 sign vectors
+    quads = _count_calls(monkeypatch, "quadruple", stability.quadruple)
+    passes = []
+    per_item_pass = stability._quadruple_of_signs.__wrapped__
+
+    def counted(cat, signs):
+        passes.append(signs)
+        return per_item_pass(cat, signs)
+
+    monkeypatch.setattr(stability, "_quadruple_of_signs", memo(counted))
+    reports.suite_semistable(a2, (2, 2), grid=(-12, 12), depth=6, algebra_id="a2")
+    assert len(quads) == 625
+    assert len(passes) == len(set(passes)) == 21
+    # positive multiples, scaled by ints or Fractions, share their weight's key
+    cat = quads[0][0]
+    for theta in ((3, -2), (0, 5), (Fraction(1, 2), Fraction(-7, 3))):
+        got = {stability.quadruple(cat, tuple(k * t for t in theta)) for k in (1, 4, Fraction(2, 9))}
+        assert len(got) == 1
+    assert len(passes) == 21
 
 
 @pytest.mark.parametrize(

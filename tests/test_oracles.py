@@ -40,8 +40,8 @@ def _agree(cat, gens):
         assert getattr(torsion, name)(cat, gens) == want[name], (name, gens)
     # the torsion and torsion-free closures are double perps; their
     # reference is the filtration DP over the oracle's Fac and Sub
-    assert torsion.t_of(cat, gens) == filt_closure(cat, want["fac_closure"]), gens
-    assert torsion.f_of(cat, gens) == filt_closure(cat, want["sub_closure"]), gens
+    assert torsion.t_of(cat, gens) == oracles.filt_closure(cat, want["fac_closure"]), gens
+    assert torsion.f_of(cat, gens) == oracles.filt_closure(cat, want["sub_closure"]), gens
 
 
 def test_closures_match_oracle_on_masks(window):
@@ -56,6 +56,43 @@ def test_closures_match_oracle_on_masks(window):
         masks += [tmask, torsion.right_perp(cat, tmask)]
     for m in masks:
         _agree(cat, m)
+
+
+# (bundled name, field, bound); pi_a2 and pi_a3 have relations
+PERP_WINDOWS = (
+    ("a2", None, (2, 2)),
+    ("kronecker", 2, (2, 3)),
+    ("kronecker", 3, (2, 2)),
+    ("loop", None, (3,)),
+    ("pi_a2", None, (2, 2)),
+    ("pi_a3", None, (1, 1, 1)),
+)
+
+
+@pytest.mark.parametrize("name, p, bound", PERP_WINDOWS, ids=lambda w: str(w))
+def test_perps_match_oracle_on_classes_items_and_masks(name, p, bound, monkeypatch):
+    # indexed perps are ORs of Hom-support rows over summand masks; an
+    # explicit generator beside an indexed one keeps the per-item test
+    cat = Catalogue(bundled(name, p), bound)
+    # the oracles solve each hom space once per pair of modules here, so that
+    # 200 generator sets over 46 items take seconds, not minutes
+    homs = {}
+    solve = oracles.hom_space
+
+    def hom_once(X, Y):
+        if (X, Y) not in homs:
+            homs[X, Y] = solve(X, Y)
+        return homs[X, Y]
+
+    monkeypatch.setattr(oracles, "hom_space", hom_once)
+    rng = random.Random(21)
+    full = (1 << len(cat)) - 1
+    inputs = enumerate_torsion_classes(cat) + [(i,) for i in range(len(cat))]
+    inputs += [rng.randrange(full + 1) for _ in range(30)]
+    for gens in inputs:
+        _agree(cat, gens)
+    i, j, k = (rng.randrange(len(cat)) for _ in range(3))
+    _agree(cat, [k, direct_sum(cat.rep(i), cat.rep(j))])
 
 
 def test_closures_match_oracle_on_explicit_modules(window):

@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -386,14 +387,43 @@ def _random_rational_theta(rng, n):
     return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
 
 
-@pytest.mark.parametrize("name,bound", [("a2", (2, 2)), ("kronecker", (2, 2)), ("loop", (3,))])
-def test_quadruple_matches_rational_oracle(name, bound, monkeypatch):
-    cat = Catalogue(bundled(name), bound)
+def _wall_thetas(rng, box, n, count):
+    """Weights on walls: theta = r |v|^2 - v <r, v> pairs to 0 with the box
+    vector v, for a random integer r, some of them divided by 3."""
+    out = []
+    for _ in range(count):
+        v = rng.choice(box)
+        r = [rng.randint(-4, 4) for _ in range(n)]
+        vv, rv = sum(x * x for x in v), sum(a * b for a, b in zip(r, v))
+        theta = tuple(a * vv - x * rv for a, x in zip(r, v))
+        out.append(theta if rng.random() < 0.5 else tuple(Fraction(t, 3) for t in theta))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,p,bound",
+    [
+        pytest.param("a2", None, (2, 2), id="a2-bound0"),
+        pytest.param("kronecker", None, (2, 2), id="kronecker-bound1"),
+        pytest.param("loop", None, (3,), id="loop-bound2"),
+        pytest.param("kronecker", 3, (2, 2), id="kronecker-p3-(2, 2)"),
+        pytest.param("pi_a3", None, (1, 1, 1), id="pi_a3-(1, 1, 1)"),
+    ],
+)
+def test_quadruple_matches_rational_oracle(name, p, bound, monkeypatch):
+    # quadruple reads the four masks from a table keyed by the weight's sign
+    # vector over the box of dimension vectors; walls, positive multiples and
+    # Fractions must find the masks the rational pairing gives
+    cat = Catalogue(bundled(name, p), bound)
     n = cat.algebra.n
     rng = random.Random(8)
-    thetas = [(0,) * n, (Fraction(0),) * n, (1, -1)[:n], (Fraction(1, 3), Fraction(-1, 2))[:n]]
+    box = [v for v in itertools.product(*(range(b + 1) for b in bound)) if any(v)]
+    thetas = [(0,) * n, (Fraction(0),) * n, (1, -1, 1)[:n]]
+    thetas += [(Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5))[:n]]
     thetas += [_random_rational_theta(rng, n) for _ in range(150)]
     thetas += [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(50)]
+    thetas += _wall_thetas(rng, box, n, 50)
+    thetas += [tuple(k * t for t in theta) for theta in thetas[4:34] for k in (2, Fraction(5, 7))]
     want = []
     for theta in thetas:
         try:
