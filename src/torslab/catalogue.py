@@ -139,7 +139,7 @@ class Catalogue:
         self.algebra = algebra
         self.bound = tuple(bound)
         if len(self.bound) != algebra.n:
-            raise BudgetError("bound length does not match the number of vertices")
+            raise WindowError("bound length does not match the number of vertices")
         if any(b < 0 for b in self.bound):
             raise WindowError("bound %r has a negative entry" % (self.bound,))
         load = sum(

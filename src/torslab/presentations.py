@@ -12,25 +12,26 @@ and the Nakayama duality turns the twisted kernel condition into exactly
 that rank condition.  The rank form decides membership everywhere here:
 the class of one map is read on indecomposable items only, since it is
 closed under sums and summands, and the path actions on each item are a
-table on the catalogue.  Sampled maps of the sweep are re-checked against
-the perp of the twisted kernel module itself.
+table on the catalogue.  fei_union_check sweeps the maps of each level in
+order until their classes cover the weak class, or refuses with
+BudgetError before sweeping when a level is too large; no map is drawn at
+random.  Evenly spaced maps of each level are re-checked against the perp
+of the twisted kernel module itself.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 
 from .algebra import memo
-from .catalogue import SWEEP_CAP
+from .catalogue import SWEEP_CAP, BudgetError
 from .linalg import rank
 from .silting import TwoTermComplex, _layout, _unvec, twisted_kernel
 from .stability import _pairings, quadruple
-from .torsion import _on_indecomposables, left_perp
+from .torsion import _on_indecomposables, indices_of, left_perp
 
 SAMPLE_CHECKS = 24
-_SAMPLE_SEED = 9173
 
 
 class PresentationError(Exception):
@@ -159,66 +160,54 @@ def fei_union_check(cat, theta, l_max):
     compare the union of the induced classes with the weak semistable class.
 
     Containment of every induced class in the weak class is certified once
-    per excluded item by a negative quotient weight; coverage is accumulated
-    over swept maps.  Levels whose space exceeds SWEEP_CAP are sampled and
-    flagged partial.  Returns a report dict.
+    per excluded item by a negative quotient weight, and every class read
+    is checked against the weak class.  Coverage is the OR of tbar_of_map
+    over the maps of each level, in sweep order, until it reaches the weak
+    class.  SAMPLE_CHECKS evenly spaced maps per level are re-checked
+    against the perp of the twisted kernel.  Raises BudgetError before any
+    level is swept when a space exceeds SWEEP_CAP maps.  Returns a report
+    dict.
     """
     A = cat.algebra
     theta = _integral(theta)
     if l_max < 1:
         raise PresentationError("need at least one level")
+    spaces = [presentation_space(A, tuple(l * t for t in theta)) for l in range(1, l_max + 1)]
+    for l, space in enumerate(spaces, 1):
+        if A.p ** space["dim"] > SWEEP_CAP:
+            raise BudgetError(
+                "presentation space at level %d too large to sweep: %d^%d maps"
+                % (l, A.p, space["dim"])
+            )
     target = quadruple(cat, theta).Tbar
     certs = _exclusion_certificates(cat, theta, target)
-    rng = random.Random(_SAMPLE_SEED)
+
+    def induced(U):
+        tmask = tbar_of_map(cat, U)
+        if tmask & ~target:
+            raise PresentationError("induced class leaks outside the weak class")
+        return tmask
+
     covered = 1 << cat.zero_index()
     levels = []
     first_full = None
     checked = 0
-    for l in range(1, l_max + 1):
-        space = presentation_space(A, tuple(l * t for t in theta))
+    for l, space in enumerate(spaces, 1):
         dim = space["dim"]
         total = A.p**dim
-        partial = total > SWEEP_CAP
-        if partial:
-            sweep = (
-                tuple(rng.randrange(A.p) for _ in range(dim)) for _ in range(SWEEP_CAP)
-            )
-            swept = SWEEP_CAP
-        else:
-            sweep = product(range(A.p), repeat=dim)
-            swept = total
-        todo = [i for i in range(len(cat)) if (target >> i) & 1 and not (covered >> i) & 1]
-        sampled = []
-        for pos, coeffs in enumerate(sweep):
-            if todo:
-                U = map_from_coeffs(A, space, coeffs)
-                hits = [i for i in todo if in_perp_of_kernel(U, cat, i)]
-                for i in hits:
-                    covered |= 1 << i
-                if hits:
-                    todo = [i for i in todo if not (covered >> i) & 1]
-            elif len(sampled) >= SAMPLE_CHECKS:
+        for coeffs in product(range(A.p), repeat=dim):
+            if covered == target:
                 break
-            if len(sampled) < SAMPLE_CHECKS and pos % max(1, swept // SAMPLE_CHECKS) == 0:
-                sampled.append(coeffs)
-        for coeffs in sampled:
+            covered |= induced(map_from_coeffs(A, space, coeffs))
+        step = max(1, total // SAMPLE_CHECKS)
+        for pos in range(0, total, step)[:SAMPLE_CHECKS]:
+            # the map at this position of the sweep order: pos in base p
+            coeffs = tuple(pos // A.p**k % A.p for k in reversed(range(dim)))
             U = map_from_coeffs(A, space, coeffs)
-            tmask = tbar_of_map(cat, U)
-            if tmask != left_perp(cat, [twisted_kernel(U)]):
+            if induced(U) != left_perp(cat, [twisted_kernel(U)]):
                 raise PresentationError("rank form disagrees with the kernel form")
-            if tmask & ~target:
-                raise PresentationError("induced class leaks outside the weak class")
             checked += 1
-        levels.append(
-            {
-                "level": l,
-                "dim": dim,
-                "total": total,
-                "swept": swept,
-                "partial": partial,
-                "covered": covered.bit_count(),
-            }
-        )
+        levels.append({"level": l, "dim": dim, "total": total, "covered": covered.bit_count()})
         if first_full is None and covered == target:
             first_full = l
     return {
@@ -227,9 +216,7 @@ def fei_union_check(cat, theta, l_max):
         "levels": levels,
         "equality": covered == target,
         "first_full_level": first_full,
-        "uncovered": tuple(
-            i for i in range(len(cat)) if (target >> i) & 1 and not (covered >> i) & 1
-        ),
+        "uncovered": indices_of(target & ~covered),
         "excluded_certificates": len(certs),
         "cross_checked": checked,
         "window_relative": True,

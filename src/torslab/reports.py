@@ -151,7 +151,7 @@ def suite_smalo(algebra, bound, algebra_id="algebra"):
     for k, tmask in enumerate(w.classes):
         wit = w.witnesses(tmask)
         payload = _witness_dims(w.cat, wit)
-        payload["size"] = bin(tmask).count("1")
+        payload["size"] = tmask.bit_count()
         if wit["ff"]:
             # the conclusion: a functorially finite class is bicompact
             status = "pass" if wit["bicompact"] else "fail"
@@ -322,7 +322,7 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
         if separator is not None:
             verified = classes_in(cat, separator, tmask, fmask)
         payload = {
-            "size": bin(tmask).count("1"),
+            "size": tmask.bit_count(),
             "disjoint": disjoint,
             "legs": list(legs),
             "separator": list(separator) if separator is not None else None,

@@ -215,7 +215,6 @@ def direct_sum_complex(parts, A):
         minus.extend(part.minus)
         zero.extend(part.zero)
     mat = []
-    roff = 0
     coff = 0
     nm = len(minus)
     for part in parts:
@@ -224,7 +223,6 @@ def direct_sum_complex(parts, A):
             for k in range(len(part.minus)):
                 row[coff + k] = dict(part.mat[l][k])
             mat.append(tuple(row))
-        roff += len(part.zero)
         coff += len(part.minus)
     return TwoTermComplex(A, tuple(minus), tuple(zero), tuple(mat))
 

@@ -17,11 +17,12 @@ per-item pass once per distinct sign vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
+from numbers import Rational
 from operator import mul
 
 from .algebra import AlgebraError, memo
+from .catalogue import _all_dims
 from .torsion import indices_of
 
 
@@ -42,6 +43,9 @@ def _integer_weight(A, theta):
     is their plain dot product."""
     if len(theta) != A.n:
         raise AlgebraError("length mismatch in pairing")
+    for t in theta:
+        if not isinstance(t, Rational):
+            raise AlgebraError("weight entry %r is not an int or a Fraction" % (t,))
     den = lcm(*(t.denominator for t in theta))
     return [t.numerator * (den // t.denominator) for t in theta]
 
@@ -53,7 +57,7 @@ def _pairings(w, dimvectors):
 @memo
 def _box(cat):
     """Every nonzero dimension vector v with 0 <= v <= the bound."""
-    return tuple(v for v in product(*(range(b + 1) for b in cat.bound)) if any(v))
+    return tuple(v for v in _all_dims(cat.bound) if any(v))
 
 
 @memo

@@ -10,12 +10,14 @@ indecomposable summands.  An indexed perp tests no item: it is the full
 mask less the OR of one Hom-support row per generator g, the items with a
 nonzero map to g (left perp) or from g (right perp), each row the OR of the
 summand masks of the indecomposables with a nonzero hom basis to or from g,
-built once per catalogue on first use.  The closures, and the perps of
-explicit generators, test each indecomposable item by trace and reject
-arguments against explicit hom bases, read from tables cached per pair of
-indecomposable items, so membership is exact for every item of the window
-even when the generating modules live outside it.  The window is closed
-under submodules and quotients, so in it T(C) is the left perp of C^perp
+built once per catalogue on first use.  The perps of explicit generators
+test each indecomposable item by its hom spaces.  Fac and Sub closures
+share one body, which tests each indecomposable item by a trace (Fac) or
+reject (Sub) argument against explicit hom bases, those of indexed
+generators read from one table cached per pair of indecomposable items
+and direction, so membership is exact for every item of the window even
+when the generating modules live outside it.  The window is closed under
+submodules and quotients, so in it T(C) is the left perp of C^perp
 and F(C) the right perp of the left perp of C (Dickson, Trans. AMS 121
 (1966)).  The census is re-checked by two constructions independent of the
 perps: each class must equal its fac_closure and its filt_closure.  The
@@ -98,30 +100,20 @@ def _on_indecomposables(cat, member):
     return out
 
 
-def _images(homs, v):
-    """The columns of every map at vertex v: the images of basis vectors."""
-    return [col for phi in homs for col in zip(*phi[v])]
-
-
-def _rows(homs, v):
-    return [row for phi in homs for row in phi[v]]
+def _vectors(homs, v, into):
+    """At vertex v, the rows of every map when into, else its columns (the
+    images of basis vectors)."""
+    return [r for phi in homs for r in (phi[v] if into else zip(*phi[v]))]
 
 
 @memo
-def _trace_rows(cat, g, x):
-    """Per vertex, a basis of the images of all maps from item g to item x."""
-    homs = cat.hom_basis(g, x)
+def _span_rows(cat, g, x, into):
+    """Per vertex, a basis of the rows of all maps from item x to item g
+    when into, whose common kernel is the reject of g in x; else of the
+    images of all maps from g to x, which span the trace of g in x."""
+    homs = cat.hom_basis(x, g) if into else cat.hom_basis(g, x)
     p = cat.algebra.p
-    return tuple(row_space(_images(homs, v), p) for v in range(cat.algebra.n))
-
-
-@memo
-def _reject_rows(cat, x, g):
-    """Per vertex, a basis of the rows of all maps from item x to item g;
-    their common kernel is the reject of g in x."""
-    homs = cat.hom_basis(x, g)
-    p = cat.algebra.p
-    return tuple(row_space(_rows(homs, v), p) for v in range(cat.algebra.n))
+    return tuple(row_space(_vectors(homs, v, into), p) for v in range(cat.algebra.n))
 
 
 def _full_rank(cat, x, blocks):
@@ -134,6 +126,21 @@ def _full_rank(cat, x, blocks):
     )
 
 
+def _span_closure(cat, gens, into):
+    """sub_closure when into, else fac_closure."""
+    items, explicit = _generators(cat, gens)
+    n = cat.algebra.n
+
+    def member(x):
+        X = cat.rep(x)
+        homs = [phi for G in explicit for phi in (hom_space(X, G) if into else hom_space(G, X))]
+        blocks = [_span_rows(cat, g, x, into) for g in items]
+        blocks.append([_vectors(homs, v, into) for v in range(n)])
+        return _full_rank(cat, x, blocks)
+
+    return _on_indecomposables(cat, member)
+
+
 def fac_closure(cat, gens):
     """Items that are quotients of finite direct sums of the generators.
 
@@ -142,16 +149,7 @@ def fac_closure(cat, gens):
     signature must be computable: on a catalogue where decompose_rep raises
     BudgetError, this raises too.
     """
-    items, explicit = _generators(cat, gens)
-    n = cat.algebra.n
-
-    def member(x):
-        homs = [phi for G in explicit for phi in hom_space(G, cat.rep(x))]
-        blocks = [_trace_rows(cat, g, x) for g in items]
-        blocks.append([_images(homs, v) for v in range(n)])
-        return _full_rank(cat, x, blocks)
-
-    return _on_indecomposables(cat, member)
+    return _span_closure(cat, gens, False)
 
 
 def sub_closure(cat, gens):
@@ -161,16 +159,7 @@ def sub_closure(cat, gens):
     have no common kernel: their rows have rank dim X_v at every vertex v.
     Every item's signature must be computable, as for fac_closure.
     """
-    items, explicit = _generators(cat, gens)
-    n = cat.algebra.n
-
-    def member(x):
-        homs = [phi for G in explicit for phi in hom_space(cat.rep(x), G)]
-        blocks = [_reject_rows(cat, x, g) for g in items]
-        blocks.append([_rows(homs, v) for v in range(n)])
-        return _full_rank(cat, x, blocks)
-
-    return _on_indecomposables(cat, member)
+    return _span_closure(cat, gens, True)
 
 
 @memo

@@ -303,6 +303,13 @@ def test_negative_bound_is_a_window_error(a2):
         Catalogue(a2, (-1, 2))
 
 
+def test_bound_of_wrong_length_is_a_window_error(a2):
+    # malformed input, not a window too large for the budget
+    for bound in ((2,), (2, 2, 2), ()):
+        with pytest.raises(WindowError, match="bound length"):
+            Catalogue(a2, bound)
+
+
 def test_f4_brick_has_no_middle_submodule(cat_kron_big):
     f4 = None
     for i in cat_kron_big.bricks():

@@ -275,38 +275,36 @@ def test_traced_entry_points_exist():
         assert callable(obj), entry
 
 
-def test_runtime_imports_only_stdlib():
+def _runtime_imports():
+    """(file stem, module name) for every absolute import in src/torslab."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torslab"
     files = sorted(src.glob("*.py"))
     assert files
+    out = []
     for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                out.extend((path.stem, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                out.append((path.stem, node.module))
+    return out
+
+
+def test_runtime_imports_only_stdlib():
+    for stem, name in _runtime_imports():
+        assert name.split(".")[0] in sys.stdlib_module_names, (stem, name)
+
+
+def test_runtime_imports_no_random():
+    # every sweep is exhaustive or refused; nothing is sampled at random
+    for stem, name in _runtime_imports():
+        assert name.split(".")[0] != "random", stem
 
 
 def test_only_cone_presentation_and_report_code_imports_fractions():
     # signs and eliminations run on integers; Fraction is left for the
     # simplex's solutions, integrality checks of weights and report output
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torslab"
-    importers = set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if "fractions" in names:
-                importers.add(path.stem)
+    importers = {stem for stem, name in _runtime_imports() if name == "fractions"}
     assert importers <= {"cones", "presentations", "reports"}, importers
 
 

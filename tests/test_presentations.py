@@ -5,7 +5,8 @@ import pytest
 import oracles
 from conftest import bundled
 from torslab.algebra import simple_module
-from torslab.catalogue import Catalogue
+from torslab import presentations
+from torslab.catalogue import BudgetError, Catalogue
 from torslab.presentations import (
     PresentationError,
     fei_union_check,
@@ -121,11 +122,24 @@ def test_fei_union_a2(cat_a2):
 def test_fei_union_kronecker(cat_kron):
     r = fei_union_check(cat_kron, (1, -1), 3)
     assert r["levels"][2]["total"] == 2**18
-    assert not any(lv["partial"] for lv in r["levels"])
     # containment is structural; the equality flag is data
     assert r["equality"]
     assert r["first_full_level"] == 1
     assert r["target_size"] == 20
+
+
+def test_fei_union_refuses_a_level_too_large_to_sweep(cat_kron, monkeypatch):
+    # level 4 of (1, -1) on Kronecker has 2^32 maps, over SWEEP_CAP: the
+    # check raises before any level is swept, rather than sampling
+    assert presentation_space(cat_kron.algebra, (4, -4))["dim"] == 32
+
+    def refuse(*args):
+        raise AssertionError("built a presentation map before the budget check")
+
+    monkeypatch.setattr(presentations, "map_from_coeffs", refuse)
+    monkeypatch.setattr(presentations, "tbar_of_map", refuse)
+    with pytest.raises(BudgetError, match="level 4"):
+        fei_union_check(cat_kron, (1, -1), 4)
 
 
 def test_membership(cat_a2, cat_kron, a2, kronecker):

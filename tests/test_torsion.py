@@ -1,7 +1,9 @@
+import decimal
 import fractions
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -339,6 +341,16 @@ def test_quadruple_kronecker_strict_vs_weak(cat_kron):
     for b in bricks:
         assert not (q.T >> b) & 1
         assert (q.Tbar >> b) & 1
+
+
+def test_weight_entries_must_be_ints_or_fractions(cat_a2):
+    # a float has no exact sign on a wall; the error names the entry
+    for bad in (0.5, 1.0, "1", decimal.Decimal("0.5"), None):
+        with pytest.raises(AlgebraError, match=re.escape(repr(bad))):
+            quadruple(cat_a2, (bad, 1))
+        with pytest.raises(AlgebraError, match=re.escape(repr(bad))):
+            classes_in(cat_a2, (1, bad), 0, 0)
+    assert quadruple(cat_a2, (Fraction(1, 2), -1)) == quadruple(cat_a2, (1, -2))
 
 
 def test_tf_equivalence_and_cw(cat_a2):
