@@ -20,6 +20,9 @@ form a monomial ideal, and monomial complements are closed under subpaths).
 Inhomogeneous admissible relations get an extra window-stability pass.
 ``A.paths[i][j]`` is the one index of basis paths from i to j; the
 projective and injective layouts and ``paths_between`` all read it.
+``path_map`` is the one matrix of multiplication of basis paths by algebra
+elements: the arrow actions on projectives and injectives and the maps of a
+two-term complex in the silting layer are its blocks.
 
 ``memo`` is the one cache primitive of the package: every memoised result,
 here and in the catalogue, torsion and silting layers, is stored on the
@@ -513,33 +516,48 @@ def simple_module(A, i):
     return Representation(A, dims, mats, check=False)
 
 
+def path_map(A, src, dst, cells, right=False, dual=False):
+    """F_p matrix of a block map between direct sums of spans of basis paths.
+
+    src and dst are sequences of spans, each a tuple of basis indices.  Block
+    (l, k) sends a path q of src[k] to cells[l][k].q, or to q.cells[l][k]
+    when right is set, written in the basis of dst[l]; an empty cell is the
+    zero block.  The matrix has one row per path of dst and one column per
+    path of src, or is transposed when dual is set, which is the matrix of
+    the dual map between the dual spaces.  A product with a path outside
+    dst[l] raises AlgebraError.
+    """
+    row_of = {}
+    for l, span in enumerate(dst):
+        for b in span:
+            row_of[(l, b)] = len(row_of)
+    ncols = sum(map(len, src))
+    m = [[0] * ncols for _ in row_of]
+    c0 = 0
+    for k, span in enumerate(src):
+        for l, row in enumerate(cells):
+            x = row[k]
+            if not x:
+                continue
+            for c, q in enumerate(span, c0):
+                for b, coeff in (A.mult({q: 1}, x) if right else A.mult(x, {q: 1})).items():
+                    r = row_of.get((l, b))
+                    if r is None:
+                        raise AlgebraError(
+                            "block (%d, %d) takes basis path %d outside its target span" % (l, k, q)
+                        )
+                    m[r][c] = coeff
+        c0 += len(span)
+    if dual:
+        return tuple(tuple(row[c] for row in m) for c in range(ncols))
+    return tuple(tuple(row) for row in m)
+
+
 def proj_struct(A, i):
     """Basis-path layout of P(i) = e_i A: per-vertex lists of basis indices."""
     if not 0 <= i < A.n:
         raise AlgebraError("invalid vertex %r" % (i,))
     return A.paths[i]
-
-
-def projective_module(A, i):
-    per_vertex = proj_struct(A, i)
-    dims = tuple(len(g) for g in per_vertex)
-    pos = {}
-    for v, group in enumerate(per_vertex):
-        for idx, k in enumerate(group):
-            pos[k] = (v, idx)
-    mats = []
-    for ai, a in enumerate(A.arrows):
-        dt, ds = dims[a.target], dims[a.source]
-        m = [[0] * ds for _ in range(dt)]
-        for cidx, k in enumerate(per_vertex[a.source]):
-            src, arrs = A.basis[k]
-            for bk, coeff in A.reduce_path((src, arrs + (ai,))).items():
-                v, ridx = pos[bk]
-                if v != a.target:
-                    raise AlgebraError("arrow %s leaves the projective layout" % a.name)
-                m[ridx][cidx] = coeff
-        mats.append(tuple(tuple(row) for row in m))
-    return Representation(A, dims, mats, check=False)
 
 
 def inj_struct(A, i):
@@ -549,31 +567,32 @@ def inj_struct(A, i):
     return tuple(A.paths[v][i] for v in range(A.n))
 
 
-def injective_module(A, i):
-    per_vertex = inj_struct(A, i)
-    dims = tuple(len(g) for g in per_vertex)
-    pos = {}
-    for v, group in enumerate(per_vertex):
-        for idx, k in enumerate(group):
-            pos[k] = (v, idx)
+def _arrow_module(A, layouts, right):
+    """Direct sum of the modules carried by the path layouts, layouts[k][v]
+    being summand k at vertex v.  An arrow a: s -> t acts on each summand by
+    right multiplication, from s to t, or else by the dual of left
+    multiplication, which runs from t to s."""
+    dims = tuple(sum(len(lay[v]) for lay in layouts) for v in range(A.n))
     mats = []
     for ai, a in enumerate(A.arrows):
-        rows_src = per_vertex[a.source]
-        cols_tgt = per_vertex[a.target]
-        # left multiplication by the arrow: (paths target(a) -> i) -> (paths source(a) -> i)
-        lmult = [[0] * len(cols_tgt) for _ in range(len(rows_src))]
-        for cidx, k in enumerate(cols_tgt):
-            _, arrs = A.basis[k]
-            for bk, coeff in A.reduce_path((a.source, (ai,) + arrs)).items():
-                v, ridx = pos[bk]
-                if v != a.source:
-                    raise AlgebraError("arrow %s leaves the injective layout" % a.name)
-                lmult[ridx][cidx] = coeff
-        # dual action on I(i): transpose, shape (dim at target x dim at source)
-        mats.append(
-            tuple(tuple(lmult[r][c] for r in range(len(rows_src))) for c in range(len(cols_tgt)))
-        )
+        x = {A.basis_index[(a.source, (ai,))]: 1}
+        cells = [[x if l == k else {} for k in range(len(layouts))] for l in range(len(layouts))]
+        s, t = (a.source, a.target) if right else (a.target, a.source)
+        src = [lay[s] for lay in layouts]
+        dst = [lay[t] for lay in layouts]
+        mats.append(path_map(A, src, dst, cells, right=right, dual=not right))
     return Representation(A, dims, mats, check=False)
+
+
+def projective_module(A, *vertices):
+    """P(i) = e_i A, or the direct sum of P(i) over several vertices i."""
+    return _arrow_module(A, [proj_struct(A, i) for i in vertices], right=True)
+
+
+def injective_module(A, *vertices):
+    """I(i), the dual of A e_i, or the direct sum of I(i) over several
+    vertices i."""
+    return _arrow_module(A, [inj_struct(A, i) for i in vertices], right=False)
 
 
 def direct_sum(M, N):
@@ -592,13 +611,6 @@ def direct_sum(M, N):
                 m[mt + r][ms + c] = N.mats[ai][r][c]
         mats.append(tuple(tuple(row) for row in m))
     return Representation(A, dims, mats, check=False)
-
-
-def direct_sum_many(A, parts):
-    out = zero_module(A)
-    for part in parts:
-        out = direct_sum(out, part)
-    return out
 
 
 # -- hom spaces --------------------------------------------------------------

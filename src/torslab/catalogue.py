@@ -43,7 +43,6 @@ from .linalg import (
     row_space,
 )
 
-BUDGET_DEFAULT = 22
 CODE_CAP = 4_000_000
 SWEEP_CAP = 1_000_000
 
@@ -142,13 +141,15 @@ class Catalogue:
             raise WindowError("bound length does not match the number of vertices")
         if any(b < 0 for b in self.bound):
             raise WindowError("bound %r has a negative entry" % (self.bound,))
-        load = sum(
-            self.bound[a.source] * self.bound[a.target] for a in algebra.arrows
-        )
-        if load > BUDGET_DEFAULT:
+        # the number of code digits is largest at the bound, so one check
+        # there refuses the window before any sweep; with at least
+        # CODE_CAP.bit_length() digits there are more than CODE_CAP codes,
+        # and p**load is never computed for an absurd bound
+        p = algebra.p
+        load = sum(self.bound[a.source] * self.bound[a.target] for a in algebra.arrows)
+        if load >= CODE_CAP.bit_length() or p**load > CODE_CAP:
             raise BudgetError(
-                "enumeration budget exceeded at dims %r: %d > %d"
-                % (self.bound, load, BUDGET_DEFAULT)
+                "orbit sweep too large at dims %r: %d^%d codes" % (self.bound, p, load)
             )
         # per dimension vector: the first code of each code's orbit
         self._orbit_of = {}
@@ -161,25 +162,12 @@ class Catalogue:
 
     def _enumerate(self):
         A = self.algebra
-        p = A.p
-        # check every dimension vector against the cap before sweeping any, so
-        # a window over the cap fails at once, not after the smaller sweeps
-        todo = []
+        items = []
         for dims in _all_dims(self.bound):
             cells = [dims[a.target] * dims[a.source] for a in A.arrows]
-            N = sum(cells)
-            if p**N > CODE_CAP:
-                raise BudgetError(
-                    "orbit sweep too large at dims %r: %d^%d codes" % (dims, p, N)
-                )
-            todo.append((dims, cells))
-        items = []
-        for dims, cells in todo:
             items.extend(self._sweep_dims(dims, cells))
         items.sort(key=lambda it: (it[0], it[1]))
-        self.reps = tuple(
-            Representation(A, dims, mats, check=False) for dims, _, mats in items
-        )
+        self.reps = tuple(rep for _, _, rep in items)
         self.fingerprints = tuple((dims, code) for dims, code, _ in items)
         self._fp_index = {fp: i for i, fp in enumerate(self.fingerprints)}
 
@@ -241,9 +229,11 @@ class Catalogue:
                     if orbit[nc] < 0:
                         orbit[nc] = c0
                         frontier.append(nc)
-            mats = self._decode(dims, cells, c0)
-            if self._relations_hold(dims, mats):
-                out.append((dims, c0, mats))
+            try:
+                rep = Representation(A, dims, self._decode(dims, cells, c0))
+            except AlgebraError:
+                continue  # the relations do not hold
+            out.append((dims, c0, rep))
         self._orbit_of[dims] = orbit
         return out
 
@@ -270,13 +260,6 @@ class Catalogue:
                     code += x % p * mult
                     mult *= p
         return code
-
-    def _relations_hold(self, dims, mats):
-        try:
-            Representation(self.algebra, dims, mats, check=True)
-        except AlgebraError:
-            return False
-        return True
 
     # -- basic access --------------------------------------------------------
 

@@ -21,8 +21,8 @@ of the twisted kernel module itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
+from numbers import Rational
 
 from .algebra import memo
 from .catalogue import SWEEP_CAP, BudgetError
@@ -39,13 +39,14 @@ class PresentationError(Exception):
 
 
 def _integral(theta):
-    out = []
+    """theta as a tuple of ints; each entry must be an int or a Fraction
+    with denominator 1, as in stability._integer_weight."""
     for t in theta:
-        f = Fraction(t)
-        if f.denominator != 1:
+        if not isinstance(t, Rational):
+            raise PresentationError("weight entry %r is not an int or a Fraction" % (t,))
+        if t.denominator != 1:
             raise PresentationError("weight vector must be integral, got %r" % (t,))
-        out.append(int(f))
-    return tuple(out)
+    return tuple(int(t) for t in theta)
 
 
 def presentation_pair(A, theta):

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .algebra import load_algebra
-from .catalogue import BudgetError, Catalogue
+from .catalogue import Catalogue
 from .cones import (
     cone_of_subcat,
     difference_cone,
@@ -384,10 +384,7 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
     classes = w.classes
     nbricks = len(cat.bricks())
     cert = w.cert
-    try:
-        nbricks_big = None if w.above is None else len(w.above.bricks())
-    except BudgetError:
-        nbricks_big = None
+    nbricks_big = w.bricks_above
     stable = nbricks_big == nbricks and w.ample
     checks = [
         _check(

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from .algebra import (
     AlgebraError,
-    direct_sum_many,
     image_submodule,
     injective_module,
-    inj_struct,
     kernel_submodule,
     memo,
-    proj_struct,
+    path_map,
     projective_module,
     quotient_module,
     submodule_rep,
@@ -688,71 +686,50 @@ def rigidity(theta, graph):
 # -- cohomology and induced torsion pairs ----------------------------------------
 
 
-def _proj_block_maps(A, src, dst, mat):
-    """Per-vertex matrices of the morphism on materialised projectives."""
-    out = []
-    for v in range(A.n):
-        tgt_layout = []
-        for l, zl in enumerate(dst):
-            tgt_layout.extend((l, b) for b in proj_struct(A, zl)[v])
-        src_layout = []
-        for k, mk in enumerate(src):
-            src_layout.extend((k, b) for b in proj_struct(A, mk)[v])
-        pos = {lb: r for r, lb in enumerate(tgt_layout)}
-        m = [[0] * len(src_layout) for _ in range(len(tgt_layout))]
-        for cidx, (k, q) in enumerate(src_layout):
-            for l in range(len(dst)):
-                x = mat[l][k]
-                if not x:
-                    continue
-                for bi, c in A.mult(x, {q: 1}).items():
-                    m[pos[(l, bi)]][cidx] = c
-        out.append(tuple(tuple(row) for row in m))
-    return tuple(out)
+def _projective_map(U):
+    """Per-vertex matrices of the differential P1 -> P0 of U: its component
+    x: P(k) -> P(l) is left multiplication by x on the paths starting at k."""
+    A = U.algebra
+    return tuple(
+        path_map(A, [A.paths[k][v] for k in U.minus], [A.paths[l][v] for l in U.zero], U.mat)
+        for v in range(A.n)
+    )
 
 
-def _nakayama_block_maps(A, src, dst, mat):
-    """Per-vertex matrices of the morphism pushed through injectives."""
-    p = A.p
-    out = []
-    for v in range(A.n):
-        tgt_layout = []
-        for l, zl in enumerate(dst):
-            tgt_layout.extend((l, b) for b in inj_struct(A, zl)[v])
-        src_layout = []
-        for k, mk in enumerate(src):
-            src_layout.extend((k, b) for b in inj_struct(A, mk)[v])
-        pos = {lb: c for c, lb in enumerate(src_layout)}
-        m = [[0] * len(src_layout) for _ in range(len(tgt_layout))]
-        # entry x: P(src[k]) -> P(dst[l]) dualises right multiplication by x
-        for ridx, (l, q) in enumerate(tgt_layout):
-            for k in range(len(src)):
-                x = mat[l][k]
-                if not x:
-                    continue
-                for bi, c in A.mult({q: 1}, x).items():
-                    m[ridx][pos[(k, bi)]] = (m[ridx][pos[(k, bi)]] + c) % p
-        out.append(tuple(tuple(row) for row in m))
-    return tuple(out)
+def _nakayama_map(U):
+    """Per-vertex matrices of the Nakayama twist nu P1 -> nu P0 of U: its
+    component x: P(k) -> P(l) becomes the dual of right multiplication by x,
+    from the paths ending at l to those ending at k."""
+    A = U.algebra
+    cells = [[row[k] for row in U.mat] for k in range(len(U.minus))]
+    return tuple(
+        path_map(
+            A,
+            [A.paths[v][l] for l in U.zero],
+            [A.paths[v][k] for k in U.minus],
+            cells,
+            right=True,
+            dual=True,
+        )
+        for v in range(A.n)
+    )
 
 
 def twisted_kernel(U):
     """H^{-1} of the Nakayama twist, the kernel of nu P1 -> nu P0, as a
     representation."""
     A = U.algebra
-    Nm = direct_sum_many(A, [injective_module(A, i) for i in U.minus])
-    Nz = direct_sum_many(A, [injective_module(A, i) for i in U.zero])
-    nf = _nakayama_block_maps(A, U.minus, U.zero, U.mat)
-    return submodule_rep(Nm, kernel_submodule(nf, Nm, Nz))[0]
+    Nm = injective_module(A, *U.minus)
+    Nz = injective_module(A, *U.zero)
+    return submodule_rep(Nm, kernel_submodule(_nakayama_map(U), Nm, Nz))[0]
 
 
 def cohomology(U):
     """(H^0(U), H^{-1} of the Nakayama twist), both as representations."""
     A = U.algebra
-    Mm = direct_sum_many(A, [projective_module(A, i) for i in U.minus])
-    Mz = direct_sum_many(A, [projective_module(A, i) for i in U.zero])
-    f = _proj_block_maps(A, U.minus, U.zero, U.mat)
-    h0 = quotient_module(Mz, image_submodule(f, Mm, Mz))[0]
+    Mm = projective_module(A, *U.minus)
+    Mz = projective_module(A, *U.zero)
+    h0 = quotient_module(Mz, image_submodule(_projective_map(U), Mm, Mz))[0]
     return h0, twisted_kernel(U)
 
 

@@ -387,8 +387,8 @@ def window_stable(cat_small, classes_small, cat_big):
 
 class Window:
     """One algebra at one bound: the catalogue, and the torsion census, the
-    bound+1 catalogue, the ample-bound certificate and the per-class
-    witnesses, each built once, on first use."""
+    bound+1 catalogue and its brick count, the ample-bound certificate and
+    the per-class witnesses, each built once, on first use."""
 
     def __init__(self, algebra, bound):
         self.algebra = algebra
@@ -405,6 +405,17 @@ class Window:
         or None when it exceeds the budget."""
         try:
             return Catalogue(self.algebra, tuple(b + 1 for b in self.bound))
+        except BudgetError:
+            return None
+
+    @cached_property
+    def bricks_above(self):
+        """The number of bricks in the bound+1 window, or None when that
+        window or its brick census exceeds the budget."""
+        if self.above is None:
+            return None
+        try:
+            return len(self.above.bricks())
         except BudgetError:
             return None
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 from fractions import Fraction
@@ -18,6 +19,7 @@ from torslab.algebra import (
     kernel_submodule,
     load_algebra,
     memo,
+    path_map,
     proj_struct,
     projective_module,
     quotient_module,
@@ -245,6 +247,33 @@ def test_memo_does_not_cache_a_raising_call():
         with pytest.raises(ValueError):
             a.square(-1)
     assert a.calls == [-1, -1]
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker", "kxk", "loop", "pi_a2", "pi_a3", "square"])
+def test_several_vertices_give_the_direct_sum(name, square):
+    A = square if name == "square" else bundled(name)
+    picks = [(), (0,), tuple(range(A.n)), tuple(reversed(range(A.n))), (A.n - 1, 0, A.n - 1)]
+    for vertices in picks:
+        for single in (projective_module, injective_module):
+            fold = functools.reduce(direct_sum, [single(A, i) for i in vertices], zero_module(A))
+            assert single(A, *vertices) == fold, (single.__name__, vertices)
+
+
+def test_path_map_blocks_and_duals(a2):
+    e0 = a2.basis_index[(0, ())]
+    arrow = a2.paths_between(0, 1)[0]
+    # left multiplication by the arrow sends the path 1 -> 1 to the arrow;
+    # two target blocks, the cell of the first empty
+    src, dst, cells = [a2.paths[1][1]], [a2.paths[0][1]] * 2, [[{}], [{arrow: 1}]]
+    assert path_map(a2, src, dst, cells) == ((0,), (1,))
+    assert path_map(a2, src, dst, cells, dual=True) == ((0, 1),)
+    # right multiplication by the idempotent e0 on the paths starting at 0
+    src = [a2.paths[0][0] + a2.paths[0][1]]
+    assert path_map(a2, src, src, [[{e0: 1}]], right=True) == ((1, 0), (0, 0))
+    # zero-dimensional spaces keep their shapes under transposition
+    assert path_map(a2, [a2.paths[0][0]], [()], [[{}]], dual=True) == ((),)
+    with pytest.raises(AlgebraError, match="outside its target span"):
+        path_map(a2, [a2.paths[0][0]], [a2.paths[0][0]], [[{arrow: 1}]], right=True)
 
 
 def test_memo_cache_dies_with_its_owner():

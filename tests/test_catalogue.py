@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,6 +369,16 @@ def test_budget_guards(kronecker, monkeypatch):
     with pytest.raises(BudgetError) as err:
         Catalogue(k3, (3, 3))
     assert str(err.value) == "orbit sweep too large at dims (3, 3): 3^18 codes"
+
+
+def test_absurd_bound_is_refused_at_once():
+    # 13 ** (2 * 10**8) is never computed: the digit count alone refuses it
+    k13 = bundled("kronecker", p=13)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        Catalogue(k13, (10**4, 10**4))
+    assert time.perf_counter() - t0 < 1.0
+    assert str(err.value) == "orbit sweep too large at dims (10000, 10000): 13^200000000 codes"
 
 
 def test_relation_check_lets_unexpected_errors_through(a2, monkeypatch):

@@ -275,19 +275,31 @@ def test_traced_entry_points_exist():
         assert callable(obj), entry
 
 
-def _runtime_imports():
-    """(file stem, module name) for every absolute import in src/torslab."""
+def _runtime_nodes():
+    """(file stem, AST node) for every node of every module in src/torslab."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "torslab"
     files = sorted(src.glob("*.py"))
     assert files
-    out = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                out.extend((path.stem, alias.name) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                out.append((path.stem, node.module))
+            yield path.stem, node
+
+
+def _runtime_imports():
+    """(file stem, module name) for every absolute import in src/torslab."""
+    out = []
+    for stem, node in _runtime_nodes():
+        if isinstance(node, ast.Import):
+            out.extend((stem, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((stem, node.module))
     return out
+
+
+def test_runtime_has_no_assert():
+    # python -O strips assert statements, so a runtime check must raise
+    found = [(stem, node.lineno) for stem, node in _runtime_nodes() if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_runtime_imports_only_stdlib():

@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from itertools import product
 
 import pytest
@@ -36,6 +38,16 @@ def test_presentation_pair(a2, kronecker):
     assert presentation_pair(a2, (0, 0)) == ((), ())
     with pytest.raises(PresentationError):
         presentation_pair(a2, ("1/2", 0))
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", Decimal("1"), None])
+def test_weight_entries_must_be_int_or_fraction(a2, cat_a2, bad):
+    # Fraction(t) would parse the first three as the integer 1
+    named = "weight entry %s " % re.escape(repr(bad))
+    with pytest.raises(PresentationError, match=named):
+        presentation_pair(a2, (bad, 0))
+    with pytest.raises(PresentationError, match=named):
+        fei_union_check(cat_a2, (bad, 0), 1)
 
 
 def test_presentation_space_dims(a2, kronecker):
