@@ -679,64 +679,38 @@ def arrow_stable(M, sub):
 def quotient_module(M, sub):
     """Quotient of M by an arrow-stable tuple of per-vertex RREF bases.
 
-    Returns (Q, proj) with proj the per-vertex projection matrices.
+    Its basis at v is the free (non-pivot) coordinates of M_v: an arrow
+    sends a free basis vector to the residual of its image against the
+    target basis, read at the free columns.
     """
     A = M.algebra
-    p = A.p
     if not arrow_stable(M, sub):
         raise AlgebraError("subspace family is not arrow stable")
-    projs = []
     frees = []
     for v in range(A.n):
-        basis = sub[v]
-        d = M.dims[v]
-        pivset = {row.index(1) for row in basis}
-        free = [j for j in range(d) if j not in pivset]
-        frees.append(free)
-        # normal form of each unit vector, restricted to free coordinates
-        cols = [residual(e, basis, p) for e in identity(d)]
-        projs.append(tuple(tuple(w[c] for w in cols) for c in free))
-    dims = tuple(len(f) for f in frees)
+        pivots = {row.index(1) for row in sub[v]}
+        frees.append([j for j in range(M.dims[v]) if j not in pivots])
     mats = []
     for ai, a in enumerate(A.arrows):
-        s, t = a.source, a.target
-        m = [[0] * dims[s] for _ in range(dims[t])]
-        for cidx, j in enumerate(frees[s]):
-            img = tuple(M.mats[ai][r][j] for r in range(M.dims[t]))
-            red = mat_vec(projs[t], img, p)
-            for i in range(dims[t]):
-                m[i][cidx] = red[i]
-        mats.append(tuple(tuple(row) for row in m))
-    return Representation(A, dims, mats, check=False), tuple(projs)
+        m = M.mats[ai]
+        reds = [residual([row[j] for row in m], sub[a.target], A.p) for j in frees[a.source]]
+        mats.append(tuple(tuple(red[c] for red in reds) for c in frees[a.target]))
+    return Representation(A, map(len, frees), mats, check=False)
 
 
 def submodule_rep(M, sub):
-    """Representation carried by an arrow-stable subspace family.
-
-    Returns (S, incl) with incl the per-vertex inclusion matrices
-    (columns = the RREF basis rows of sub).
-    """
+    """Representation carried by an arrow-stable tuple of per-vertex RREF
+    bases: the coordinates of an arrow image of a basis row are its entries
+    at the pivot columns of the target basis."""
     A = M.algebra
-    p = A.p
-    dims = tuple(len(sub[v]) for v in range(A.n))
+    if not arrow_stable(M, sub):
+        raise AlgebraError("subspace family is not arrow stable")
     mats = []
     for ai, a in enumerate(A.arrows):
-        s, t = a.source, a.target
-        tgt_rows = sub[t]
-        tgt_pivots = [row.index(1) for row in tgt_rows]
-        m = [[0] * dims[s] for _ in range(dims[t])]
-        for cidx, vec in enumerate(sub[s]):
-            img = mat_vec(M.mats[ai], vec, p)
-            if any(residual(img, tgt_rows, p)):
-                raise AlgebraError("subspace family is not arrow stable")
-            for i, pc in enumerate(tgt_pivots):
-                m[i][cidx] = img[pc]
-        mats.append(tuple(tuple(row) for row in m))
-    incl = tuple(
-        tuple(tuple(row[r] for row in sub[v]) for r in range(M.dims[v]))
-        for v in range(A.n)
-    )
-    return Representation(A, dims, mats, check=False), incl
+        pivots = [row.index(1) for row in sub[a.target]]
+        imgs = [mat_vec(M.mats[ai], vec, A.p) for vec in sub[a.source]]
+        mats.append(tuple(tuple(img[c] for img in imgs) for c in pivots))
+    return Representation(A, map(len, sub), mats, check=False)
 
 
 def kernel_submodule(f, M, N):
@@ -751,14 +725,7 @@ def kernel_submodule(f, M, N):
 
 
 def image_submodule(f, M, N):
-    """Per-vertex RREF bases of the image of f inside N."""
+    """Per-vertex RREF bases of the image of f inside N: the row spaces of
+    the columns of each f_v."""
     A = M.algebra
-    out = []
-    for v in range(A.n):
-        phi = f[v]
-        if not phi or M.dims[v] == 0:
-            out.append(())
-            continue
-        cols = tuple(tuple(phi[r][c] for r in range(N.dims[v])) for c in range(M.dims[v]))
-        out.append(row_space(cols, A.p))
-    return tuple(out)
+    return tuple(row_space(tuple(zip(*f[v])), A.p) for v in range(A.n))

@@ -312,9 +312,9 @@ class Catalogue:
             if 0 < rk < total:
                 im = image_submodule(phin, rep, rep)
                 ker = kernel_submodule(phin, rep, rep)
-                r1, _ = submodule_rep(rep, im)
-                r2, _ = submodule_rep(rep, ker)
-                return self.decompose_rep(r1) + self.decompose_rep(r2)
+                return [
+                    s for sub in (im, ker) for s in self.decompose_rep(submodule_rep(rep, sub))
+                ]
             return None
 
         for phi in ends:
@@ -479,8 +479,8 @@ class Catalogue:
         for fam in self.submodule_families(idx):
             if tuple(len(f) for f in fam) == M.dims:
                 continue
-            S, _ = submodule_rep(M, fam)
-            Q, _ = quotient_module(M, fam)
+            S = submodule_rep(M, fam)
+            Q = quotient_module(M, fam)
             pairs.add((self.find_index(S), self.find_index(Q)))
         return tuple(sorted(pairs))
 

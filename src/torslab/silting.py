@@ -276,10 +276,11 @@ def _chain_data(A, X, Y):
     """The Hom complex of X and Y, built once per ordered pair: its slot
     layouts, the nullity of its differential, the null-homotopic span of
     the chain maps X -> Y, and the coordinate vectors of representatives
-    for a basis of their homotopy classes; hom_k_basis adds the matrices of
-    those representatives on first read, since the presilting test never
-    reads them.  Hom(X, Y[1]) vanishes when the differential is onto, that
-    is when len(sa) + len(sb) - nullity == len(sc)."""
+    for a basis of their homotopy classes.  The matrices of those
+    representatives are a table of their own (_k_mats), built on first
+    read, since the presilting test never reads them.  Hom(X, Y[1])
+    vanishes when the differential is onto, that is when
+    len(sa) + len(sb) - nullity == len(sc)."""
     p = A.p
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
@@ -319,21 +320,23 @@ def _chain_data(A, X, Y):
     }
 
 
-def hom_k_basis(X, Y):
-    """Basis of the homotopy classes of chain maps X -> Y, as (alpha, beta),
-    unpacked from the coordinate vectors of _chain_data on first read."""
-    data = _chain_data(X.algebra, X, Y)
-    k_mats = data.get("k_mats")
-    if k_mats is None:
-        sa, sb, na = data["sa"], data["sb"], len(data["sa"])
-        k_mats = data["k_mats"] = tuple(
-            (
-                _unvec(sa, len(X.minus), len(Y.minus), v[:na]),
-                _unvec(sb, len(X.zero), len(Y.zero), v[na:]),
-            )
-            for v in data["k_vecs"]
+@memo
+def _k_mats(A, X, Y):
+    """The (alpha, beta) matrices of the basis vectors of _chain_data."""
+    data = _chain_data(A, X, Y)
+    sa, sb, na = data["sa"], data["sb"], len(data["sa"])
+    return tuple(
+        (
+            _unvec(sa, len(X.minus), len(Y.minus), v[:na]),
+            _unvec(sb, len(X.zero), len(Y.zero), v[na:]),
         )
-    return k_mats
+        for v in data["k_vecs"]
+    )
+
+
+def hom_k_basis(X, Y):
+    """Basis of the homotopy classes of chain maps X -> Y, as (alpha, beta)."""
+    return _k_mats(X.algebra, X, Y)
 
 
 def _pair_compose(A, outer, inner, X, Y, Z):
@@ -721,7 +724,7 @@ def twisted_kernel(U):
     A = U.algebra
     Nm = injective_module(A, *U.minus)
     Nz = injective_module(A, *U.zero)
-    return submodule_rep(Nm, kernel_submodule(_nakayama_map(U), Nm, Nz))[0]
+    return submodule_rep(Nm, kernel_submodule(_nakayama_map(U), Nm, Nz))
 
 
 def cohomology(U):
@@ -729,7 +732,7 @@ def cohomology(U):
     A = U.algebra
     Mm = projective_module(A, *U.minus)
     Mz = projective_module(A, *U.zero)
-    h0 = quotient_module(Mz, image_submodule(_projective_map(U), Mm, Mz))[0]
+    h0 = quotient_module(Mz, image_submodule(_projective_map(U), Mm, Mz))
     return h0, twisted_kernel(U)
 
 

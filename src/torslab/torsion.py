@@ -12,8 +12,9 @@ nonzero map to g (left perp) or from g (right perp), each row the OR of the
 summand masks of the indecomposables with a nonzero hom basis to or from g,
 built once per catalogue on first use.  The perps of explicit generators
 test each indecomposable item by its hom spaces.  Fac and Sub closures
-share one body, which tests each indecomposable item by a trace (Fac) or
-reject (Sub) argument against explicit hom bases, those of indexed
+share one body, which takes the summands of indexed generators at once and
+tests every other indecomposable item by a trace (Fac) or reject (Sub)
+argument against explicit hom bases, those of indexed
 generators read from one table cached per pair of indecomposable items
 and direction, so membership is exact for every item of the window even
 when the generating modules live outside it.  The window is closed under
@@ -127,11 +128,15 @@ def _full_rank(cat, x, blocks):
 
 
 def _span_closure(cat, gens, into):
-    """sub_closure when into, else fac_closure."""
+    """sub_closure when into, else fac_closure.  A summand of an indexed
+    generator is both a quotient and a submodule of it, so it is in at once."""
     items, explicit = _generators(cat, gens)
+    own = set(items)
     n = cat.algebra.n
 
     def member(x):
+        if x in own:
+            return True
         X = cat.rep(x)
         homs = [phi for G in explicit for phi in (hom_space(X, G) if into else hom_space(G, X))]
         blocks = [_span_rows(cat, g, x, into) for g in items]

@@ -22,6 +22,12 @@ code of the orbit sweep by decoding it and taking matrix products, where the
 catalogue tabulates linear maps on groups of the code's digits.
 ``numdis_checks`` solves all four separation legs for every class, where the
 suite solves them once per distinct pair of class cones.
+``sub_and_quotient`` builds a submodule and a quotient through explicit
+inclusion and projection matrices, the projection taken from the residuals
+of the unit vectors, where ``torslab.algebra`` reads coordinates straight
+from the RREF basis; they share ``residual`` and ``mat_vec``.
+``assert_module_map`` checks that per-vertex matrices commute with every
+arrow, with every product's shape given explicitly.
 
 ``rref_q`` is Gauss-Jordan elimination in ``Fraction`` arithmetic; the
 package itself eliminates over Q only with fraction-free integer pivots.
@@ -66,7 +72,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from torslab.algebra import hom_space
+from torslab.algebra import AlgebraError, Representation, hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
 from torslab.cones import (
     ConeError,
@@ -77,7 +83,7 @@ from torslab.cones import (
     numerically_disjoint,
     separating_functional,
 )
-from torslab.linalg import inverse, mat_mul, rank, residual, row_space
+from torslab.linalg import identity, inverse, mat_mul, mat_vec, rank, residual, row_space
 from torslab.reports import _check, _dims, _witness_dims
 from torslab.silting import (
     SiltingError,
@@ -335,6 +341,74 @@ def submodule_families(cat, idx):
     return tuple(sorted(fams))
 
 
+
+def sub_and_quotient(M, sub):
+    """(S, incl, Q, proj) for an arrow-stable tuple of per-vertex RREF bases:
+    the submodule S with its per-vertex inclusion matrices (columns = the
+    basis rows), and the quotient Q with its per-vertex projection matrices
+    (row c = the residuals of the unit vectors at free column c)."""
+    A = M.algebra
+    p = A.p
+    dims = tuple(len(sub[v]) for v in range(A.n))
+    mats = []
+    for ai, a in enumerate(A.arrows):
+        s, t = a.source, a.target
+        pivots = [row.index(1) for row in sub[t]]
+        m = [[0] * dims[s] for _ in range(dims[t])]
+        for cidx, vec in enumerate(sub[s]):
+            img = mat_vec(M.mats[ai], vec, p)
+            if any(residual(img, sub[t], p)):
+                raise AlgebraError("subspace family is not arrow stable")
+            for i, pc in enumerate(pivots):
+                m[i][cidx] = img[pc]
+        mats.append(tuple(tuple(row) for row in m))
+    S = Representation(A, dims, mats, check=False)
+    incl = tuple(
+        tuple(tuple(row[r] for row in sub[v]) for r in range(M.dims[v])) for v in range(A.n)
+    )
+    projs = []
+    frees = []
+    for v in range(A.n):
+        pivset = {row.index(1) for row in sub[v]}
+        free = [j for j in range(M.dims[v]) if j not in pivset]
+        frees.append(free)
+        cols = [residual(e, sub[v], p) for e in identity(M.dims[v])]
+        projs.append(tuple(tuple(w[c] for w in cols) for c in free))
+    qdims = tuple(len(f) for f in frees)
+    mats = []
+    for ai, a in enumerate(A.arrows):
+        s, t = a.source, a.target
+        m = [[0] * qdims[s] for _ in range(qdims[t])]
+        for cidx, j in enumerate(frees[s]):
+            img = tuple(M.mats[ai][r][j] for r in range(M.dims[t]))
+            red = mat_vec(projs[t], img, p)
+            for i in range(qdims[t]):
+                m[i][cidx] = red[i]
+        mats.append(tuple(tuple(row) for row in m))
+    return S, incl, Representation(A, qdims, mats, check=False), tuple(projs)
+
+
+def _compose(x, y, rows, inner, cols, p):
+    """x @ y mod p for a rows x inner matrix x and an inner x cols matrix y;
+    the shapes are explicit, since a matrix with no rows has no width."""
+    return tuple(
+        tuple(sum(x[r][j] * y[j][c] for j in range(inner)) % p for c in range(cols))
+        for r in range(rows)
+    )
+
+
+def assert_module_map(f, M, N):
+    """f_t M(a) = N(a) f_s for every arrow a: s -> t, with f_v of shape
+    dims(N)_v x dims(M)_v."""
+    A = M.algebra
+    for v in range(A.n):
+        assert len(f[v]) == N.dims[v] and all(len(row) == M.dims[v] for row in f[v])
+    for ai, a in enumerate(A.arrows):
+        s, t = a.source, a.target
+        ms, mt, ns, nt = M.dims[s], M.dims[t], N.dims[s], N.dims[t]
+        fm = _compose(f[t], M.mats[ai], nt, mt, ms, A.p)
+        nf = _compose(N.mats[ai], f[s], nt, ns, ms, A.p)
+        assert fm == nf, a.name
 
 # -- cone engines in Fraction arithmetic -------------------------------------------
 

@@ -173,11 +173,8 @@ def test_sub_quotient_kernel_image(a2):
     P1 = projective_module(a2, 0)
     socle = ((), ((1,),))
     assert arrow_stable(P1, socle)
-    Q, _ = quotient_module(P1, socle)
-    assert Q.dims == (1, 0)
-    S, incl = submodule_rep(P1, socle)
-    assert S.dims == (0, 1)
-    assert incl[1] == ((1,),)
+    assert quotient_module(P1, socle).dims == (1, 0)
+    assert submodule_rep(P1, socle).dims == (0, 1)
     bad = (((1,),), ())
     assert not arrow_stable(P1, bad)
     with pytest.raises(AlgebraError):
@@ -189,6 +186,11 @@ def test_sub_quotient_kernel_image(a2):
     (f,) = hom_space(S2, P1)
     assert kernel_submodule(f, S2, P1) == ((), ())
     assert image_submodule(f, S2, P1) == ((), ((1,),))
+    # a module with a zero vertex space has the empty matrix there
+    (g,) = hom_space(S2, S2)
+    assert g[0] == ()
+    assert image_submodule(g, S2, S2) == ((), ((1,),))
+    assert kernel_submodule(g, S2, S2) == ((), ())
 
 
 def test_direct_sum(a2):

@@ -11,7 +11,9 @@ from torslab.algebra import (
     direct_sum,
     load_algebra,
     projective_module,
+    quotient_module,
     simple_module,
+    submodule_rep,
 )
 from torslab.catalogue import BudgetError, Catalogue, WindowError
 from torslab.linalg import inverse, mat_mul
@@ -352,6 +354,39 @@ def test_submodules_and_subquots(a2, cat_a2):
     s1 = cat_a2.find_index(simple_module(a2, 0))
     s2 = cat_a2.find_index(simple_module(a2, 1))
     assert set(cat_a2.subquot_pairs(i)) == {(0, i), (s2, s1)}
+
+
+# (bundled name or quiver text, field, bound)
+SUBQUOT_WINDOWS = (
+    ("a2", None, (2, 2)),
+    ("kronecker", 2, (2, 3)),
+    ("kronecker", 3, (2, 2)),
+    ("loop", None, (3,)),
+    ("pi_a3", 2, (1, 1, 1)),
+    ("pi_a3", 3, (1, 1, 1)),
+    (SQUARE, None, (1, 1, 1, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "name,p,bound", SUBQUOT_WINDOWS, ids=lambda x: "square" if x == SQUARE else None
+)
+def test_sub_and_quotient_match_projection_oracle(name, p, bound):
+    A = load_algebra(name) if name == SQUARE else bundled(name, p)
+    cat = Catalogue(A, bound)
+    families = 0
+    for idx in range(len(cat)):
+        M = cat.rep(idx)
+        for fam in cat.submodule_families(idx):
+            if tuple(map(len, fam)) == M.dims:
+                continue
+            families += 1
+            S, incl, Q, proj = oracles.sub_and_quotient(M, fam)
+            assert submodule_rep(M, fam) == S and quotient_module(M, fam) == Q
+            oracles.assert_module_map(incl, S, M)
+            oracles.assert_module_map(proj, M, Q)
+            assert all(s + q == d for s, q, d in zip(S.dims, Q.dims, M.dims))
+    assert families > len(cat)
 
 
 def test_budget_guards(kronecker, monkeypatch):

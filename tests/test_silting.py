@@ -692,29 +692,6 @@ def test_walk_computes_each_product_once_per_hom_complex(monkeypatch):
             assert twin == c and hash(twin) == hash(c)
 
 
-def _compose(x, y, rows, inner, cols, p):
-    """x @ y mod p for a rows x inner matrix x and an inner x cols matrix y;
-    the shapes are explicit, since a matrix with no rows has no width."""
-    return tuple(
-        tuple(sum(x[r][j] * y[j][c] for j in range(inner)) % p for c in range(cols))
-        for r in range(rows)
-    )
-
-
-def _assert_module_map(f, M, N):
-    """f_t M(a) = N(a) f_s for every arrow a: s -> t, with f_v of shape
-    dims(N)_v x dims(M)_v."""
-    A = M.algebra
-    for v in range(A.n):
-        assert len(f[v]) == N.dims[v] and all(len(row) == M.dims[v] for row in f[v])
-    for ai, a in enumerate(A.arrows):
-        s, t = a.source, a.target
-        ms, mt, ns, nt = M.dims[s], M.dims[t], N.dims[s], N.dims[t]
-        fm = _compose(f[t], M.mats[ai], nt, mt, ms, A.p)
-        nf = _compose(N.mats[ai], f[s], nt, ns, ms, A.p)
-        assert fm == nf, a.name
-
-
 @pytest.mark.parametrize(
     "name, p",
     [(n, None) for n in ("a2", "kronecker", "kxk", "loop", "pi_a2", "pi_a3", "square")]
@@ -726,12 +703,12 @@ def test_complex_maps_are_module_maps(name, p):
     A = load_algebra(SQUARE) if name == "square" else bundled(name, p=p)
     for vert in enumerate_silting(A, 5)["vertices"]:
         U = direct_sum_complex(vert["summands"], A)
-        _assert_module_map(
+        oracles.assert_module_map(
             silting._projective_map(U),
             projective_module(A, *U.minus),
             projective_module(A, *U.zero),
         )
-        _assert_module_map(
+        oracles.assert_module_map(
             silting._nakayama_map(U),
             injective_module(A, *U.minus),
             injective_module(A, *U.zero),

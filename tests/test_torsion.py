@@ -229,6 +229,29 @@ def test_census_matches_t_of_per_semibrick(monkeypatch):
         assert len(calls) == len(set(calls)) == len(got)
 
 
+def test_span_closure_tests_no_summand_of_a_generator(kronecker, monkeypatch):
+    # a summand of an indexed generator is a quotient and a submodule of it,
+    # so the closures take no rank over it
+    cat = Catalogue(kronecker, (2, 2))
+    classes = enumerate_torsion_classes(cat)
+    tested = []
+    original = torsion._full_rank
+
+    def counted(cat, x, blocks):
+        tested.append(x)
+        return original(cat, x, blocks)
+
+    monkeypatch.setattr(torsion, "_full_rank", counted)
+    for m in classes:
+        for gens in (m, right_perp(cat, m)):
+            own = {s for i in indices_of(gens) for s in cat.signature(i)}
+            start = len(tested)
+            assert fac_closure(cat, gens) == oracles.fac_closure(cat, gens)
+            assert sub_closure(cat, gens) == oracles.sub_closure(cat, gens)
+            assert not own & set(tested[start:])
+    assert tested
+
+
 def test_witnesses_ample_window(a2):
     cat = Catalogue(a2, (2, 2))
     classes = enumerate_torsion_classes(cat)
