@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import load_algebra
 from .catalogue import Catalogue
@@ -83,11 +84,65 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
+def _render(obj, out, nl):
+    """Append the indent=2, sorted-key JSON of obj to out.
+
+    nl is a newline plus the indentation of obj's own line.  Strings, ints,
+    bools and None are written here and any other scalar goes through
+    json.dumps alone, so the chunks joined are the bytes of
+    json.dumps(sort_keys=True, indent=2).
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            # the encoder raises TypeError on a key that is not a str
+            out.append(sep + _encode_str(key) + ": ")
+            sep = "," + inner
+            _render(value, out, inner)
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        # exact ints only: a bool is an int but renders as true or false
+        if set(map(type, obj)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            sep = "," + inner
+            _render(value, out, inner)
+        out.append(nl + "]")
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj, default=_json_default))
+
+
 def render_json(obj, timings=None):
+    """Report text: the bytes of json.dumps(sort_keys=True, indent=2) plus a
+    newline, with Fractions as strings.  Keys must be str; a value JSON
+    cannot hold raises TypeError."""
     if timings is not None:
         obj = dict(obj)
         obj["timings"] = timings
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    out = []
+    _render(obj, out, "\n")
+    return "".join(out) + "\n"
 
 
 def refield(text, p):

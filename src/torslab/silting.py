@@ -149,14 +149,14 @@ class TwoTermComplex:
             if len(row) != len(self.minus):
                 raise SiltingError("differential row %d has wrong width" % l)
             cleaned = []
+            allowed = algebra.paths[zl]
             for k, mk in enumerate(self.minus):
-                allowed = set(algebra.paths_between(zl, mk))
                 cell = {}
                 for b, c in row[k].items():
                     c %= p
                     if not c:
                         continue
-                    if b not in allowed:
+                    if b not in allowed[mk]:
                         raise SiltingError(
                             "entry (%d, %d) uses a path outside e_%d A e_%d" % (l, k, zl, mk)
                         )

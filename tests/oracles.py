@@ -64,11 +64,16 @@ local inverse and the cell subtraction with ``torslab.silting``.
 with it, with no inverse table.  ``enumerate_silting`` mutates every summand
 of every expanded vertex, so each edge is derived from both ends; it shares
 ``mutate`` with ``torslab.silting``.
+
+``render_json`` is the stdlib encoder at ``indent=2``, nested generators and
+all; ``torslab.reports`` appends the same bytes to one list.  They share
+``_json_default``, the Fraction-to-string rule.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -84,7 +89,7 @@ from torslab.cones import (
     separating_functional,
 )
 from torslab.linalg import identity, inverse, mat_mul, mat_vec, rank, residual, row_space
-from torslab.reports import _check, _dims, _witness_dims
+from torslab.reports import _check, _dims, _json_default, _witness_dims
 from torslab.silting import (
     SiltingError,
     _elem_sub,
@@ -101,6 +106,17 @@ from torslab.silting import (
 )
 from torslab.stability import Quadruple, classes_in
 from torslab.torsion import Window, indices_of, mask_of, t_of
+
+
+# -- report text --------------------------------------------------------------------
+
+
+def render_json(obj, timings=None):
+    """Report text straight from json.dumps, sorted keys and indent 2."""
+    if timings is not None:
+        obj = dict(obj)
+        obj["timings"] = timings
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 # -- dense Gauss-Jordan elimination over F_p ----------------------------------------

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import bundled, bundled_text
@@ -356,6 +358,109 @@ def test_render_json_byte_identical(kxk):
     assert a == b
     assert a.endswith("\n")
     json.loads(a)
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """Every report text rendered in the test, each checked on the way out
+    against the json.dumps oracle."""
+    texts = []
+
+    def checked(obj, timings=None):
+        got = render_json(obj, timings)
+        assert got == oracles.render_json(obj, timings)
+        texts.append(got)
+        return got
+
+    monkeypatch.setattr(reports, "render_json", checked)
+    return texts
+
+
+def test_render_json_matches_oracle_on_the_bundle(rendered):
+    from test_acceptance import BUNDLE_SHA256, _bundle
+
+    _bundle()
+    # every bundled report but the SVG picture
+    assert len(rendered) == len(BUNDLE_SHA256) - 1
+
+
+def test_render_json_matches_oracle_with_timings(kxk):
+    rep = reports.suite_numdis(kxk, (1, 1), "kxk")
+    timings = {"seconds": 0.123, "parts": [1.5e-07, 2.0, -0.0, 1e300]}
+    got = render_json(rep, timings)
+    assert got == oracles.render_json(rep, timings)
+    assert "timings" not in rep
+
+
+# the four benchmark commands at seed 0; KRONECKER_P3 is Kronecker over F_3
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "--suite", "numdis", "--algebra", "kronecker", "--bound", "2,3"), 2),
+        (("verify", "--suite", "numdis", "--algebra", "KRONECKER_P3", "--bound", "2,2"), 2),
+        (("scan", "--algebra", "kronecker", "--bound", "1,1", "--fields", "2,3,5",
+          "--grid", "-3:3", "--depth", "12"), 0),
+        (("verify", "--suite", "semistable", "--algebra", "a2", "--bound", "2,2",
+          "--grid", "-12:12", "--depth", "6"), 0),
+    ],
+    ids=["census", "separation", "walk", "chambers"],
+)
+def test_render_json_matches_oracle_on_benchmark_commands(
+    rendered, capsys, tmp_path, argv, code
+):
+    p3 = tmp_path / "kronecker_p3.alg"
+    p3.write_text(refield(bundled_text("kronecker"), 3))
+    assert cli.main([str(p3) if a == "KRONECKER_P3" else a for a in argv]) == code
+    assert capsys.readouterr().out == "".join(rendered) and len(rendered) == 1
+
+
+# quotes, backslashes, control and non-ASCII characters, and JSON punctuation
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n\t[],:{} e\u00e9\u20ac\U0001f600'),
+        st.characters(),
+    )
+)
+_LEAVES = st.one_of(
+    _TRICKY_TEXT,
+    st.integers(),
+    st.sampled_from([-1, 2**64, -(10**40), 10**100]),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.lists(st.integers()),
+    st.lists(st.sampled_from([True, False, 0, 1, None])),
+    st.just([]),
+    st.just(()),
+    st.just({}),
+)
+_REPORTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_TRICKY_TEXT, inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_REPORTS)
+def test_render_json_matches_oracle_on_random_trees(obj):
+    assert render_json(obj) == oracles.render_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1: "a"}, {None: 0}, {"a": [{(1, 2): 0}]}, {"a": {1, 2}}, [frozenset()], set()],
+    ids=["int-key", "none-key", "nested-tuple-key", "set-value", "frozenset", "set"],
+)
+def test_render_json_refuses_what_json_cannot_hold(obj):
+    with pytest.raises(TypeError):
+        render_json(obj)
 
 
 def test_exit_code_ranking():

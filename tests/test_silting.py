@@ -79,9 +79,15 @@ def test_complex_validation(a2):
     arrow = a2.paths_between(0, 1)[0]
     U = TwoTermComplex(a2, (1,), (0,), (({arrow: 1},),))
     assert U.g_vector() == (1, -1)
-    with pytest.raises(SiltingError):
+    with pytest.raises(SiltingError, match=r"entry \(0, 0\) uses a path outside e_0 A e_1"):
         # entry must live in e_0 A e_1
         TwoTermComplex(a2, (1,), (0,), (({unit_path(a2, 0): 1},),))
+    with pytest.raises(SiltingError, match=r"entry \(0, 1\) uses a path outside e_1 A e_0"):
+        # e_1 A e_0 is zero, so the second cell holds no path at all
+        TwoTermComplex(a2, (1, 0), (1,), (({unit_path(a2, 1): 1}, {arrow: 1}),))
+    # an entry that vanishes mod p is dropped before its path is checked
+    V = TwoTermComplex(a2, (1, 0), (0,), (({arrow: 1 + a2.p}, {unit_path(a2, 1): a2.p}),))
+    assert V.mat == (({arrow: 1}, {}),)
     with pytest.raises(SiltingError):
         TwoTermComplex(a2, (1,), (0,), ())
     for minus in ((2,), (-1,)):
