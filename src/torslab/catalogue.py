@@ -5,10 +5,15 @@ relations are enumerated up to simultaneous base change by sweeping the code
 space in lexicographic order and marking whole GL-orbits; the first unvisited
 code of an orbit is its canonical form.  GL(d_v, F_p) is generated by a cyclic
 permutation, the transvection I + E_12, and (for p > 2) a primitive diagonal
-scalar, so orbit connectivity under these generators is isomorphism.  Each
-generator moves the codes of an arrow's block through one transition table,
-built column by column and row by row from the generator's action on short
-vectors, with no matrix product per code.
+scalar, so orbit connectivity under these generators is isomorphism.  Once
+per dimension vector, each generator becomes one permutation of every code,
+an array composed block by block from per-arrow transition tables (built
+column by column and row by row from the generator's action on short
+vectors, the identity on arrows away from the generator's vertex); the
+orbit search then reads one array entry per code and generator, with no
+matrix product or block split per code.  The relations are checked on the
+first code of each orbit only, and the permutations are dropped when the
+dimension vector is done.
 
 The sweep keeps, for every code, the first code of its orbit, so an explicit
 representation is located by encoding its matrices and reading that label: no
@@ -129,6 +134,21 @@ def _transition_table(p, dt, ds, g, h):
     return tab
 
 
+def _code_permutation(tables, sizes):
+    """A generator's image of every code, from its per-arrow block tables
+    (None where the arrow does not move).  Arrow 0 holds the lowest digits,
+    so the codes below an arrow's place value are the permutation built so
+    far, offset by that arrow's moved block; no whole-length list is built."""
+    perm = array("i", [0])
+    base = 1
+    for tab, size in zip(tables, sizes):
+        lower, perm = perm, array("i")
+        for t in range(size) if tab is None else tab:
+            perm.extend(map((t * base).__add__, lower))
+        base *= size
+    return perm
+
+
 def _all_dims(bound):
     return [dims for dims in itertools.product(*(range(b + 1) for b in bound))]
 
@@ -182,34 +202,26 @@ class Catalogue:
     def _sweep_dims(self, dims, cells):
         A = self.algebra
         p = A.p
-        N = sum(cells)
-        total = p**N
-        # per-(vertex generator, arrow) block transition tables
-        actions = []
+        sizes = [p**c for c in cells]
+        # one permutation of every code per GL generator of a vertex
+        perms = []
         for v in range(A.n):
             for g in _gl_generators(dims[v], p):
                 ginv = inverse(g, p)
-                tables = []
-                for ai, a in enumerate(A.arrows):
-                    if a.source != v and a.target != v:
-                        tables.append(None)
-                        continue
-                    tables.append(
-                        _transition_table(
-                            p,
-                            dims[a.target],
-                            dims[a.source],
-                            g if a.target == v else None,
-                            ginv if a.source == v else None,
-                        )
+                tables = [
+                    _transition_table(
+                        p,
+                        dims[a.target],
+                        dims[a.source],
+                        g if a.target == v else None,
+                        ginv if a.source == v else None,
                     )
-                actions.append(tables)
-        bases = []
-        mult = 1
-        for c in cells:
-            bases.append(mult)
-            mult *= p**c
-        sizes = [p**c for c in cells]
+                    if v in (a.source, a.target)
+                    else None
+                    for a in A.arrows
+                ]
+                perms.append(_code_permutation(tables, sizes))
+        total = p ** sum(cells)
         orbit = array("i", [-1]) * total
         out = []
         for c0 in range(total):
@@ -219,13 +231,8 @@ class Catalogue:
             frontier = [c0]
             while frontier:
                 code = frontier.pop()
-                blocks = [(code // bases[ai]) % sizes[ai] for ai in range(len(cells))]
-                for tables in actions:
-                    nc = 0
-                    for ai in range(len(cells)):
-                        tab = tables[ai]
-                        b = blocks[ai] if tab is None else tab[blocks[ai]]
-                        nc += b * bases[ai]
+                for perm in perms:
+                    nc = perm[code]
                     if orbit[nc] < 0:
                         orbit[nc] = c0
                         frontier.append(nc)

@@ -84,8 +84,20 @@ def tbar_of_map(cat, U):
 
     An indecomposable item X is in exactly when Hom(P0, X) -> Hom(P1, X) is
     surjective; a decomposable one follows from its signature.  No module
-    is built and no hom space is solved.
+    is built and no hom space is solved.  The zero map is onto exactly when
+    X vanishes at every vertex of P1, so its class is read from a table
+    keyed by that vertex set.
     """
+    if not any(any(row) for row in U.mat):
+        return _zero_map_class(cat, tuple(sorted(set(U.minus))))
+    return _on_indecomposables(cat, lambda x: in_perp_of_kernel(U, cat, x))
+
+
+@memo
+def _zero_map_class(cat, vertices):
+    """Perp class of a zero map out of P1 with these vertices: the rank form
+    on the zero map from one copy of each vertex into P0 = 0."""
+    U = TwoTermComplex(cat.algebra, vertices, (), ())
     return _on_indecomposables(cat, lambda x: in_perp_of_kernel(U, cat, x))
 
 

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .algebra import load_algebra
+from .algebra import load_algebra, memo
 from .catalogue import Catalogue
 from .cones import (
     cone_of_subcat,
@@ -177,6 +177,13 @@ def _witness_dims(cat, wit):
     }
 
 
+@memo
+def _class_witness_dims(w, tmask):
+    """_witness_dims of a class of the window, once per class: many grid
+    weights of the semistable suite cut out the same class."""
+    return _witness_dims(w.cat, w.witnesses(tmask))
+
+
 # -- the Smalo equivalence suite ----------------------------------------------------
 
 
@@ -282,8 +289,8 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
             if verdict["rays"] is not None
             else None,
             "predicates": predicates,
-            "T-witnesses": _witness_dims(cat, wt),
-            "Tbar-witnesses": _witness_dims(cat, wb),
+            "T-witnesses": _class_witness_dims(w, quad.T),
+            "Tbar-witnesses": _class_witness_dims(w, quad.Tbar),
             "strict-inclusion": quad.T != quad.Tbar,
         }
         status = "pass"

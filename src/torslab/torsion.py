@@ -272,11 +272,6 @@ def t_of(cat, gens):
     return left_perp(cat, right_perp(cat, gens))
 
 
-def f_of(cat, gens):
-    """Smallest torsion-free class containing the generators: a double perp."""
-    return right_perp(cat, left_perp(cat, gens))
-
-
 def torsion_pair_of(cat, tmask):
     """(T, T^perp); raises when the pair is not reflexive inside the window."""
     fmask = right_perp(cat, tmask)

@@ -20,6 +20,12 @@ perp ``t_of`` of every semibrick, where the census takes one left perp per
 distinct right perp of a semibrick.  ``transition_images`` moves each block
 code of the orbit sweep by decoding it and taking matrix products, where the
 catalogue tabulates linear maps on groups of the code's digits.
+``sweep_orbits`` is the orbit sweep one popped code at a time: it splits the
+code into arrow blocks and moves each block through the generator's
+``transition_images`` table, where the catalogue reads one permutation of all
+codes per generator; they share ``_gl_generators`` and the relation check.
+``f_of``, the smallest torsion-free class as the double perp of
+``torslab.torsion``, lives here because only the tests read it.
 ``numdis_checks`` solves all four separation legs for every class, where the
 suite solves them once per distinct pair of class cones.
 ``sub_and_quotient`` builds a submodule and a quotient through explicit
@@ -74,11 +80,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
+from torslab import torsion
 from torslab.algebra import AlgebraError, Representation, hom_space
-from torslab.catalogue import SWEEP_CAP, BudgetError, _combine
+from torslab.catalogue import SWEEP_CAP, BudgetError, _combine, _gl_generators
 from torslab.cones import (
     ConeError,
     cone_of_subcat,
@@ -228,6 +236,12 @@ def right_perp(cat, gens):
     return out
 
 
+def f_of(cat, gens):
+    """Smallest torsion-free class containing the generators: the double perp
+    of ``torslab.torsion``, the dual of its ``t_of``."""
+    return torsion.right_perp(cat, torsion.left_perp(cat, gens))
+
+
 def filt_closure(cat, mask):
     """Items admitting a filtration with subquotients in the given set."""
     out = 1 << cat.zero_index()
@@ -327,6 +341,65 @@ def transition_images(p, dt, ds, g, h, codes):
             m = mat_mul(m, h, p)
         tab.append(sum(x * p**k for k, x in enumerate(x for row in m for x in row)))
     return tab
+
+
+def sweep_orbits(A, dims):
+    """(first code of every code's orbit, first codes satisfying the
+    relations) for one dimension vector, one popped code at a time."""
+    p = A.p
+    shapes = [(dims[a.target], dims[a.source]) for a in A.arrows]
+    sizes = [p ** (dt * ds) for dt, ds in shapes]
+    actions = []
+    for v in range(A.n):
+        for g in _gl_generators(dims[v], p):
+            ginv = inverse(g, p)
+            actions.append(
+                [
+                    transition_images(
+                        p,
+                        dt,
+                        ds,
+                        g if a.target == v else None,
+                        ginv if a.source == v else None,
+                        range(size),
+                    )
+                    if v in (a.source, a.target)
+                    else None
+                    for a, (dt, ds), size in zip(A.arrows, shapes, sizes)
+                ]
+            )
+    bases = [1]
+    for size in sizes:
+        bases.append(bases[-1] * size)
+    total = bases.pop()
+    orbit = array("i", [-1]) * total
+    firsts = []
+    for c0 in range(total):
+        if orbit[c0] >= 0:
+            continue
+        orbit[c0] = c0
+        frontier = [c0]
+        while frontier:
+            code = frontier.pop()
+            blocks = [code // base % size for base, size in zip(bases, sizes)]
+            for tables in actions:
+                nc = 0
+                for tab, b, base in zip(tables, blocks, bases):
+                    nc += (b if tab is None else tab[b]) * base
+                if orbit[nc] < 0:
+                    orbit[nc] = c0
+                    frontier.append(nc)
+        mats = []
+        for (dt, ds), base, size in zip(shapes, bases, sizes):
+            b = c0 // base % size
+            flat = [b // p**k % p for k in range(dt * ds)]
+            mats.append(tuple(tuple(flat[i * ds : (i + 1) * ds]) for i in range(dt)))
+        try:
+            Representation(A, dims, mats)
+        except AlgebraError:
+            continue
+        firsts.append(c0)
+    return orbit, firsts
 
 
 def torsion_classes(cat):

@@ -273,6 +273,36 @@ def test_transition_tables_match_matrix_products():
                 assert [tab[c] for c in codes] == want, (p, dt, ds, g, h)
 
 
+# (bundled name or SQUARE, field, bound): relation-free quivers at p = 2, 3
+# and 5, a vertex with no arrow, and algebras with relations
+SWEEP_WINDOWS = (
+    ("kronecker", 2, (2, 3)),
+    ("kronecker", 3, (2, 2)),
+    ("kronecker", 5, (1, 2)),
+    ("a2", 5, (2, 2)),
+    ("kxk", 3, (2, 2)),
+    ("loop", 2, (3,)),
+    ("loop", 3, (3,)),
+    ("pi_a2", 2, (2, 2)),
+    ("pi_a3", 3, (1, 1, 1)),
+    (SQUARE, 3, (1, 1, 1, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "name, p, bound", SWEEP_WINDOWS, ids=lambda x: "square" if x == SQUARE else None
+)
+def test_orbit_sweep_matches_per_code_oracle(name, p, bound):
+    A = load_algebra(name) if name == SQUARE else bundled(name, p)
+    cat = Catalogue(A, bound)
+    firsts = []
+    for dims in catalogue._all_dims(bound):
+        orbit, codes = oracles.sweep_orbits(A, dims)
+        assert cat._orbit_of[dims] == orbit, dims
+        firsts.extend((dims, c) for c in codes)
+    assert cat.fingerprints == tuple(sorted(firsts))
+
+
 def test_bricks_match_end_sweep_oracle():
     for name, p, bound in BRICK_WINDOWS:
         A = load_algebra(name) if name == SQUARE else bundled(name, p)

@@ -26,7 +26,6 @@ from torslab.cones import (
 )
 from torslab.torsion import (
     enumerate_torsion_classes,
-    f_of,
     fac_closure,
     mask_of,
     t_of,
@@ -254,7 +253,7 @@ def test_numerically_disjoint(a2, cat_a2):
     s1 = cat_a2.find_index(simple_module(a2, 0))
     s2 = cat_a2.find_index(simple_module(a2, 1))
     ok, cert = numerically_disjoint(
-        cat_a2, t_of(cat_a2, (s1,)), f_of(cat_a2, (s2,))
+        cat_a2, t_of(cat_a2, (s1,)), oracles.f_of(cat_a2, (s2,))
     )
     assert ok and cert[0] == "separator" and cert[1] == (1, -1)
     full = mask_of(range(len(cat_a2)))

@@ -74,6 +74,35 @@ def test_tbar_of_zero_map(cat_a2, cat_kron, a2, kronecker):
     assert got == expect
 
 
+@pytest.mark.parametrize(
+    "name, bound", (("a2", (2, 2)), ("kronecker", (2, 2)), ("pi_a3", (1, 2, 1))), ids=str
+)
+def test_zero_map_classes_match_rank_form(name, bound, monkeypatch):
+    # the zero map of every grid weight, at levels 1 and 2, against the rank
+    # form on every item; each vertex set of P1 is decided once
+    A = bundled(name)
+    cat = Catalogue(A, bound)
+    decided = []
+    original = presentations.in_perp_of_kernel
+
+    def counted(U, cat, idx):
+        decided.append(U.minus)
+        return original(U, cat, idx)
+
+    monkeypatch.setattr(presentations, "in_perp_of_kernel", counted)
+    vertex_sets = set()
+    for theta in product(range(-2, 3), repeat=A.n):
+        for level in (1, 2):
+            space = presentation_space(A, tuple(level * t for t in theta))
+            U = map_from_coeffs(A, space, (0,) * space["dim"])
+            assert tbar_of_map(cat, U) == oracles.covered_mask(cat, U), (theta, level)
+            vertex_sets.add(tuple(sorted(set(U.minus))))
+    assert set(decided) == vertex_sets
+    assert len(vertex_sets) == 2**A.n
+    indecs = sum(cat.is_indec(i) for i in range(len(cat)))
+    assert len(decided) == len(vertex_sets) * indecs
+
+
 def test_tbar_of_arrow_map(cat_kron, kronecker):
     arrow = kronecker.paths_between(0, 1)[0]
     U = TwoTermComplex(kronecker, (1,), (0,), (({arrow: 1},),))

@@ -27,7 +27,6 @@ from torslab.torsion import (
     cocompact_witness,
     compact_witness,
     enumerate_torsion_classes,
-    f_of,
     fac_closure,
     fac_single_witness,
     filt_closure,
@@ -138,7 +137,7 @@ def test_cocompact_pair(cat_a2, idx_a2):
     # the pair cogenerated by S2: its left perp, and the smallest
     # torsion-free class containing it, which is the right perp of that
     tmask = left_perp(cat_a2, (idx_a2["S2"],))
-    fmask = f_of(cat_a2, (idx_a2["S2"],))
+    fmask = oracles.f_of(cat_a2, (idx_a2["S2"],))
     assert set(indices_of(tmask)) == {idx_a2["Z"], idx_a2["S1"], idx_a2["P1"]}
     assert set(indices_of(fmask)) == {idx_a2["Z"], idx_a2["S2"]}
     assert right_perp(cat_a2, tmask) == fmask
