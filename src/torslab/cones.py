@@ -6,11 +6,12 @@ solutions the simplex returns and the separator program's normalized
 generators.  Two engines are kept deliberately separate so tests can compare
 them: a two-phase simplex with Bland's rule on a fraction-free tableau
 (``linalg.bareiss_pivot``) answers the programming questions (trivial
-intersection, strong convexity, best separating vector), and an incremental
-double description pass over facet systems re-decides intersection
-triviality from the H-side.  The double description eliminates nothing: it
-decides ray adjacency from zero sets, so the two engines share no
-elimination code.
+intersection, strong convexity, best separating vector, the last as one
+lexicographic program that continues over each optimal face), and an
+incremental double description pass over facet systems re-decides
+intersection triviality from the H-side.  The double description eliminates
+nothing: it decides ray adjacency from zero sets, so the two engines share
+no elimination code.
 """
 
 from __future__ import annotations
@@ -89,9 +90,13 @@ def difference_cone(cone_t, cone_f):
 # the basis determinant, so each pivot's division is exact.
 
 
-def solve_program(rows, rhs, cost=None):
+def solve_program(rows, rhs, cost=None, *later):
     """Returns a dict with keys status ('optimal' or 'infeasible'), x, value,
-    farkas.  With cost None only feasibility is decided."""
+    farkas.  With cost None only feasibility is decided.  Each later
+    objective is minimized in turn over the optimal face of the ones before
+    it (lexicographic optimization): phase 1 runs once, and each stage
+    continues from the last optimal basis.  x is optimal for every
+    objective in that order; value is cost.x."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     den = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
@@ -115,17 +120,24 @@ def solve_program(rows, rhs, cost=None):
         basis[r] = c
 
     def run(c_full, allowed):
+        # minimize over the allowed columns; returns the optimal face's
+        # columns: the basic ones and those with zero reduced cost
         while True:
             costed = [(c_full[b], tab[i]) for i, b in enumerate(basis) if c_full[b]]
             enter = -1
+            face = []
             for j in allowed:
                 if j in basis:
+                    face.append(j)
                     continue
-                if c_full[j] * det < sum(cb * row[j] for cb, row in costed):
+                cj, red = c_full[j] * det, sum(cb * row[j] for cb, row in costed)
+                if cj < red:
                     enter = j
                     break
+                if cj == red:
+                    face.append(j)
             if enter < 0:
-                return
+                return face
             leave = -1
             for i, row in enumerate(tab):
                 d = row[enter]
@@ -162,8 +174,9 @@ def solve_program(rows, rhs, cost=None):
                 del basis[i]
             else:
                 pivot(i, col)
-        c_full = _scale(cost, lcm(*(c.denominator for c in cost)))
-        run(c_full, range(ncols))
+        allowed = range(ncols)
+        for obj in (cost,) + later:
+            allowed = run(_scale(obj, lcm(*(c.denominator for c in obj))), allowed)
     x = [Fraction(0)] * ncols
     for i, b in enumerate(basis):
         if b < ncols:
@@ -235,7 +248,7 @@ def _separable(cone_t, cone_f):
     return solve_program(rows, [1] * len(gens))["status"] == "optimal"
 
 
-def _separator_program(norm_t, norm_f, n, fixed):
+def _separator_program(norm_t, norm_f, n):
     """Rows for the max-min-slack program in shifted variables.
 
     Variables: u_0..u_{n-1} with theta_i = u_i - 1, then sigma with
@@ -270,11 +283,6 @@ def _separator_program(norm_t, norm_f, n, fixed):
         row[n + 1 + ngen + i] = 1
         rows.append(row)
         rhs.append(2)
-    for var, val in fixed:
-        row = [0] * ncols
-        row[var] = 1
-        rows.append(row)
-        rhs.append(val)
     return rows, rhs, ncols
 
 
@@ -283,10 +291,10 @@ def separating_functional(cone_t, cone_f):
     theta.h < 0 on the second's, or None.
 
     A small feasibility program decides first whether any such theta exists.
-    If one does, maximizes the minimum slack over l1-normalized generators
-    inside the box [-1,1]^n, then fixes that value and minimizes each
-    coordinate in turn, so the output is the lexicographically smallest
-    optimum, scaled primitive."""
+    If one does, one lexicographic program maximizes the minimum slack over
+    l1-normalized generators inside the box [-1,1]^n, then continues over
+    the optimal face, minimizing each coordinate in turn, so the output is
+    the lexicographically smallest optimum, scaled primitive."""
     if cone_t.dim != cone_f.dim:
         raise ConeError("ambient dimension mismatch")
     if not _separable(cone_t, cone_f):
@@ -300,24 +308,15 @@ def separating_functional(cone_t, cone_f):
         tuple(Fraction(x, sum(abs(v) for v in h)) for x in h)
         for h in cone_f.generators
     ]
-    fixed = []
-    rows, rhs, ncols = _separator_program(norm_t, norm_f, n, fixed)
-    cost = [0] * ncols
-    cost[n] = -1
-    res = solve_program(rows, rhs, cost)
+    rows, rhs, ncols = _separator_program(norm_t, norm_f, n)
+    objectives = [[-int(j == n) for j in range(ncols)]]
+    objectives += [[int(j == i) for j in range(ncols)] for i in range(n)]
+    res = solve_program(rows, rhs, *objectives)
     if res["status"] != "optimal":
         raise ConeError("separator program must be feasible")
-    sigma = res["x"][n]
-    if sigma <= 1:
+    if res["x"][n] <= 1:
         raise ConeError("separable cones with no positive minimum slack")
-    fixed.append((n, sigma))
-    for i in range(n):
-        rows, rhs, ncols = _separator_program(norm_t, norm_f, n, fixed)
-        cost = [0] * ncols
-        cost[i] = 1
-        res = solve_program(rows, rhs, cost)
-        fixed.append((i, res["x"][i]))
-    theta = primitive_vector([val - 1 for var, val in fixed[1:]])
+    theta = primitive_vector([u - 1 for u in res["x"][:n]])
     for g in cone_t.generators:
         if _dot(theta, g) <= 0:
             raise ConeError("separator failed sign check on %r" % (g,))

@@ -27,7 +27,11 @@ codes per generator; they share ``_gl_generators`` and the relation check.
 ``f_of``, the smallest torsion-free class as the double perp of
 ``torslab.torsion``, lives here because only the tests read it.
 ``numdis_checks`` solves all four separation legs for every class, where the
-suite solves them once per distinct pair of class cones.
+suite solves them once per distinct pair of class cones, and takes each
+separator from ``separating_functional_pinned``: one program per objective,
+each earlier optimum pinned by an equality row, where ``torslab.cones`` runs
+one lexicographic program.  It shares the feasibility test and the
+single-objective simplex with ``torslab.cones``.
 ``sub_and_quotient`` builds a submodule and a quotient through explicit
 inclusion and projection matrices, the projection taken from the residuals
 of the unit vectors, where ``torslab.algebra`` reads coordinates straight
@@ -84,7 +88,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
-from torslab import torsion
+from torslab import cones, torsion
 from torslab.algebra import AlgebraError, Representation, hom_space
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine, _gl_generators
 from torslab.cones import (
@@ -93,8 +97,7 @@ from torslab.cones import (
     difference_cone,
     intersect_trivially,
     is_strongly_convex,
-    numerically_disjoint,
-    separating_functional,
+    dd_intersection_nontrivial,
 )
 from torslab.linalg import identity, inverse, mat_mul, mat_vec, rank, residual, row_space
 from torslab.reports import _check, _dims, _json_default, _witness_dims
@@ -633,6 +636,68 @@ def cone_contains(cone, vec):
     return solve_program(rows, target)["status"] == "optimal"
 
 
+def _separator_program(norm_t, norm_f, n, fixed):
+    """Rows of the max-min-slack separator program, with one equality row
+    per (variable, value) in fixed; variables as in ``torslab.cones``."""
+    ngen = len(norm_t) + len(norm_f)
+    ncols = n + 1 + ngen + n + 1
+    rows = []
+    rhs = []
+    for gi, (g, s) in enumerate([(g, 1) for g in norm_t] + [(h, -1) for h in norm_f]):
+        row = [0] * ncols
+        for i in range(n):
+            row[i] = s * g[i]
+        row[n] = -1
+        row[n + 1 + gi] = -1
+        rows.append(row)
+        rhs.append(s * sum(g) - 1)
+    for i in range(n + 1):
+        row = [0] * ncols
+        row[i] = 1
+        row[n + 1 + ngen + i] = 1
+        rows.append(row)
+        rhs.append(2)
+    for var, val in fixed:
+        row = [0] * ncols
+        row[var] = 1
+        rows.append(row)
+        rhs.append(val)
+    return rows, rhs, ncols
+
+
+def separating_functional_pinned(cone_t, cone_f):
+    """``torslab.cones.separating_functional`` by one program per objective:
+    maximize the minimum slack, then pin each optimum by an equality row and
+    minimize the next coordinate, each program solved from phase 1 by the
+    single-objective ``torslab.cones.solve_program``."""
+    if cone_t.dim != cone_f.dim:
+        raise ConeError("ambient dimension mismatch")
+    if not cones._separable(cone_t, cone_f):
+        return None
+    n = cone_t.dim
+    norm_t = [tuple(Fraction(x, sum(map(abs, g))) for x in g) for g in cone_t.generators]
+    norm_f = [tuple(Fraction(x, sum(map(abs, h))) for x in h) for h in cone_f.generators]
+    fixed = []
+    for var in [n] + list(range(n)):
+        rows, rhs, ncols = _separator_program(norm_t, norm_f, n, fixed)
+        cost = [0] * ncols
+        cost[var] = -1 if var == n else 1
+        res = cones.solve_program(rows, rhs, cost)
+        if res["status"] != "optimal":
+            raise ConeError("separator program must be feasible")
+        if var == n and res["x"][n] <= 1:
+            raise ConeError("separable cones with no positive minimum slack")
+        fixed.append((var, res["x"][var]))
+    theta = _primitive([val - 1 for var, val in fixed[1:]])
+    for g in cone_t.generators:
+        if _dot(theta, g) <= 0:
+            raise ConeError("separator failed sign check on %r" % (g,))
+    for h in cone_f.generators:
+        if _dot(theta, h) >= 0:
+            raise ConeError("separator failed sign check on %r" % (h,))
+    return theta
+
+
 def _dot(a, b):
     return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
 
@@ -1041,10 +1106,11 @@ def numdis_checks(algebra, bound):
         fmask = wit["perp"]
         ct = cone_of_subcat(cat, tmask)
         cf = cone_of_subcat(cat, fmask)
-        disjoint, certificate = numerically_disjoint(cat, tmask, fmask)
+        hit, common = dd_intersection_nontrivial(ct, cf)
+        disjoint = not hit
         trivial, _ = intersect_trivially(ct, cf)
         convex = is_strongly_convex(difference_cone(ct, cf))
-        separator = certificate[1] if disjoint else separating_functional(ct, cf)
+        separator = separating_functional_pinned(ct, cf)
         legs = (disjoint, trivial, convex, separator is not None)
         agree = all(legs) or not any(legs)
         verified = None
@@ -1058,7 +1124,7 @@ def numdis_checks(algebra, bound):
             "separator-verified": verified,
         }
         if not disjoint:
-            payload["common-class"] = list(certificate[1])
+            payload["common-class"] = list(common)
         bad = not agree or verified is False
         checks.append(_check("numdis-pair[%d]" % k, "fail" if bad else "pass", payload))
         if disjoint and wit["bicompact"]:

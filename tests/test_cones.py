@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import bundled
 from oracles import cone_contains
 from torslab import cones
 from torslab.catalogue import Catalogue
@@ -25,9 +26,11 @@ from torslab.cones import (
     solve_program,
 )
 from torslab.torsion import (
+    Window,
     enumerate_torsion_classes,
     fac_closure,
     mask_of,
+    right_perp,
     t_of,
     torsion_pair_of,
 )
@@ -124,6 +127,48 @@ def test_solve_program_matches_rational_oracle():
     assert kinds == {"optimal", "infeasible", "unbounded"}
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def test_lexicographic_program_matches_pinned_oracle():
+    # feasible programs boxed by x_j + s_j = 2, with 2 or 3 objectives of small
+    # entries, so optimal faces are often wider than a vertex
+    rng = random.Random(20261019)
+    wider = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 3), rng.randint(2, 5)
+        rational = rng.random() < 0.3
+        point = [rng.randint(0, 2) for _ in range(n)]
+        point += [2 - v for v in point]
+        rows = [[_entry(rng, rational) for _ in range(n)] + [0] * n for _ in range(m)]
+        rows += [[int(k == j or k == n + j) for k in range(2 * n)] for j in range(n)]
+        rhs = [_dot(row, point) for row in rows]
+
+        def objective():
+            if rng.random() < 0.8:
+                return [rng.choice((-1, 0, 0, 1)) for _ in range(2 * n)]
+            return [_entry(rng, rational) for _ in range(2 * n)]
+
+        objectives = [objective() for _ in range(rng.randint(2, 3))]
+        got = solve_program(rows, rhs, *objectives)
+        assert got["status"] == "optimal"
+        x = got["x"]
+        assert all(v >= 0 for v in x)
+        assert all(_dot(row, x) == b for row, b in zip(rows, rhs))
+        pinned_rows, pinned_rhs = list(rows), list(rhs)
+        for k, obj in enumerate(objectives):
+            best = oracles.solve_program(pinned_rows, pinned_rhs, obj)["value"]
+            assert _dot(obj, x) == best, (rows, rhs, objectives, k)
+            pinned_rows.append(obj)
+            pinned_rhs.append(best)
+        assert got["value"] == _dot(objectives[0], x)
+        single = solve_program(rows, rhs, objectives[0])["x"]
+        wider += _dot(objectives[1], single) != _dot(objectives[1], x)
+    # the later objectives moved the answer on many programs
+    assert wider > 40
+
+
 def test_dd_rays_matches_rational_oracle():
     rng = random.Random(20261019)
     for _ in range(600):
@@ -183,6 +228,50 @@ def test_separator_needs_no_wide_program_without_a_separator(monkeypatch):
     # the cones share the class vector (1, 1)
     assert separating_functional(C((1, 1), (0, 1)), C((1, 1))) is None
     assert separating_functional(C((1, 0), (0, 1)), C((1, 1), (2, 1))) is None
+
+
+def _separator_outcome(separator, ct, cf):
+    try:
+        return separator(ct, cf)
+    except ConeError as exc:
+        return ("ConeError", str(exc))
+
+
+def test_separating_functional_matches_pinned_oracle_on_random_cones():
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(300):
+        dims = [rng.randint(2, 4)] * 2
+        if rng.random() < 0.03:
+            dims[1] = dims[0] % 4 + 1
+        ct, cf = (
+            RationalCone.from_vectors(
+                d, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, 5))]
+            )
+            for d in dims
+        )
+        got = _separator_outcome(separating_functional, ct, cf)
+        assert got == _separator_outcome(oracles.separating_functional_pinned, ct, cf), (ct, cf)
+        kinds.add("none" if got is None else got[0] if isinstance(got[0], str) else "theta")
+    assert kinds == {"none", "theta", "ConeError"}
+
+
+@pytest.mark.parametrize(
+    "name, p, bound",
+    (
+        ("kronecker", None, (2, 3)),
+        ("kronecker", 3, (2, 2)),
+        ("a2", None, (3, 3)),
+        ("pi_a3", None, (1, 2, 1)),
+    ),
+)
+def test_separating_functional_matches_pinned_oracle_on_class_cones(name, p, bound):
+    w = Window(bundled(name, p), bound)
+    pairs = {
+        (cone_of_subcat(w.cat, t), cone_of_subcat(w.cat, right_perp(w.cat, t))) for t in w.classes
+    }
+    for ct, cf in pairs:
+        assert separating_functional(ct, cf) == oracles.separating_functional_pinned(ct, cf)
 
 
 def test_cone_contains():

@@ -200,6 +200,23 @@ def test_numdis_computes_perp_once_per_class_and_separator_once_per_cone_pair(
     assert len(pairs) == len(separators) == 8
 
 
+def test_separator_is_one_feasibility_and_one_lexicographic_program(monkeypatch):
+    programs = _count_calls(monkeypatch, "solve_program", cones.solve_program)
+
+    def C(*gens):
+        return cones.RationalCone.from_vectors(2, gens)
+
+    assert cones.separating_functional(C((1, 1), (0, 1)), C((1, 0))) == (-1, 3)
+    assert len(programs) == 2
+    programs.clear()
+    assert cones.separating_functional(C((1, 0), (0, 1)), C((1, 1))) is None
+    assert len(programs) == 1
+    # the census workload's window: 9 pairs of class cones, 8 of them separable
+    programs.clear()
+    reports.suite_numdis(bundled("kronecker"), (2, 3), "kronecker")
+    assert len(programs) == 51
+
+
 def test_semistable_runs_the_per_item_pass_once_per_sign_vector(monkeypatch, a2):
     # the chambers workload's window and grid: 625 weights, whose signs on the
     # 8 nonzero vectors of the box (2,2) fall on 5 lines, so 21 sign vectors
