@@ -19,7 +19,8 @@ The sweep keeps, for every code, the first code of its orbit, so an explicit
 representation is located by encoding its matrices and reading that label: no
 isomorphism test runs after the sweep.  Krull-Schmidt signatures come from
 Fitting splittings found by sweeping endomorphism spaces, exhaustively and
-refused past SWEEP_CAP; bricks are read from submodule lattices (is_brick).
+refused past SWEEP_CAP; each split part is located in the catalogue and split
+in turn (signature).  Bricks are read from submodule lattices (is_brick).
 Semibricks are every pairwise hom-orthogonal set of bricks, with no size cap.
 """
 
@@ -297,55 +298,36 @@ class Catalogue:
 
     # -- Krull-Schmidt -------------------------------------------------------
 
-    def decompose_rep(self, rep):
-        """Indecomposable direct summands of an explicit representation."""
-        if rep.total_dim() == 0:
-            return []
+    @memo
+    def signature(self, idx):
+        """Sorted catalogue indices of the indecomposable summands: the first
+        endomorphism (basis elements, then every other nonzero combination)
+        whose Fitting power has rank strictly between 0 and dim M splits M
+        into image and kernel, each located in the catalogue and split in
+        turn; M is indecomposable when none does."""
+        M = self.reps[idx]
+        total = M.total_dim()
+        if total == 0:
+            return ()
         p = self.algebra.p
-        ends = hom_space(rep, rep)
+        ends = hom_space(M, M)
         r = len(ends)
         if p**r > SWEEP_CAP:
             raise BudgetError("endomorphism sweep too large: %d^%d" % (p, r))
-        total = rep.total_dim()
-        kpow = max(1, total).bit_length()
-
-        def split_by(phi):
-            phin = phi
+        kpow = total.bit_length()
+        combos = (
+            _combine(ends, coeffs, p)
+            for coeffs in itertools.product(range(p), repeat=r)
+            if coeffs.count(0) < r - 1  # zero and single basis elements skipped
+        )
+        for phi in itertools.chain(ends, combos):
             for _ in range(kpow):
-                phin = tuple(
-                    mat_mul(m, m, p, inner=len(m)) for m in phin
-                )
-            rk = sum(rank(m, p) for m in phin)
-            if 0 < rk < total:
-                im = image_submodule(phin, rep, rep)
-                ker = kernel_submodule(phin, rep, rep)
-                return [
-                    s for sub in (im, ker) for s in self.decompose_rep(submodule_rep(rep, sub))
-                ]
-            return None
-
-        for phi in ends:
-            got = split_by(phi)
-            if got is not None:
-                return got
-        for coeffs in itertools.product(range(p), repeat=r):
-            if not any(coeffs):
-                continue
-            if coeffs.count(0) >= r - 1:
-                continue  # single basis elements already tried
-            phi = _combine(ends, coeffs, p)
-            got = split_by(phi)
-            if got is not None:
-                return got
-        return [rep]
-
-    @memo
-    def signature(self, idx):
-        """Sorted catalogue indices of the indecomposable summands."""
-        parts = self.decompose_rep(self.reps[idx])
-        if len(parts) <= 1:
-            return (idx,) if parts else ()
-        return tuple(sorted(self.find_index(part) for part in parts))
+                phi = tuple(mat_mul(m, m, p, inner=len(m)) for m in phi)
+            if 0 < sum(rank(m, p) for m in phi) < total:
+                parts = (image_submodule(phi, M, M), kernel_submodule(phi, M, M))
+                found = [self.find_index(submodule_rep(M, part)) for part in parts]
+                return tuple(sorted(s for j in found for s in self.signature(j)))
+        return (idx,)
 
     def is_indec(self, idx):
         return len(self.signature(idx)) == 1

@@ -19,14 +19,16 @@ from . import reports
 
 
 def _algebra_text(arg):
-    if os.path.exists(arg):
-        with open(arg) as fh:
+    path = arg
+    if not os.path.exists(path):
+        path = os.path.join(os.path.dirname(__file__), "data", arg + ".alg")
+        if not os.path.exists(path):
+            raise SystemExit("no such algebra file or bundled name: %s" % arg)
+    try:
+        with open(path) as fh:
             return fh.read()
-    bundled = os.path.join(os.path.dirname(__file__), "data", arg + ".alg")
-    if os.path.exists(bundled):
-        with open(bundled) as fh:
-            return fh.read()
-    raise SystemExit("no such algebra file or bundled name: %s" % arg)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit("cannot read algebra %s: %s" % (arg, exc))
 
 
 def _load(text):
@@ -86,8 +88,11 @@ def _depth(text):
 
 def _emit(payload, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise SystemExit("cannot write report: %s" % exc)
     else:
         sys.stdout.write(payload)
 

@@ -151,8 +151,8 @@ def fac_closure(cat, gens):
 
     An indecomposable X is in exactly when the images of all maps from the
     generators span X at every vertex.  Every item's Krull-Schmidt
-    signature must be computable: on a catalogue where decompose_rep raises
-    BudgetError, this raises too.
+    signature must be computable: on a catalogue where Catalogue.signature
+    raises BudgetError, this raises too.
     """
     return _span_closure(cat, gens, False)
 

@@ -15,11 +15,15 @@ item; it shares only ``path_matrix`` and ``rank`` with
 ``is_isomorphic_rep`` sweeps a hom space for an invertible map; the
 catalogue locates modules by orbit labels and runs no such test.
 ``is_brick`` sweeps End(X) for a nonzero map that is not invertible, where
-the catalogue reads submodule lattices.  ``torsion_classes`` takes the double
-perp ``t_of`` of every semibrick, where the census takes one left perp per
-distinct right perp of a semibrick.  ``transition_images`` moves each block
-code of the orbit sweep by decoding it and taking matrix products, where the
-catalogue tabulates linear maps on groups of the code's digits.
+the catalogue reads submodule lattices.  ``decompose_rep`` splits an explicit
+representation by Fitting's lemma and recurses on the explicit image and
+kernel, where ``Catalogue.signature`` locates each part in the catalogue and
+reads its memoised signature; they share ``_combine`` and ``SWEEP_CAP``.
+``torsion_classes`` takes the double perp ``t_of`` of every semibrick, where
+the census takes one left perp per distinct right perp of a semibrick.
+``transition_images`` moves each block code of the orbit sweep by decoding
+it and taking matrix products, where the catalogue tabulates linear maps on
+groups of the code's digits.
 ``sweep_orbits`` is the orbit sweep one popped code at a time: it splits the
 code into arrow blocks and moves each block through the generator's
 ``transition_images`` table, where the catalogue reads one permutation of all
@@ -89,7 +93,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from torslab import cones, torsion
-from torslab.algebra import AlgebraError, Representation, hom_space
+from torslab.algebra import (
+    AlgebraError,
+    Representation,
+    hom_space,
+    image_submodule,
+    kernel_submodule,
+    submodule_rep,
+)
 from torslab.catalogue import SWEEP_CAP, BudgetError, _combine, _gl_generators
 from torslab.cones import (
     ConeError,
@@ -328,6 +339,45 @@ def is_brick(cat, idx, cap=SWEEP_CAP):
         if any(inverse(m, p) is None for m in phi if m):
             return False
     return True
+
+
+def decompose_rep(M):
+    """Indecomposable direct summands of an explicit representation, as
+    explicit representations: the first endomorphism (basis elements, then
+    every other nonzero combination) whose Fitting power has rank strictly
+    between 0 and dim M splits M into image and kernel, each split in turn
+    without looking it up anywhere."""
+    total = M.total_dim()
+    if total == 0:
+        return []
+    p = M.algebra.p
+    ends = hom_space(M, M)
+    r = len(ends)
+    if p**r > SWEEP_CAP:
+        raise BudgetError("endomorphism sweep too large: %d^%d" % (p, r))
+    kpow = total.bit_length()
+
+    def split_by(phi):
+        for _ in range(kpow):
+            phi = tuple(mat_mul(m, m, p, inner=len(m)) for m in phi)
+        if 0 < sum(rank(m, p) for m in phi) < total:
+            subs = (image_submodule(phi, M, M), kernel_submodule(phi, M, M))
+            return [s for sub in subs for s in decompose_rep(submodule_rep(M, sub))]
+        return None
+
+    for phi in ends:
+        got = split_by(phi)
+        if got is not None:
+            return got
+    for coeffs in itertools.product(range(p), repeat=r):
+        if not any(coeffs):
+            continue
+        if coeffs.count(0) >= r - 1:
+            continue  # single basis elements already tried
+        got = split_by(_combine(ends, coeffs, p))
+        if got is not None:
+            return got
+    return [M]
 
 
 def transition_images(p, dt, ds, g, h, codes):

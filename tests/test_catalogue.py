@@ -9,6 +9,7 @@ from torslab import catalogue
 from torslab.algebra import (
     Representation,
     direct_sum,
+    hom_space,
     load_algebra,
     projective_module,
     quotient_module,
@@ -16,7 +17,7 @@ from torslab.algebra import (
     submodule_rep,
 )
 from torslab.catalogue import BudgetError, Catalogue, WindowError
-from torslab.linalg import inverse, mat_mul
+from torslab.linalg import inverse, mat_mul, rank
 from torslab.torsion import enumerate_torsion_classes
 
 import oracles
@@ -315,6 +316,91 @@ def test_bricks_match_end_sweep_oracle():
             assert len(want) == 20
             assert sum(cat.is_indec(i) for i in range(len(cat))) == 26
             assert any(cat.hom_dim(i, i) == 2 for i in want)
+
+
+# (bundled name, field, bound): Kronecker F_5 has End = F_25 bricks; loop,
+# Π(A2) and Π(A3) have relations, and kxk has no arrow
+SIGNATURE_WINDOWS = (
+    ("kronecker", 2, (3, 3)),
+    ("kronecker", 3, (2, 2)),
+    ("kronecker", 5, (2, 2)),
+    ("a2", None, (3, 3)),
+    ("pi_a3", 2, (1, 2, 1)),
+    ("pi_a3", 3, (1, 1, 1)),
+    ("loop", 2, (4,)),
+    ("loop", 3, (3,)),
+    ("kxk", None, (3, 3)),
+    ("pi_a2", 3, (2, 2)),
+)
+
+
+def oracle_signature(cat, i):
+    return tuple(sorted(cat.find_index(part) for part in oracles.decompose_rep(cat.rep(i))))
+
+
+@pytest.mark.parametrize("name, p, bound", SIGNATURE_WINDOWS)
+def test_signatures_match_explicit_decomposition_oracle(name, p, bound):
+    cat = Catalogue(bundled(name, p), bound)
+    for i in range(len(cat)):
+        assert cat.signature(i) == oracle_signature(cat, i), i
+
+
+def test_signature_splits_by_combinations_when_no_basis_element_does(monkeypatch):
+    # each End basis is replaced by a random invertible recombination of it
+    # (seeded by its dimension); on Kronecker F_3 at (2,2) that leaves five
+    # decomposable items with no basis element of proper Fitting power, so
+    # only the sweep over combinations splits them
+    k3 = bundled("kronecker", p=3)
+    plain = Catalogue(k3, (2, 2))
+    want = [plain.signature(i) for i in range(len(plain))]
+
+    def scrambled(M, N):
+        basis = hom_space(M, N)
+        if len(basis) < 2:
+            return basis
+        p = M.algebra.p
+        rng = random.Random(len(basis))
+        while True:
+            T = [[rng.randrange(p) for _ in basis] for _ in basis]
+            if inverse(T, p) is not None:
+                return [catalogue._combine(basis, row, p) for row in T]
+
+    def splits(phi, M):
+        p, total = M.algebra.p, M.total_dim()
+        for _ in range(total.bit_length()):
+            phi = tuple(mat_mul(m, m, p, inner=len(m)) for m in phi)
+        return 0 < sum(rank(m, p) for m in phi) < total
+
+    monkeypatch.setattr(catalogue, "hom_space", scrambled)
+    cat = Catalogue(k3, (2, 2))
+    assert [cat.signature(i) for i in range(len(cat))] == want
+    reps = [cat.rep(i) for i in range(len(cat))]
+    basis_blind = [
+        i
+        for i, M in enumerate(reps)
+        if len(want[i]) > 1 and not any(splits(e, M) for e in scrambled(M, M))
+    ]
+    assert len(basis_blind) == 5
+
+
+def test_signature_refuses_one_item_past_the_sweep_cap():
+    # Kronecker F_3 at (2,3): only the semisimple S1^2 + S2^3 (both maps
+    # zero) has p^dim End = 3^13 > SWEEP_CAP; every other item splits as the
+    # explicit decomposition does
+    cat = Catalogue(bundled("kronecker", p=3), (2, 3))
+    assert len(cat) == 82
+    raised = []
+    for i in range(len(cat)):
+        try:
+            sig = cat.signature(i)
+        except BudgetError as err:
+            raised.append((i, str(err)))
+            continue
+        assert sig == oracle_signature(cat, i), i
+    assert raised == [(53, "endomorphism sweep too large: 3^13")]
+    M = cat.rep(53)
+    assert M.dims == (2, 3)
+    assert all(not any(any(row) for row in m) for m in M.mats)
 
 
 def test_is_brick_sweeps_no_endomorphisms(kronecker, monkeypatch):

@@ -568,12 +568,21 @@ def test_cli_unknown_algebra_errors():
         (("fan", "--algebra", "kronecker", "--depth", "-1"), "depth must be nonnegative"),
         (("verify", "--suite", "numdis", "--algebra", "a2", "--bound", "-1,2"), "negative entry"),
         (("scan", "--algebra", "kronecker", "--fields", "2,2"), "repeats a prime"),
+        (("fan", "--algebra", "DIR"), "Is a directory"),
+        (("fan", "--algebra", "LATIN1_FILE"), "can't decode byte 0xe9"),
+        (("fan", "--algebra", "a2", "--depth", "1", "--out", "MISSING_DIR_OUT"), "cannot write report"),
     ],
 )
 def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
-    bad = tmp_path / "bad.alg"
-    bad.write_text("field p=2\nvertices 1 2\narrow a: 1 -> 3\n")
-    proc = _cli(*(str(bad) if a == "BAD_FILE" else a for a in argv))
+    paths = {
+        "BAD_FILE": tmp_path / "bad.alg",
+        "LATIN1_FILE": tmp_path / "latin1.alg",
+        "DIR": tmp_path,
+        "MISSING_DIR_OUT": tmp_path / "no-such-dir" / "fan.json",
+    }
+    paths["BAD_FILE"].write_text("field p=2\nvertices 1 2\narrow a: 1 -> 3\n")
+    paths["LATIN1_FILE"].write_bytes("field p=2\n# caf\xe9\nvertices 1\n".encode("latin-1"))
+    proc = _cli(*(str(paths.get(a, a)) for a in argv))
     assert proc.returncode != 0 and not proc.stdout
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr.splitlines()[-1]
