@@ -86,17 +86,6 @@ def _depth(text):
     return depth
 
 
-def _emit(payload, out):
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise SystemExit("cannot write report: %s" % exc)
-    else:
-        sys.stdout.write(payload)
-
-
 def _run_verify(args):
     algebra = _load(_algebra_text(args.algebra))
     if args.bound:
@@ -104,19 +93,14 @@ def _run_verify(args):
     else:
         bound = (2,) * algebra.n
     aid = _algebra_id(args.algebra)
-    t0 = time.perf_counter()
     if args.suite == "smalo":
-        rep = reports.suite_smalo(algebra, bound, aid)
-    elif args.suite == "semistable":
+        return reports.suite_smalo(algebra, bound, aid)
+    if args.suite == "semistable":
         grid = _parse_range(args.grid, "grid")
-        rep = reports.suite_semistable(algebra, bound, grid, args.depth, aid)
-    elif args.suite == "numdis":
-        rep = reports.suite_numdis(algebra, bound, aid)
-    else:
-        rep = reports.suite_brickfinite(algebra, bound, aid)
-    timings = {"seconds": round(time.perf_counter() - t0, 3)} if args.timings else None
-    _emit(reports.render_json(rep, timings), args.out)
-    return reports.exit_code(rep)
+        return reports.suite_semistable(algebra, bound, grid, args.depth, aid)
+    if args.suite == "numdis":
+        return reports.suite_numdis(algebra, bound, aid)
+    return reports.suite_brickfinite(algebra, bound, aid)
 
 
 def _run_scan(args):
@@ -126,29 +110,21 @@ def _run_scan(args):
     # a bad file exits here with one line; the suite parses it again
     algebras = [_load(reports.refield(text, p)) for p in fields]
     bound = _parse_bound(args.bound, algebras[0].n) if args.bound else None
-    t0 = time.perf_counter()
-    rep = reports.suite_scan(
+    return reports.suite_scan(
         text, grid, fields, args.depth, bound, _algebra_id(args.algebra)
     )
-    timings = {"seconds": round(time.perf_counter() - t0, 3)} if args.timings else None
-    _emit(reports.render_json(rep, timings), args.out)
-    return reports.exit_code(rep)
 
 
 def _run_fan(args):
     algebra = _load(_algebra_text(args.algebra))
-    fan = reports.fan_json(algebra, args.depth, _algebra_id(args.algebra))
-    _emit(reports.render_json(fan), args.out)
-    return 0
+    return reports.fan_json(algebra, args.depth, _algebra_id(args.algebra))
 
 
 def _run_wallchamber(args):
     algebra = _load(_algebra_text(args.algebra))
     bound = _parse_bound(args.bound, algebra.n) if args.bound else None
     window = _parse_range(args.window, "window")
-    svg = reports.wallchamber_svg(algebra, bound, window, args.depth)
-    _emit(svg, args.out)
-    return 0
+    return reports.wallchamber_svg(algebra, bound, window, args.depth)
 
 
 def build_parser():
@@ -162,8 +138,6 @@ def build_parser():
         p.add_argument("--algebra", required=True,
                        help="algebra file path or bundled name")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--timings", action="store_true",
-                       help="attach wall clock timing to the report")
 
     v = sub.add_parser("verify", help="run one verification suite")
     common(v)
@@ -193,26 +167,24 @@ def build_parser():
     w.add_argument("--bound", help="dimension bound d1,d2,...")
     w.add_argument("--depth", type=_depth, default=6, help="fan overlay depth")
     w.set_defaults(run=_run_wallchamber)
+
+    for p in (v, s, f):
+        p.add_argument("--timings", action="store_true",
+                       help="attach wall clock timing to the report")
     return parser
 
 
 def _glue_negative_values(argv):
     """Join option values like -4:4 onto their flag so argparse accepts them."""
     glued = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[k + 1] if k + 1 < len(argv) else None
+    for tok in argv:
         if (
-            tok in ("--grid", "--window", "--bound")
-            and nxt is not None
-            and nxt.startswith("-")
-            and any(ch.isdigit() for ch in nxt)
+            glued
+            and glued[-1] in ("--grid", "--window", "--bound")
+            and tok.startswith("-")
+            and any(ch.isdigit() for ch in tok)
         ):
-            glued.append(tok + "=" + nxt)
-            skip = True
+            glued[-1] += "=" + tok
         else:
             glued.append(tok)
     return glued
@@ -221,12 +193,35 @@ def _glue_negative_values(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_glue_negative_values(list(argv)))
     try:
-        return args.run(args)
+        args = build_parser().parse_args(_glue_negative_values(list(argv)))
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a window-limited report
+        raise SystemExit(1 if exc.code else 0)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise SystemExit("cannot write report: no such directory for %s" % args.out)
+    t0 = time.perf_counter()
+    try:
+        result = args.run(args)
     except reports.ReportError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    text = result
+    if isinstance(result, dict):
+        # wallchamber's SVG, the one result that is not a dict, takes no --timings
+        if args.timings:
+            seconds = round(time.perf_counter() - t0, 3)
+            result = dict(result, timings={"seconds": seconds})
+        text = reports.render_json(result)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit("cannot write report: %s" % exc)
+    else:
+        sys.stdout.write(text)
+    return reports.exit_code(result) if args.command in ("verify", "scan") else 0
 
 
 if __name__ == "__main__":

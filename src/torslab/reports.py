@@ -133,13 +133,10 @@ def _render(obj, out, nl):
         out.append(json.dumps(obj, default=_json_default))
 
 
-def render_json(obj, timings=None):
+def render_json(obj):
     """Report text: the bytes of json.dumps(sort_keys=True, indent=2) plus a
     newline, with Fractions as strings.  Keys must be str; a value JSON
     cannot hold raises TypeError."""
-    if timings is not None:
-        obj = dict(obj)
-        obj["timings"] = timings
     out = []
     _render(obj, out, "\n")
     return "".join(out) + "\n"

@@ -383,9 +383,9 @@ def rendered(monkeypatch):
     against the json.dumps oracle."""
     texts = []
 
-    def checked(obj, timings=None):
-        got = render_json(obj, timings)
-        assert got == oracles.render_json(obj, timings)
+    def checked(obj):
+        got = render_json(obj)
+        assert got == oracles.render_json(obj)
         texts.append(got)
         return got
 
@@ -404,7 +404,7 @@ def test_render_json_matches_oracle_on_the_bundle(rendered):
 def test_render_json_matches_oracle_with_timings(kxk):
     rep = reports.suite_numdis(kxk, (1, 1), "kxk")
     timings = {"seconds": 0.123, "parts": [1.5e-07, 2.0, -0.0, 1e300]}
-    got = render_json(rep, timings)
+    got = render_json(dict(rep, timings=timings))
     assert got == oracles.render_json(rep, timings)
     assert "timings" not in rep
 
@@ -571,6 +571,8 @@ def test_cli_unknown_algebra_errors():
         (("fan", "--algebra", "DIR"), "Is a directory"),
         (("fan", "--algebra", "LATIN1_FILE"), "can't decode byte 0xe9"),
         (("fan", "--algebra", "a2", "--depth", "1", "--out", "MISSING_DIR_OUT"), "cannot write report"),
+        (("verify", "--suite", "bogus", "--algebra", "a2"), "invalid choice: 'bogus'"),
+        (("wallchamber", "--algebra", "a2", "--timings"), "unrecognized arguments: --timings"),
     ],
 )
 def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
@@ -583,9 +585,26 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
     paths["BAD_FILE"].write_text("field p=2\nvertices 1 2\narrow a: 1 -> 3\n")
     paths["LATIN1_FILE"].write_bytes("field p=2\n# caf\xe9\nvertices 1\n".encode("latin-1"))
     proc = _cli(*(str(paths.get(a, a)) for a in argv))
-    assert proc.returncode != 0 and not proc.stdout
+    # 1 as for a failed check: argparse's own usage code 2 means window-limited
+    assert proc.returncode == 1 and not proc.stdout
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr.splitlines()[-1]
+
+
+def test_cli_help_exits_zero():
+    proc = _cli("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: torslab")
+
+
+def test_cli_refuses_out_in_missing_directory_before_any_work(monkeypatch, tmp_path):
+    def never(*args):
+        raise AssertionError("suite ran before --out was checked")
+
+    monkeypatch.setattr(reports, "suite_numdis", never)
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit, match="cannot write report"):
+        cli.main(["verify", "--suite", "numdis", "--algebra", "kxk", "--out", str(out)])
 
 
 def test_cli_timings_attached():
@@ -600,3 +619,6 @@ def test_cli_timings_attached():
         "verify", "--suite", "brickfinite", "--algebra", "loop", "--bound", "2"
     )
     assert "timings" not in json.loads(bare.stdout)
+    fan = _cli("fan", "--algebra", "a2", "--depth", "2", "--timings")
+    assert fan.returncode == 0, fan.stderr
+    assert json.loads(fan.stdout)["timings"]["seconds"] >= 0
