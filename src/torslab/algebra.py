@@ -13,11 +13,18 @@ Conventions, fixed once and used by every other module:
   * Hom(P(i), P(j)) is identified with the span of basis paths j -> i, an
     element x acting by q |-> x.q.
 
-The path basis is computed by linear algebra on a truncated window of paths.
-For ideals generated by length-homogeneous relations this window computation
-is exact once a path length with empty basis layer appears (leading terms
-form a monomial ideal, and monomial complements are closed under subpaths).
-Inhomogeneous admissible relations get an extra window-stability pass.
+The path basis is read off a window, all paths of length at most L, over which
+the ideal rows x.r.y are reduced (``_PathWindow``); a path is standard when
+neither it nor a prefix of it leads a row.  Once some layer holds no standard
+path, none longer does, and the standard paths are the candidate basis: it
+holds every true basis path, as those lead no row.  Arrows act on its span by
+right multiplication, read from the window.  L is accepted when each such
+product lies in the span and every relation acts on it as 0: the span is then
+a right A-module that the trivial paths generate, so at most dim A large, and
+it is A.  Otherwise L grows geometrically.  Relations may mix path lengths.  A
+load is refused at once when a cycle of arrows has no two consecutive ones
+consecutive in a relation term, and when a window passes ``PATH_CAP`` paths,
+as the windows of an infinite algebra do.
 ``A.paths[i][j]`` is the one index of basis paths from i to j; the
 projective and injective layouts and ``paths_between`` all read it.
 ``path_map`` is the one matrix of multiplication of basis paths by algebra
@@ -32,7 +39,7 @@ object that owns it, and lives and dies with that object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 
 from .linalg import (
     identity,
@@ -40,9 +47,9 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    reduced_rows,
     residual,
     row_space,
-    rref,
     zeros,
 )
 
@@ -93,28 +100,99 @@ def _window_overflow():
     )
 
 
-def _has_oriented_cycle(n, arrows):
-    """Whether the quiver has an oriented cycle: peeling off vertices with no
-    incoming arrow (Kahn's algorithm) leaves some vertex behind."""
-    indeg = [0] * n
-    for a in arrows:
-        indeg[a.target] += 1
-    ready = [v for v in range(n) if not indeg[v]]
-    peeled = 0
-    while ready:
-        v = ready.pop()
-        peeled += 1
-        for a in arrows:
-            if a.source == v:
-                indeg[a.target] -= 1
-                if not indeg[a.target]:
-                    ready.append(a.target)
-    return peeled < n
-
-
 def _path_target(algebra_arrows, path):
     src, arrows = path
     return algebra_arrows[arrows[-1]].target if arrows else src
+
+
+class _PathWindow:
+    """The paths of length <= L in ascending order, with the ideal reduced
+    over them.
+
+    Layer 1 is the arrows by name (trivial paths all rank equal), and each
+    later layer extends the one before in order, by arrows in name order.
+    Path k is kept as its prefix and last arrow, and ``step[k]`` maps an
+    arrow to the path k followed by it.  Path k is column -k of the ideal
+    rows, so a reduced row leads with its largest path, its pivot.
+    ``basis`` lists the standard paths (neither they nor a prefix lead a
+    row) once some layer holds none, or is None when every layer holds one.
+    """
+
+    def __init__(self, A, L):
+        arrows = A.arrows
+        by_name = sorted(range(len(arrows)), key=lambda ai: arrows[ai].name)
+        out = [[ai for ai in by_name if arrows[ai].source == v] for v in range(A.n)]
+        self.target = list(range(A.n))
+        self.length = [0] * A.n
+        self.parent = [None] * A.n
+        self.step = [{} for _ in range(A.n)]
+        layer = [(arrows[ai].source, ai) for ai in by_name]
+        for length in range(1, L + 1):
+            if len(self.target) + len(layer) > PATH_CAP:
+                raise _window_overflow()
+            nxt = []
+            for k, ai in layer:
+                j = self.step[k][ai] = len(self.target)
+                self.target.append(arrows[ai].target)
+                self.length.append(length)
+                self.parent.append((k, ai))
+                self.step.append({})
+                nxt.extend((j, bi) for bi in out[self.target[j]])
+            layer = nxt
+        N = len(self.target)
+        self.pivots, _ = reduced_rows(self._ideal_rows(A, L), A.p, N)
+        standard = set(range(A.n))  # trivial paths lead no row
+        for k in range(A.n, N):
+            if -k not in self.pivots and self.parent[k][0] in standard:
+                standard.add(k)
+        # standard paths hold their prefixes, so layers 0 to m all hold one
+        m = max((self.length[k] for k in standard), default=0)
+        self.basis = sorted(standard) if m < L else None
+
+    def _ideal_rows(self, A, L):
+        """The rows x.r.y of length <= L as {column: coefficient} dicts."""
+        for rel in A.relations:
+            src, tgt = rel[0][1][0], _path_target(A.arrows, rel[0][1])
+            room = L - max(len(arrs) for _, (_, arrs) in rel)
+            for x in range(len(self.target)):
+                if self.length[x] > room or self.target[x] != src:
+                    continue
+                # the paths x.t.y of the terms t, y growing from the trivial path
+                heads = [reduce(lambda k, ai: self.step[k][ai], arrs, x) for _, (_, arrs) in rel]
+                stack = [(tgt, heads)]
+                while stack:
+                    y, heads = stack.pop()
+                    row = {}
+                    for (coeff, _), h in zip(rel, heads):
+                        row[-h] = row.get(-h, 0) + coeff
+                    yield row
+                    if self.length[x] + self.length[y] < room:
+                        for ai, z in self.step[y].items():
+                            stack.append((z, [self.step[h][ai] for h in heads]))
+
+    def path(self, k):
+        """Path k as (source, arrow indices); the trivial path at v is k = v."""
+        arrs = []
+        while self.parent[k] is not None:
+            k, ai = self.parent[k]
+            arrs.append(ai)
+        return (k, tuple(reversed(arrs)))
+
+    def arrow_action(self, p):
+        """{(i, a): basis path i times an arrow a leaving it, as {basis
+        position: coeff}}, read from the row that i.a leads, if any (i.a lies
+        in the window), or None when a product leaves the span of the
+        basis."""
+        pos = {k: i for i, k in enumerate(self.basis)}
+        act = {}
+        for i, k in enumerate(self.basis):
+            for ai, q in self.step[k].items():
+                row = self.pivots.get(-q)
+                nf = {q: 1} if row is None else {-c: -v % p for c, v in row.items() if c != -q}
+                if not nf.keys() <= pos.keys():
+                    return None
+                act[i, ai] = {pos[b]: v for b, v in nf.items()}
+        return act
 
 
 class Algebra:
@@ -124,7 +202,7 @@ class Algebra:
     Elements are dicts {basis_index: coefficient mod p}.
     """
 
-    def __init__(self, p, vertex_names, arrows, relations, source_text=""):
+    def __init__(self, p, vertex_names, arrows, relations):
         if p not in PRIMES:
             raise AlgebraError("field must be a prime p with 2 <= p <= 13, got %r" % (p,))
         self.p = p
@@ -132,7 +210,6 @@ class Algebra:
         self.n = len(self.vertex_names)
         self.arrows = tuple(arrows)
         self.relations = tuple(tuple(r) for r in relations)
-        self.source_text = source_text
         self._check_relations_shape()
         self._build_basis()
 
@@ -150,129 +227,38 @@ class Algebra:
             if len(ends) != 1:
                 raise AlgebraError("relation terms are not parallel paths")
 
-    def _paths_up_to(self, L):
-        """All paths of length <= L, grouped by length."""
-        layers = [[(v, ()) for v in range(self.n)]]
-        total = self.n
-        for length in range(1, L + 1):
-            nxt = []
-            for src, arrs in layers[-1]:
-                tail = _path_target(self.arrows, (src, arrs))
-                for ai, a in enumerate(self.arrows):
-                    if a.source == tail:
-                        nxt.append((src, arrs + (ai,)))
-            total += len(nxt)
-            if total > PATH_CAP:
-                raise _window_overflow()
-            layers.append(nxt)
-        return layers
-
-    def _path_key(self, path):
-        src, arrs = path
-        return (len(arrs), tuple(self.arrows[a].name for a in arrs), src)
-
-    def _reduction_data(self, L):
-        """RREF the ideal window at length L.
-
-        Returns (window_paths_ascending, nf) where nf maps every window path
-        to a tuple of (path, coeff) over non-pivot paths.
-        """
-        layers = self._paths_up_to(L)
-        paths = [q for layer in layers for q in layer]
-        paths.sort(key=self._path_key)
-        # column 0 = largest path, so RREF pivots are leading (largest) terms
-        desc = paths[::-1]
-        col = {q: i for i, q in enumerate(desc)}
-        rows = []
-        by_start = {}
-        for q in paths:
-            by_start.setdefault(q[0], []).append(q)
-        for rel in self.relations:
-            src0 = rel[0][1][0]
-            tgt0 = _path_target(self.arrows, rel[0][1])
-            rlen = max(len(arrs) for _, (_, arrs) in rel)
-            for x in paths:
-                if _path_target(self.arrows, x) != src0:
-                    continue
-                lx = len(x[1])
-                if lx + rlen > L:
-                    continue
-                for y in by_start.get(tgt0, ()):
-                    if lx + rlen + len(y[1]) > L:
-                        continue
-                    vec = [0] * len(desc)
-                    for coeff, (_, rarrs) in rel:
-                        full = (x[0], x[1] + rarrs + y[1])
-                        vec[col[full]] = (vec[col[full]] + coeff) % self.p
-                    rows.append(tuple(vec))
-        red, pivots = rref(rows, self.p) if rows else ((), ())
-        pivset = set(pivots)
-        nf = {}
-        for q in paths:
-            c = col[q]
-            if c not in pivset:
-                nf[q] = ((q, 1),)
-        for i, c in enumerate(pivots):
-            combo = []
-            for j, entry in enumerate(red[i]):
-                if entry and j != c:
-                    combo.append((desc[j], (-entry) % self.p))
-            nf[desc[c]] = tuple(combo)
-        return paths, nf
-
-    def _maxrel(self):
-        m = 0
-        for rel in self.relations:
-            for _, (_, arrs) in rel:
-                m = max(m, len(arrs))
-        return m
-
     def _build_basis(self):
-        if not self.relations and _has_oriented_cycle(self.n, self.arrows):
-            # paths around a free cycle have every length, so every window
-            # would grow to the cap
-            raise _window_overflow()
-        maxrel = self._maxrel()
-        homogeneous = all(
-            len({len(arrs) for _, (_, arrs) in rel}) == 1 for rel in self.relations
-        )
-        L = max(2, 2 * maxrel)
-        basis = None
+        terms = [arrs for rel in self.relations for _, (_, arrs) in rel]
+        # a path whose consecutive arrows are never consecutive in a relation
+        # term holds no term, so no relation touches it.  Of those allowed
+        # pairs (a, b), drop each whose a no pair enters until none is dropped;
+        # any left close a cycle, around which such paths have every length
+        pairs = {pair for arrs in terms for pair in zip(arrs, arrs[1:])}
+        edges = [
+            (a, b) for a, x in enumerate(self.arrows) for b, y in enumerate(self.arrows)
+            if x.target == y.source and (a, b) not in pairs
+        ]
         while True:
-            paths, nf = self._reduction_data(L)
-            standard = [q for q in paths if nf[q] == ((q, 1),)]
-            by_len = {}
-            for q in standard:
-                by_len.setdefault(len(q[1]), 0)
-                by_len[len(q[1])] += 1
-            empty = next((l for l in range(L + 1) if by_len.get(l, 0) == 0), None)
-            if empty is not None:
-                if any(len(q[1]) >= empty for q in standard):
-                    # only possible for inhomogeneous ideals; widen the window
-                    L += maxrel + 2
-                    continue
-                basis = standard
+            entered = {b for _, b in edges}
+            kept = [(a, b) for a, b in edges if a in entered]
+            if kept == edges:
                 break
-            # no empty layer yet: grow geometrically so the path cap is
-            # reached in O(log cap) rounds when the algebra is infinite
-            L = 2 * L + max(2, maxrel)
-        if not homogeneous:
-            # stability double-check: the basis must survive a wider window
-            paths2, nf2 = self._reduction_data(L + maxrel + 1)
-            standard2 = [q for q in paths2 if nf2[q] == ((q, 1),)]
-            if sorted(map(self._path_key, standard2)) != sorted(map(self._path_key, basis)):
-                raise AlgebraError("path basis did not stabilize; ideal looks non-admissible")
-        basis.sort(key=self._path_key)
-        maxlen = max((len(q[1]) for q in basis), default=0)
-        L2 = max(2 * maxlen, maxrel, 1)
-        if L2 > L:
-            _, nf = self._reduction_data(L2)
-        self.basis = tuple(basis)
+            edges = kept
+        if edges:
+            raise _window_overflow()
+        L = max(2, max(map(len, terms), default=0))
+        while True:
+            window = _PathWindow(self, L)
+            self._act = None if window.basis is None else window.arrow_action(self.p)
+            if self._act is not None and not any(
+                self._times({i: 1}, rel) for rel in self.relations for i in range(len(window.basis))
+            ):
+                break
+            # grow geometrically so the path cap is reached in O(log cap)
+            # rounds when the algebra is infinite
+            L += max(1, L // 2)
+        self.basis = tuple(map(window.path, window.basis))
         self.basis_index = {q: i for i, q in enumerate(self.basis)}
-        self._nf = {
-            q: tuple((self.basis_index[b], c) for b, c in combo)
-            for q, combo in nf.items()
-        }
         self.dim = len(self.basis)
         self.path_source = tuple(q[0] for q in self.basis)
         self.path_target = tuple(_path_target(self.arrows, q) for q in self.basis)
@@ -283,19 +269,28 @@ class Algebra:
 
     # -- element arithmetic ------------------------------------------------
 
-    def reduce_path(self, path):
-        combo = self._nf.get(path)
-        if combo is None:
-            raise AlgebraError("path of length %d outside reduction window" % len(path[1]))
-        return {i: c for i, c in combo}
+    def _times(self, x, combo):
+        """x times a combination of paths ((coeff, path), ...), where each
+        arrow of a path acts on x by the arrow action of the basis."""
+        out = {}
+        for coeff, (_, arrs) in combo:
+            y = x
+            for ai in arrs:
+                z = {}
+                for k, c in y.items():
+                    for l, d in self._act.get((k, ai), {}).items():
+                        z[l] = (z.get(l, 0) + c * d) % self.p
+                y = z
+            for l, c in y.items():
+                out[l] = (out.get(l, 0) + coeff * c) % self.p
+        return {l: c for l, c in out.items() if c}
 
     @memo
     def mult_basis(self, i, j):
         """Product basis[i].basis[j] as a tuple of (index, coeff)."""
         if self.path_target[i] != self.path_source[j]:
             return ()
-        src, arrs = self.basis[i]
-        return tuple(sorted(self.reduce_path((src, arrs + self.basis[j][1])).items()))
+        return tuple(sorted(self._times({i: 1}, ((1, self.basis[j]),)).items()))
 
     def mult(self, x, y):
         """Product of two elements given as {basis_index: coeff} dicts."""
@@ -378,7 +373,7 @@ def load_algebra(text):
     relations = []
     for expr, lineno in raw_relations:
         relations.append(_parse_relation(expr, lineno, aindex, arrow_objs, p))
-    return Algebra(p, vertex_names, arrow_objs, relations, source_text=text)
+    return Algebra(p, vertex_names, arrow_objs, relations)
 
 
 def _parse_relation(expr, lineno, aindex, arrow_objs, p):

@@ -11,15 +11,15 @@ All routines are pure; p stays small (2..13) so Fermat inversion is fine.
 F_p elimination has one kernel, ``_echelon``.  The matrices it meets are
 sparse (about 1% nonzero for the silting rank tests), so it keeps each row
 as a dict of its nonzero entries and a row operation touches only those.
-It stops reading rows once the pivots fill every column.  ``rref`` and
-``nullspace`` share one sparse back-substitution, ``_back_substitute``,
-which reduces the echelon rows in place.  Only ``rref`` turns them into
-dense rows; ``nullspace`` reads each pivot row's entry at each free column
-from the sparse rows.  ``rank`` counts the echelon rows.  A caller that
-already holds sparse rows may pass them to ``rref`` or ``nullspace`` as
-{column: value} dicts together with the column count, which they hand on
-to ``_echelon``; the silting Hom-complex differential is built that way.
-``rank`` takes dense rows only.  Output rows are always dense tuples.
+It stops reading rows once the pivots fill every column.  ``reduced_rows``
+adds one sparse back-substitution and returns the reduced rows as dicts;
+``rref`` makes them dense, and ``nullspace`` and the path window of
+``algebra`` read entries from them.  ``rank`` counts the echelon rows.  A
+caller that already holds sparse rows may pass them to ``reduced_rows``,
+``rref`` or ``nullspace`` as {column: value} dicts with the column count;
+the silting Hom-complex differential and the ideal rows of a path window
+are built that way.  ``rank`` takes dense rows only.  The rows ``rref`` and
+``nullspace`` return are dense tuples.
 
 Over Q, ``bareiss_pivot`` is the only elimination step: one fraction-free
 (Bareiss, Math. Comp. 22 (1968)) pivot of an integer tableau, whose every
@@ -124,22 +124,27 @@ def _echelon(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, in
     return pivots, ncols or 0
 
 
-def _back_substitute(pivots: dict, p: int) -> None:
-    """Reduce the echelon rows of ``_echelon`` in place: afterwards each pivot
+def reduced_rows(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, int]:
+    """Reduced row echelon form, sparse: ({pivot column: row}, ncols), each
+    row a dict {column: nonzero value} with 1 at its pivot column.
+
+    Back-substitution on the rows of ``_echelon``: afterwards each pivot
     column is 0 in every row but its own.  The rows are cleared from the
     last pivot up, so a row subtracted is already reduced and brings in no
-    pivot column."""
+    pivot column.  ncols is needed only for dict rows, whose columns may be
+    any ints: the pivot of a row is its lowest column."""
+    pivots, ncols = _echelon(rows, p, ncols)
     for c in sorted(pivots, reverse=True):
         d = pivots[c]
         for j in [j for j in d if j != c and j in pivots]:
             _subtract(d, d[j], pivots[j], p)
+    return pivots, ncols
 
 
 def rref(rows: Iterable, p: int, ncols: int | None = None) -> tuple[Mat, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
     ncols is needed only for dict rows (see ``_echelon``)."""
-    pivots, ncols = _echelon(rows, p, ncols)
-    _back_substitute(pivots, p)
+    pivots, ncols = reduced_rows(rows, p, ncols)
     order = sorted(pivots)
     out = []
     for c in order:
@@ -160,8 +165,7 @@ def nullspace(a: Iterable, ncols: int, p: int) -> Mat:
     dense or as dicts, see ``_echelon``): one vector per free column, 1 there
     and 0 at the other free columns.  Its pivot entries are read from the
     reduced sparse rows; no dense row is built for them."""
-    pivots, _ = _echelon(a, p, ncols)
-    _back_substitute(pivots, p)
+    pivots, _ = reduced_rows(a, p, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols

@@ -82,6 +82,12 @@ of every expanded vertex, so each edge is derived from both ends; it shares
 ``render_json`` is the stdlib encoder at ``indent=2``, nested generators and
 all; ``torslab.reports`` appends the same bytes to one list.  They share
 ``_json_default``, the Fraction-to-string rule.
+
+``zero_relation_basis`` and ``zero_relation_product`` are the path algebra
+modulo length-2 zero relations read off the quiver alone, with no linear
+algebra: a path is a basis path when no relation is one of its consecutive
+arrow pairs, and a product of two basis paths is their concatenation or 0.
+They share nothing with ``torslab.algebra``.
 """
 
 from __future__ import annotations
@@ -128,6 +134,41 @@ from torslab.silting import (
 )
 from torslab.stability import Quadruple, classes_in
 from torslab.torsion import Window, indices_of, mask_of, t_of
+
+
+# -- path algebras with zero relations ----------------------------------------------
+
+
+def zero_relation_basis(n, arrows, zero_pairs):
+    """The paths with no pair of ``zero_pairs`` as consecutive arrows, as
+    (source, arrow indices), or None when such paths have every length.
+
+    arrows is a sequence of (source, target).  A path of len(arrows) + 1
+    arrows repeats an arrow, so it runs around a cycle of allowed
+    consecutive pairs, which can be repeated without end; with no such path
+    the allowed paths are finitely many."""
+    after = [
+        [b for b, (src, _) in enumerate(arrows) if src == tgt and (a, b) not in zero_pairs]
+        for a, (_, tgt) in enumerate(arrows)
+    ]
+    paths = [(v, ()) for v in range(n)]
+    layer = [(src, (a,)) for a, (src, _) in enumerate(arrows)]
+    for _ in range(len(arrows)):
+        paths += layer
+        layer = [(src, arrs + (b,)) for src, arrs in layer for b in after[arrs[-1]]]
+    return None if layer else set(paths)
+
+
+def zero_relation_product(arrows, zero_pairs, u, v):
+    """The product of two allowed paths: their concatenation, or None when
+    it is 0 (the ends do not meet, or the arrows at the joint are a zero
+    pair)."""
+    (su, au), (sv, av) = u, v
+    if (arrows[au[-1]][1] if au else su) != sv:
+        return None
+    if au and av and (au[-1], av[0]) in zero_pairs:
+        return None
+    return (su, au + av)
 
 
 # -- report text --------------------------------------------------------------------

@@ -4,11 +4,15 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bundled
+from oracles import zero_relation_basis, zero_relation_product
 from torslab.algebra import (
     AlgebraError,
     Representation,
+    _PathWindow,
     arrow_stable,
     direct_sum,
     hom_dim,
@@ -59,10 +63,19 @@ def test_parse_errors():
     # relation paths need length >= 2
     with pytest.raises(AlgebraError):
         load_algebra("field p=2\nvertices 1\narrow x: 1 -> 1\nrelation x")
-    # infinite dimensional: a free loop, a free 2-cycle
+    # infinite dimensional: a free loop, a free 2-cycle, a free loop beside
+    # a relation elsewhere and a 2-cycle that a relation touches only on its
+    # way out (all refused at once), and k[x, y]/(x^3 - y^2), where every
+    # pair of arrows is consecutive in a relation (refused at the cap)
     for text in (
         "field p=2\nvertices 1\narrow x: 1 -> 1",
         "field p=2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1",
+        "field p=2\nvertices v0 v1 v2\narrow a0: v1 -> v1\narrow a1: v0 -> v0\n"
+        "relation a0.a0",
+        "field p=2\nvertices 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
+        "arrow c: 2 -> 3\nrelation a.c",
+        "field p=2\nvertices 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n"
+        "relation x.y - y.x\nrelation x.x.x - y.y",
     ):
         with pytest.raises(AlgebraError, match="path window exceeds 10000 paths"):
             load_algebra(text)
@@ -89,6 +102,74 @@ def test_inhomogeneous_relation_basis():
     x = A.basis_index[(0, (0,))]
     xx = A.basis_index[(0, (0, 0))]
     assert A.mult({xx: 1}, {x: 1}) == {xx: 2}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_relations_of_mixed_lengths_load(p):
+    # y.y.y = x.x, so x^k leads an ideal row only in windows longer than k:
+    # every window has a standard power of x at its top
+    A = load_algebra(
+        "field p=%d\nvertices 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n"
+        "relation x.x - y.y.y\nrelation x.y\nrelation y.x" % p
+    )
+    assert A.dim == 5
+    assert A.basis == ((0, ()), (0, (0,)), (0, (1,)), (0, (0, 0)), (0, (1, 1)))
+    x, y = ({A.basis_index[(0, (a,))]: 1} for a in (0, 1))
+    assert A.mult(A.mult(y, y), y) == A.mult(x, x) == {A.basis_index[(0, (0, 0))]: 1}
+    assert_presents(A)
+
+
+def test_a_window_basis_on_which_a_relation_survives_is_refused():
+    # the window of the longest relation (L = 5) has an empty layer and a
+    # 9-path candidate basis, on which some relation does not act as 0; a
+    # longer window finds the 5-dimensional algebra
+    A = load_algebra(
+        "field p=2\nvertices 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n"
+        "relation y.x.y.x\nrelation x.y.y.y.y + y.x.y.x + x.x.y.x\n"
+        "relation x.x + y.y\nrelation y.y.x.y + x.y"
+    )
+    assert len(_PathWindow(A, 5).basis) == 9
+    assert A.basis == ((0, ()), (0, (0,)), (0, (1,)), (0, (0, 0)), (0, (1, 0)))
+    assert_presents(A)
+
+
+def test_a_window_basis_holds_every_prefix_of_its_paths():
+    # in the window of length 6, a1.a1.a1.a1.a2 and a2.a0.a1.a2 lead no row
+    # while a prefix of each leads one; with them the span of the standard
+    # paths is 13-dimensional, every relation acts on it as 0, and yet the
+    # arrows do not generate it
+    A = load_algebra(
+        "field p=3\nvertices v0 v1\narrow a0: v0 -> v1\narrow a1: v1 -> v1\narrow a2: v1 -> v0\n"
+        "relation a0.a1 + 2*a0.a2.a0 + 2*a0.a1.a1\n"
+        "relation 2*a2.a0 + 2*a1.a1.a1 + 2*a1.a2.a0\n"
+        "relation a0.a1 + a0.a2.a0 + 2*a0.a1.a1"
+    )
+    assert A.dim == 11
+    assert max(len(arrs) for _, arrs in A.basis) == 3
+    assert_presents(A)
+
+
+def assert_presents(A):
+    """Each basis path is the product of its arrows through mult, each
+    relation is 0 that way, and mult is associative on basis triples."""
+
+    def product(arrs):
+        return functools.reduce(A.mult, ({A.basis_index[(A.arrows[a].source, (a,))]: 1} for a in arrs))
+
+    for k, (_, arrs) in enumerate(A.basis):
+        if arrs:
+            assert product(arrs) == {k: 1}
+    for rel in A.relations:
+        total = {}
+        for coeff, (_, arrs) in rel:
+            for k, c in product(arrs).items():
+                total[k] = (total.get(k, 0) + coeff * c) % A.p
+        assert not any(total.values())
+    units = [{i: 1} for i in range(A.dim)]
+    for u in units:
+        for v in units:
+            for w in units:
+                assert A.mult(A.mult(u, v), w) == A.mult(u, A.mult(v, w))
 
 
 def test_loop_multiplication(loop):
@@ -297,3 +378,40 @@ def test_path_table_matches_every_layout():
                 )
                 assert A.paths[i][j] == scan
                 assert A.paths_between(i, j) == proj_struct(A, i)[j] == inj_struct(A, j)[i] == scan
+
+
+@st.composite
+def zero_relation_quivers(draw):
+    """1-3 vertices, 1-4 arrows (loops allowed), and a random set of
+    composable arrow pairs as zero relations."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    arrows = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
+    composable = [
+        (a, b)
+        for a in range(len(arrows))
+        for b in range(len(arrows))
+        if arrows[a][1] == arrows[b][0]
+    ]
+    zero = draw(st.sets(st.sampled_from(composable))) if composable else set()
+    return n, arrows, zero
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(zero_relation_quivers())
+def test_zero_relation_algebras_match_the_path_oracle(case):
+    n, arrows, zero = case
+    text = "field p=2\nvertices %s\n" % " ".join("v%d" % v for v in range(n))
+    text += "".join("arrow a%d: v%d -> v%d\n" % (k, s, t) for k, (s, t) in enumerate(arrows))
+    text += "".join("relation a%d.a%d\n" % pair for pair in sorted(zero))
+    expected = zero_relation_basis(n, arrows, zero)
+    if expected is None:
+        with pytest.raises(AlgebraError, match="path window exceeds 10000 paths"):
+            load_algebra(text)
+        return
+    A = load_algebra(text)
+    assert set(A.basis) == expected and len(A.basis) == len(expected)
+    for i, u in enumerate(A.basis):
+        for j, v in enumerate(A.basis):
+            w = zero_relation_product(arrows, zero, u, v)
+            assert A.mult_basis(i, j) == (() if w is None else ((A.basis_index[w], 1),))

@@ -573,6 +573,7 @@ def test_cli_unknown_algebra_errors():
         (("fan", "--algebra", "a2", "--depth", "1", "--out", "MISSING_DIR_OUT"), "cannot write report"),
         (("verify", "--suite", "bogus", "--algebra", "a2"), "invalid choice: 'bogus'"),
         (("wallchamber", "--algebra", "a2", "--timings"), "unrecognized arguments: --timings"),
+        (("fan", "--algebra", "FREE_LOOP_FILE"), "path window exceeds 10000 paths"),
     ],
 )
 def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
@@ -581,8 +582,13 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
         "LATIN1_FILE": tmp_path / "latin1.alg",
         "DIR": tmp_path,
         "MISSING_DIR_OUT": tmp_path / "no-such-dir" / "fan.json",
+        "FREE_LOOP_FILE": tmp_path / "free-loop.alg",
     }
     paths["BAD_FILE"].write_text("field p=2\nvertices 1 2\narrow a: 1 -> 3\n")
+    # a loop at v0 in no relation, beside a relation at v1: infinite
+    paths["FREE_LOOP_FILE"].write_text(
+        "field p=2\nvertices v0 v1 v2\narrow a0: v1 -> v1\narrow a1: v0 -> v0\nrelation a0.a0\n"
+    )
     paths["LATIN1_FILE"].write_bytes("field p=2\n# caf\xe9\nvertices 1\n".encode("latin-1"))
     proc = _cli(*(str(paths.get(a, a)) for a in argv))
     # 1 as for a failed check: argparse's own usage code 2 means window-limited
