@@ -21,7 +21,7 @@ from .reports import (
 )
 from .silting import enumerate_silting, induced_torsion_pairs, rigidity
 from .stability import quadruple
-from .torsion import enumerate_torsion_classes, functorially_finite, torsion_pair_of
+from .torsion import enumerate_torsion_classes, torsion_pair_of
 
 __all__ = [
     "Algebra",
@@ -37,7 +37,6 @@ __all__ = [
     "exit_code",
     "fan_json",
     "fei_union_check",
-    "functorially_finite",
     "induced_torsion_pairs",
     "load_algebra",
     "numerically_disjoint",

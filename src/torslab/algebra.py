@@ -22,11 +22,12 @@ right multiplication, read from the window.  L is accepted when each such
 product lies in the span and every relation acts on it as 0: the span is then
 a right A-module that the trivial paths generate, so at most dim A large, and
 it is A.  Otherwise L grows geometrically.  Relations may mix path lengths.  A
-load is refused at once when a cycle of arrows has no two consecutive ones
-consecutive in a relation term, and when a window passes ``PATH_CAP`` paths,
-as the windows of an infinite algebra do.
+load is refused at once when term-free paths of L - 1 arrows, L the longest
+term, close a cycle of steps that each append an arrow at which no term ends,
+as such paths have every length and are independent mod I; and when a window
+passes ``PATH_CAP`` paths, as the windows of an infinite algebra do.
 ``A.paths[i][j]`` is the one index of basis paths from i to j; the
-projective and injective layouts and ``paths_between`` all read it.
+projective and injective layouts read it.
 ``path_map`` is the one matrix of multiplication of basis paths by algebra
 elements: the arrow actions on projectives and injectives and the maps of a
 two-term complex in the silting layer are its blocks.
@@ -38,6 +39,7 @@ object that owns it, and lives and dies with that object.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce, wraps
 
@@ -228,25 +230,40 @@ class Algebra:
                 raise AlgebraError("relation terms are not parallel paths")
 
     def _build_basis(self):
-        terms = [arrs for rel in self.relations for _, (_, arrs) in rel]
-        # a path whose consecutive arrows are never consecutive in a relation
-        # term holds no term, so no relation touches it.  Of those allowed
-        # pairs (a, b), drop each whose a no pair enters until none is dropped;
-        # any left close a cycle, around which such paths have every length
-        pairs = {pair for arrs in terms for pair in zip(arrs, arrs[1:])}
-        edges = [
-            (a, b) for a, x in enumerate(self.arrows) for b, y in enumerate(self.arrows)
-            if x.target == y.source and (a, b) not in pairs
-        ]
-        while True:
-            entered = {b for _, b in edges}
-            kept = [(a, b) for a, b in edges if a in entered]
-            if kept == edges:
-                break
-            edges = kept
-        if edges:
+        L = max(2, max((len(arrs) for rel in self.relations for _, (_, arrs) in rel), default=0))
+        # the terms of a relation are its paths of nonzero net coefficient
+        terms = {
+            arrs for rel in self.relations for _, (_, arrs) in rel
+            if sum(c for c, (_, q) in rel if q == arrs) % self.p
+        }
+        # paths that hold no relation term are independent mod I.  The states
+        # are those of L - 1 arrows; a step appends an arrow at which no term
+        # ends and drops the first.  Peel the states that no step enters until
+        # none is peeled; any left lie on a cycle, along which term-free paths
+        # have every length
+        out = [[ai for ai, a in enumerate(self.arrows) if a.source == v] for v in range(self.n)]
+
+        def extend(q):
+            return [
+                q + (b,) for b in out[self.arrows[q[-1]].target]
+                if not any(q[k:] + (b,) in terms for k in range(len(q)))
+            ]
+
+        states = [(ai,) for ai in range(len(self.arrows))]
+        for _ in range(L - 2):
+            states = [r for q in states for r in extend(q)]
+            if len(states) > PATH_CAP:
+                raise _window_overflow()
+        steps = {q: [r[1:] for r in extend(q)] for q in states}
+        entering = Counter(r for rs in steps.values() for r in rs)
+        free = [q for q in steps if not entering[q]]
+        while free:
+            for r in steps.pop(free.pop()):
+                entering[r] -= 1
+                if not entering[r]:
+                    free.append(r)
+        if steps:
             raise _window_overflow()
-        L = max(2, max(map(len, terms), default=0))
         while True:
             window = _PathWindow(self, L)
             self._act = None if window.basis is None else window.arrow_action(self.p)
@@ -304,10 +321,6 @@ class Algebra:
                 for k, ck in self.mult_basis(i, j):
                     out[k] = (out.get(k, 0) + ci * cj * ck) % self.p
         return {k: c for k, c in out.items() if c}
-
-    def paths_between(self, i, j):
-        """Indices of basis paths from vertex i to vertex j."""
-        return self.paths[i][j]
 
 
 # -- presentation file format ----------------------------------------------
@@ -496,21 +509,6 @@ class Representation:
         return "Representation(dims=%r)" % (self.dims,)
 
 
-def zero_module(A):
-    return Representation(A, (0,) * A.n, tuple(() for _ in A.arrows), check=False)
-
-
-def simple_module(A, i):
-    if not 0 <= i < A.n:
-        raise AlgebraError("invalid vertex %r" % (i,))
-    dims = tuple(1 if v == i else 0 for v in range(A.n))
-    mats = []
-    for a in A.arrows:
-        dt, ds = dims[a.target], dims[a.source]
-        mats.append(zeros(dt, ds))
-    return Representation(A, dims, mats, check=False)
-
-
 def path_map(A, src, dst, cells, right=False, dual=False):
     """F_p matrix of a block map between direct sums of spans of basis paths.
 
@@ -651,10 +649,6 @@ def hom_space(M, N):
             )
         out.append(tuple(phis))
     return tuple(out)
-
-
-def hom_dim(M, N):
-    return len(hom_space(M, N))
 
 
 # -- submodules and quotients -------------------------------------------------

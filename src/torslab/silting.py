@@ -452,12 +452,6 @@ def _reduce_chain(A, terms, diffs):
     return [tuple(t) for t in terms], [tuple(tuple(row) for row in D) for D in diffs]
 
 
-def reduced(U):
-    """Strip invertible components of the differential; same homotopy type."""
-    terms, diffs = _reduce_chain(U.algebra, [U.minus, U.zero], [U.mat])
-    return TwoTermComplex(U.algebra, terms[0], terms[1], diffs[0])
-
-
 # -- mutation ------------------------------------------------------------------
 
 

@@ -25,6 +25,17 @@ perps: each class must equal its fac_closure and its filt_closure.  The
 filtration DP reads the submodule lattices of indecomposable items only,
 because a class closed under quotients is closed under summands (see
 filt_closure).
+
+The four witnesses of a class are table lookups: one table per catalogue and
+closure kind (Fac, Sub, right perp, left perp) maps each closure of one item
+to the first item, in order of total dimension, that has it.  That item lies
+in the class it is looked up in, so it is the class's first: i is in Fac(i)
+and Sub(i); left_perp(i) = T puts i in T^perp; right_perp(i) = T^perp puts i
+in the left perp of T^perp, which is T for a left perp T.  Census classes are
+left perps, and so is a King class T_theta of the window: Y/t_theta(Y) is a
+window quotient of Y in the torsion-free class of theta (King, Quart. J.
+Math. 45 (1994)).  A witness outside its mask shows a mask that is no class
+of the window, and raises WindowError.
 """
 
 from __future__ import annotations
@@ -317,13 +328,24 @@ def enumerate_torsion_classes(cat):
 # -- compactness and finiteness predicates -------------------------------------
 
 
-def _witness(cat, mask, closure, target):
-    """The first item of the mask, in order of total dimension, whose
-    closure is the target, or None."""
+@memo
+def _first_generators(cat, closure):
+    """Each closure of one item, mapped to the first item, in order of
+    total dimension, that has it: one table per catalogue and closure."""
+    out = {}
     for i in cat.by_total_dim():
-        if (mask >> i) & 1 and _closure(cat, closure, (i,)) == target:
-            return i
-    return None
+        out.setdefault(closure(cat, (i,)), i)
+    return out
+
+
+def _witness(cat, mask, closure, target):
+    """The first item, in order of total dimension, whose closure is the
+    target, or None; WindowError when it lies outside the mask, which is
+    then no class of the window (see the module docstring)."""
+    i = _first_generators(cat, closure).get(target)
+    if i is not None and not (mask >> i) & 1:
+        raise WindowError("witness %d lies outside the mask: not a class of the window" % i)
+    return i
 
 
 def fac_single_witness(cat, tmask):
@@ -346,18 +368,6 @@ def cocompact_witness(cat, tmask, fmask):
     """Smallest N in the right perp fmask of the class with left_perp(N)
     equal to the class, or None."""
     return _witness(cat, fmask, left_perp, tmask)
-
-
-def functorially_finite(cat, tmask):
-    """Fac-single and Sub-single witnesses for (T, T^perp), or None."""
-    fmask = right_perp(cat, tmask)
-    m = fac_single_witness(cat, tmask)
-    if m is None:
-        return None
-    n = sub_single_witness(cat, fmask)
-    if n is None:
-        return None
-    return (m, n)
 
 
 # -- window stability and the window ------------------------------------------

@@ -88,6 +88,15 @@ modulo length-2 zero relations read off the quiver alone, with no linear
 algebra: a path is a basis path when no relation is one of its consecutive
 arrow pairs, and a product of two basis paths is their concatenation or 0.
 They share nothing with ``torslab.algebra``.
+
+``witness_scan`` tries the items of a mask one at a time, in order of total
+dimension, for one whose closure is the target, where ``torslab.torsion``
+looks the target up in one table per catalogue and closure kind; they share
+the closures and perps.
+
+``zero_module``, ``simple_module`` and ``reduced`` are helpers that only the
+tests call: the zero and simple representations, and the package's chain
+reduction applied to one two-term complex.
 """
 
 from __future__ import annotations
@@ -116,15 +125,17 @@ from torslab.cones import (
     is_strongly_convex,
     dd_intersection_nontrivial,
 )
-from torslab.linalg import identity, inverse, mat_mul, mat_vec, rank, residual, row_space
+from torslab.linalg import identity, inverse, mat_mul, mat_vec, rank, residual, row_space, zeros
 from torslab.reports import _check, _dims, _json_default, _witness_dims
 from torslab.silting import (
     SiltingError,
+    TwoTermComplex,
     _elem_sub,
     _find_pivot,
     _layout,
     _local_inverse,
     _pair_compose,
+    _reduce_chain,
     _unvec,
     _vec,
     hom_k_basis,
@@ -134,6 +145,27 @@ from torslab.silting import (
 )
 from torslab.stability import Quadruple, classes_in
 from torslab.torsion import Window, indices_of, mask_of, t_of
+
+
+# -- test-only modules and complexes ------------------------------------------------
+
+
+def zero_module(A):
+    return Representation(A, (0,) * A.n, tuple(() for _ in A.arrows), check=False)
+
+
+def simple_module(A, i):
+    if not 0 <= i < A.n:
+        raise AlgebraError("invalid vertex %r" % (i,))
+    dims = tuple(1 if v == i else 0 for v in range(A.n))
+    mats = [zeros(dims[a.target], dims[a.source]) for a in A.arrows]
+    return Representation(A, dims, mats, check=False)
+
+
+def reduced(U):
+    """Strip invertible components of the differential; same homotopy type."""
+    terms, diffs = _reduce_chain(U.algebra, [U.minus, U.zero], [U.mat])
+    return TwoTermComplex(U.algebra, terms[0], terms[1], diffs[0])
 
 
 # -- path algebras with zero relations ----------------------------------------------
@@ -295,6 +327,16 @@ def f_of(cat, gens):
     """Smallest torsion-free class containing the generators: the double perp
     of ``torslab.torsion``, the dual of its ``t_of``."""
     return torsion.right_perp(cat, torsion.left_perp(cat, gens))
+
+
+def witness_scan(cat, mask, closure, target):
+    """The first item of the mask, in order of total dimension, whose
+    closure (one of the closures or perps of ``torslab.torsion``) is the
+    target, or None."""
+    for i in cat.by_total_dim():
+        if (mask >> i) & 1 and closure(cat, (i,)) == target:
+            return i
+    return None
 
 
 def filt_closure(cat, mask):

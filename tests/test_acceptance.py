@@ -6,8 +6,9 @@ import random
 import time
 
 from conftest import bundled, bundled_text
+from oracles import simple_module
 from torslab import reports
-from torslab.algebra import hom_space, projective_module, simple_module
+from torslab.algebra import hom_space, projective_module
 from torslab.catalogue import Catalogue
 from torslab.presentations import fei_union_check
 from torslab.reports import exit_code

@@ -13,7 +13,6 @@ from torslab.algebra import (
     load_algebra,
     projective_module,
     quotient_module,
-    simple_module,
     submodule_rep,
 )
 from torslab.catalogue import BudgetError, Catalogue, WindowError
@@ -22,7 +21,7 @@ from torslab.torsion import enumerate_torsion_classes
 
 import oracles
 from conftest import SQUARE, bundled
-from oracles import is_isomorphic_rep
+from oracles import is_isomorphic_rep, simple_module
 
 
 def raw_class_count(A, bound):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bundled
-from oracles import cone_contains
+from oracles import cone_contains, simple_module
 from torslab import cones
 from torslab.catalogue import Catalogue
 from torslab.cones import (
@@ -325,7 +325,7 @@ def cat_kron(kronecker):
 
 
 def test_cone_of_subcat(a2, cat_a2):
-    from torslab.algebra import projective_module, simple_module
+    from torslab.algebra import projective_module
 
     s1 = cat_a2.find_index(simple_module(a2, 0))
     p1 = cat_a2.find_index(projective_module(a2, 0))
@@ -337,8 +337,6 @@ def test_cone_of_subcat(a2, cat_a2):
 
 
 def test_numerically_disjoint(a2, cat_a2):
-    from torslab.algebra import simple_module
-
     s1 = cat_a2.find_index(simple_module(a2, 0))
     s2 = cat_a2.find_index(simple_module(a2, 1))
     ok, cert = numerically_disjoint(

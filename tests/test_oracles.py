@@ -1,6 +1,7 @@
 """The closures and submodule lattices against the item-level oracles, and
 the work they may do."""
 
+import itertools
 import random
 import sys
 
@@ -13,6 +14,7 @@ from torslab.algebra import direct_sum
 from torslab.catalogue import Catalogue
 from torslab.presentations import map_from_coeffs, presentation_space, tbar_of_map
 from torslab.silting import cohomology, direct_sum_complex, enumerate_silting
+from torslab.stability import quadruple
 from torslab.torsion import Window, enumerate_torsion_classes, filt_closure, indices_of
 
 CLOSURES = ("fac_closure", "sub_closure", "left_perp", "right_perp")
@@ -121,6 +123,57 @@ def test_compact_witness_test_matches_filtration_oracle(window):
             same_perp = torsion.right_perp(cat, (i,)) == fmask
             generates = filt_closure(cat, oracles.fac_closure(cat, (i,))) == tmask
             assert same_perp == generates, (tmask, i)
+
+
+def _assert_witnesses_match_scan(cat, tmask):
+    fmask = torsion.right_perp(cat, tmask)
+    scan = oracles.witness_scan
+    assert torsion.fac_single_witness(cat, tmask) == scan(cat, tmask, torsion.fac_closure, tmask)
+    assert torsion.sub_single_witness(cat, fmask) == scan(cat, fmask, torsion.sub_closure, fmask)
+    assert torsion.compact_witness(cat, tmask, fmask) == scan(cat, tmask, torsion.right_perp, fmask)
+    assert torsion.cocompact_witness(cat, tmask, fmask) == scan(cat, fmask, torsion.left_perp, tmask)
+
+
+# (bundled name, field, bound): every bundled algebra, and Kronecker windows
+# over F_2 and F_3
+WITNESS_WINDOWS = (
+    ("a2", None, (2, 2)),
+    ("kronecker", None, (2, 2)),
+    ("kxk", None, (1, 1)),
+    ("loop", None, (3,)),
+    ("pi_a2", None, (1, 1)),
+    ("pi_a3", None, (1, 1, 1)),
+    ("kronecker", 2, (2, 3)),
+    ("kronecker", 3, (2, 2)),
+)
+
+
+@pytest.mark.parametrize("name, p, bound", WITNESS_WINDOWS, ids=lambda w: str(w))
+def test_witness_lookups_match_the_scan_on_census_classes(name, p, bound):
+    cat = Catalogue(bundled(name, p), bound)
+    for tmask in enumerate_torsion_classes(cat):
+        _assert_witnesses_match_scan(cat, tmask)
+
+
+# (bundled name, bound, weight grid)
+KING_GRIDS = (
+    ("a2", (2, 2), (-4, 4)),
+    ("kronecker", (2, 2), (-3, 3)),
+    ("pi_a2", (1, 1), (-2, 2)),
+)
+
+
+@pytest.mark.parametrize("name, bound, grid", KING_GRIDS, ids=lambda w: str(w))
+def test_witness_lookups_match_the_scan_on_king_classes(name, bound, grid):
+    # the strict and weak classes of every weight of the semistable suite's grid
+    cat = Catalogue(bundled(name), bound)
+    lo, hi = grid
+    masks = set()
+    for theta in itertools.product(range(lo, hi + 1), repeat=cat.algebra.n):
+        quad = quadruple(cat, theta)
+        masks.update((quad.T, quad.Tbar))
+    for tmask in sorted(masks):
+        _assert_witnesses_match_scan(cat, tmask)
 
 
 @pytest.mark.parametrize(

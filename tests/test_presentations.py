@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import simple_module
 from conftest import bundled
-from torslab.algebra import simple_module
 from torslab import presentations
 from torslab.catalogue import BudgetError, Catalogue
 from torslab.presentations import (
@@ -104,7 +104,7 @@ def test_zero_map_classes_match_rank_form(name, bound, monkeypatch):
 
 
 def test_tbar_of_arrow_map(cat_kron, kronecker):
-    arrow = kronecker.paths_between(0, 1)[0]
+    arrow = kronecker.paths[0][1][0]
     U = TwoTermComplex(kronecker, (1,), (0,), (({arrow: 1},),))
     got = tbar_of_map(cat_kron, U)
     s1 = cat_kron.find_index(simple_module(kronecker, 0))

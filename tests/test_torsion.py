@@ -7,15 +7,17 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import SQUARE, bundled
+from oracles import simple_module
 from torslab.algebra import (
     AlgebraError,
     direct_sum,
     load_algebra,
     projective_module,
-    simple_module,
 )
 from torslab.catalogue import Catalogue, WindowError
 from torslab import reports, torsion
@@ -30,7 +32,6 @@ from torslab.torsion import (
     fac_closure,
     fac_single_witness,
     filt_closure,
-    functorially_finite,
     indices_of,
     left_perp,
     mask_of,
@@ -150,17 +151,28 @@ def test_enumerate_counts(cat_a2, cat_kron, cat_loop, kxk):
     assert len(enumerate_torsion_classes(Catalogue(kxk, (1, 1)))) == 4
 
 
-def test_witnesses_small_window(cat_a2, idx_a2):
+def test_witnesses_small_window(a2, cat_a2, idx_a2):
     T = mask_of((idx_a2["Z"], idx_a2["S1"], idx_a2["P1"]))
     assert fac_single_witness(cat_a2, T) == idx_a2["P1"]
     assert compact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["P1"]
     assert cocompact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["S2"]
-    assert functorially_finite(cat_a2, T) == (idx_a2["P1"], idx_a2["S2"])
+    wit = Window(a2, (1, 1)).witnesses(T)
+    assert (wit["fac"], wit["sub"], wit["ff"]) == (idx_a2["P1"], idx_a2["S2"], True)
     # the smallest semibrick generating the class, as the scan suite finds it
     assert _semibrick_spans(cat_a2, T) == (idx_a2["P1"],)
     # the full class has no single Fac generator inside the (1,1) window
     full = mask_of(range(len(cat_a2)))
     assert fac_single_witness(cat_a2, full) is None
+
+
+def test_a_witness_outside_the_mask_is_refused(cat_a2, idx_a2):
+    # {0, S1, S2} is no class: S1+S2, the first item with its right perp
+    # {0}, lies outside it
+    mask = mask_of((idx_a2["Z"], idx_a2["S1"], idx_a2["S2"]))
+    fmask = right_perp(cat_a2, mask)
+    assert fmask == 1 << idx_a2["Z"] == right_perp(cat_a2, (idx_a2["SS"],))
+    with pytest.raises(WindowError, match="outside the mask"):
+        compact_witness(cat_a2, mask, fmask)
 
 
 def test_semibrick_lookup_takes_one_perp_per_brick(monkeypatch):
@@ -251,14 +263,36 @@ def test_span_closure_tests_no_summand_of_a_generator(kronecker, monkeypatch):
     assert tested
 
 
+# (bundled name, bound)
+CLOSURE_WINDOWS = (("a2", (2, 2)), ("kronecker", (2, 3)), ("loop", (3,)), ("pi_a2", (1, 1)))
+
+
+@pytest.fixture(scope="module", params=CLOSURE_WINDOWS, ids=lambda w: "%s-%s" % w)
+def closure_cat(request):
+    name, bound = request.param
+    return Catalogue(bundled(name), bound)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_closures_are_extensive_idempotent_and_monotone(closure_cat, data):
+    cat = closure_cat
+    full = (1 << len(cat)) - 1
+    m = data.draw(st.integers(0, full), label="m")
+    bigger = m | data.draw(st.integers(0, full), label="extra")
+    for close in (fac_closure, sub_closure, filt_closure, t_of):
+        c = close(cat, m)
+        assert m & ~c == 0, close.__name__
+        assert close(cat, c) == c, close.__name__
+        assert c & ~close(cat, bigger) == 0, close.__name__
+
+
 def test_witnesses_ample_window(a2):
-    cat = Catalogue(a2, (2, 2))
-    classes = enumerate_torsion_classes(cat)
-    assert len(classes) == 5
-    for T in classes:
-        assert functorially_finite(cat, T) is not None
-        assert compact_witness(cat, T, right_perp(cat, T)) is not None
-        assert cocompact_witness(cat, T, right_perp(cat, T)) is not None
+    w = Window(a2, (2, 2))
+    assert len(w.classes) == 5
+    for T in w.classes:
+        wit = w.witnesses(T)
+        assert wit["ff"] and wit["bicompact"]
 
 
 def test_window_stability(a2, kronecker, loop, cat_a2, cat_kron, cat_loop):
@@ -288,6 +322,46 @@ def test_window(a2, kronecker, cat_a2):
     assert not w.cat.is_indec(wit["compact"])
     assert wit["cocompact"] == w.cat.zero_index()
     assert not Window(kronecker, (1, 1)).ample
+
+
+def _irreducible_counts(p, d):
+    """The numbers of monic irreducible polynomials over F_p of degrees 1 to
+    d, from Gauss's p^k = sum over e | k of e * (the number of degree e)."""
+    out = {}
+    for k in range(1, d + 1):
+        out[k] = (p**k - sum(e * n for e, n in out.items() if k % e == 0)) // k
+    return list(out.values())
+
+
+def test_kronecker_census_closed_forms():
+    """Bricks and torsion classes of the Kronecker algebra in the window (d, d).
+
+    Over F_p the indecomposables of the window are d preprojectives P_n, of
+    dimension vector (n, n+1), d preinjectives I_n, of (n+1, n), for
+    0 <= n < d, and the regular modules of the homogeneous tubes, one per
+    closed point of P^1 over F_p, whose quasi-simple has dimension vector
+    (k, k) at a point of degree k (Ringel, LNM 1099, 3.2).  The points are
+    the point at infinity and one per monic irreducible polynomial, of its
+    degree: N_1 = p + 1, and N_k for k >= 2 is Gauss's count of monic
+    irreducible polynomials of degree k.
+
+    The bricks are the preprojectives, the preinjectives and the
+    quasi-simples: 2d + sum_{k <= d} N_k.  A torsion class that holds a
+    preprojective is add P_0 (P_0 is simple projective) or holds P_m for
+    every m >= n with every regular and preinjective module, d classes for
+    n < d.  One that holds none is add(I_0, ..., I_{n-1}), d classes for
+    n < d, or holds every preinjective and the regular modules of a set of
+    tubes; the window tells apart the 2^(sum_{k <= d} N_k) sets of tubes of
+    degree at most d.  That is 2^(sum N_k) + 2d + 1 classes.  The window
+    (d, d+1) also holds P_d, which adds one class.
+    """
+    for p, d in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        cat = Catalogue(bundled("kronecker", p), (d, d))
+        points = 1 + sum(_irreducible_counts(p, d))
+        assert len(cat.bricks()) == 2 * d + points, (p, d)
+        assert len(enumerate_torsion_classes(cat)) == 2**points + 2 * d + 1, (p, d)
+    cat = Catalogue(bundled("kronecker", 2), (2, 3))
+    assert len(enumerate_torsion_classes(cat)) == 2**4 + 2 * 2 + 1 + 1
 
 
 # Dynkin quivers: torsion classes = two-term silting complexes = the
