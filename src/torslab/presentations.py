@@ -17,6 +17,13 @@ order until their classes cover the weak class, or refuses with
 BudgetError before sweeping when a level is too large; no map is drawn at
 random.  Evenly spaced maps of each level are re-checked against the perp
 of the twisted kernel module itself.
+
+The zero map is onto exactly when X vanishes at every vertex of P1, so its
+class depends only on that vertex set, which every positive multiple of
+theta shares; it is one table per catalogue.  The semistable suite's
+single-map search reads it before building any map, and takes each level's
+cost cap from presentation_dim, the dimension of Hom(P1, P0) counted from
+paths, so it builds a space only where the zero map misses.
 """
 
 from __future__ import annotations
@@ -49,11 +56,17 @@ def _integral(theta):
     return tuple(int(t) for t in theta)
 
 
-def presentation_pair(A, theta):
-    """Vertex multiplicity tuples (minus, zero) with [zero] - [minus] = theta."""
+def _weight(A, theta):
+    """theta as a tuple of ints, one per vertex of A."""
     theta = _integral(theta)
     if len(theta) != A.n:
         raise PresentationError("weight vector has wrong length")
+    return theta
+
+
+def presentation_pair(A, theta):
+    """Vertex multiplicity tuples (minus, zero) with [zero] - [minus] = theta."""
+    theta = _weight(A, theta)
     minus = []
     zero = []
     for i, t in enumerate(theta):
@@ -69,6 +82,24 @@ def presentation_space(A, theta):
     minus, zero = presentation_pair(A, theta)
     slots = _layout(A, minus, zero)
     return {"minus": minus, "zero": zero, "slots": slots, "dim": len(slots)}
+
+
+def presentation_dim(A, theta):
+    """dim Hom(P1, P0) for the split of theta, from path counts alone.
+
+    It is the sum of m_i z_j |paths j -> i| over the vertices i of P1 and j
+    of P0, with multiplicities m_i = -theta_i and z_j = theta_j: the number
+    of slots of presentation_space(A, theta), with no slot built.  Scaling
+    theta by k scales it by k^2.
+    """
+    theta = _weight(A, theta)
+    return sum(
+        -m * z * len(A.paths[j][i])
+        for i, m in enumerate(theta)
+        if m < 0
+        for j, z in enumerate(theta)
+        if z > 0
+    )
 
 
 def map_from_coeffs(A, space, coeffs):

@@ -30,7 +30,12 @@ from .cones import (
     numerically_disjoint,
     separating_functional,
 )
-from .presentations import map_from_coeffs, presentation_space
+from .presentations import (
+    _zero_map_class,
+    map_from_coeffs,
+    presentation_dim,
+    presentation_space,
+)
 from .presentations import tbar_of_map as _tbar_of_map
 from .silting import (
     direct_sum_complex,
@@ -174,13 +179,6 @@ def _witness_dims(cat, wit):
     }
 
 
-@memo
-def _class_witness_dims(w, tmask):
-    """_witness_dims of a class of the window, once per class: many grid
-    weights of the semistable suite cut out the same class."""
-    return _witness_dims(w.cat, w.witnesses(tmask))
-
-
 # -- the Smalo equivalence suite ----------------------------------------------------
 
 
@@ -229,19 +227,50 @@ def _tbar_map_search(cat, theta, target):
     Sweeps every map at levels 1..TBAR_LEVEL_MAX while the sweep stays
     under the cost cap.  Returns a dict with the searched flag and the
     first realizing level, if any.
+
+    The zero map comes first at every level, and its class depends only on
+    the vertex set of P1, which is the same at every level: it is read once,
+    from the table tbar_of_map reads for a zero map, and no map is built
+    when it hits.  Each level's cap is taken from path counts
+    (presentation_dim times level^2), so a space is built only for a level
+    the zero map misses, and its sweep starts after the all-zero vector.
     """
     A = cat.algebra
     p = A.p
+    zero_class = _zero_map_class(cat, tuple(i for i, t in enumerate(theta) if t < 0))
+    dim = presentation_dim(A, theta)
     for level in range(1, TBAR_LEVEL_MAX + 1):
-        scaled = tuple(level * t for t in theta)
-        space = presentation_space(A, scaled)
-        if p ** space["dim"] * len(cat) > TBAR_SWEEP_COST:
+        if p ** (dim * level**2) * len(cat) > TBAR_SWEEP_COST:
             return {"searched": False, "level": None}
-        for coeffs in itertools.product(range(p), repeat=space["dim"]):
+        if zero_class == target:
+            return {"searched": True, "level": level}
+        space = presentation_space(A, tuple(level * t for t in theta))
+        maps = itertools.product(range(p), repeat=space["dim"])
+        for coeffs in itertools.islice(maps, 1, None):
             U = map_from_coeffs(A, space, coeffs)
             if _tbar_of_map(cat, U) == target:
                 return {"searched": True, "level": level}
     return {"searched": True, "level": None}
+
+
+@memo
+def _class_pair_payload(w, tmask, tbar):
+    """The six predicates of a weight cutting out T and Tbar, the witness
+    dimension vectors of both classes and whether all six predicates hold,
+    once per class pair of the window: many grid weights of the semistable
+    suite cut out the same pair."""
+    wt = w.witnesses(tmask)
+    wb = w.witnesses(tbar)
+    predicates = {
+        "T-bicompact": wt["bicompact"],
+        "T-compact": wt["compact"] is not None,
+        "T-ff": wt["ff"],
+        "Tbar-bicompact": wb["bicompact"],
+        "Tbar-cocompact": wb["cocompact"] is not None,
+        "Tbar-ff": wb["ff"],
+    }
+    witnessed = all(predicates.values())
+    return predicates, _witness_dims(w.cat, wt), _witness_dims(w.cat, wb), witnessed
 
 
 def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"):
@@ -268,16 +297,7 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
     for theta in _grid_points(grid, algebra.n):
         verdict = rigidity(theta, graph)
         quad = quadruple(cat, theta)
-        wt = w.witnesses(quad.T)
-        wb = w.witnesses(quad.Tbar)
-        predicates = {
-            "T-bicompact": wt["bicompact"],
-            "T-compact": wt["compact"] is not None,
-            "T-ff": wt["ff"],
-            "Tbar-bicompact": wb["bicompact"],
-            "Tbar-cocompact": wb["cocompact"] is not None,
-            "Tbar-ff": wb["ff"],
-        }
+        predicates, t_dims, tbar_dims, all_witnessed = _class_pair_payload(w, quad.T, quad.Tbar)
         payload = {
             "theta": list(theta),
             "verdict": verdict["verdict"],
@@ -286,12 +306,11 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
             if verdict["rays"] is not None
             else None,
             "predicates": predicates,
-            "T-witnesses": _class_witness_dims(w, quad.T),
-            "Tbar-witnesses": _class_witness_dims(w, quad.Tbar),
+            "T-witnesses": t_dims,
+            "Tbar-witnesses": tbar_dims,
             "strict-inclusion": quad.T != quad.Tbar,
         }
         status = "pass"
-        all_witnessed = all(predicates.values())
         if verdict["verdict"] == "rigid":
             face = verdict["rays"]
             if face:

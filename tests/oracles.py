@@ -94,6 +94,13 @@ dimension, for one whose closure is the target, where ``torslab.torsion``
 looks the target up in one table per catalogue and closure kind; they share
 the closures and perps.
 
+``tbar_map_search`` builds the presentation space of every level and every
+map of it, the zero map first, and reads each map's class through
+``tbar_of_map``, where ``torslab.reports`` reads the zero map's class from
+its table before building anything and takes each level's cost cap from
+path counts; they share the presentation spaces, the maps, ``tbar_of_map``
+and the two constants.
+
 ``zero_module``, ``simple_module`` and ``reduced`` are helpers that only the
 tests call: the zero and simple representations, and the package's chain
 reduction applied to one two-term complex.
@@ -126,7 +133,15 @@ from torslab.cones import (
     dd_intersection_nontrivial,
 )
 from torslab.linalg import identity, inverse, mat_mul, mat_vec, rank, residual, row_space, zeros
-from torslab.reports import _check, _dims, _json_default, _witness_dims
+from torslab.presentations import map_from_coeffs, presentation_space, tbar_of_map
+from torslab.reports import (
+    TBAR_LEVEL_MAX,
+    TBAR_SWEEP_COST,
+    _check,
+    _dims,
+    _json_default,
+    _witness_dims,
+)
 from torslab.silting import (
     SiltingError,
     TwoTermComplex,
@@ -1277,3 +1292,21 @@ def numdis_checks(algebra, bound):
                 )
             )
     return checks
+
+
+# -- the single-map search, every map of every level built ---------------------------
+
+
+def tbar_map_search(cat, theta, target):
+    """``torslab.reports._tbar_map_search`` with each level's space built for
+    the cost cap and every map of it, the zero map included, swept in order."""
+    A = cat.algebra
+    p = A.p
+    for level in range(1, TBAR_LEVEL_MAX + 1):
+        space = presentation_space(A, tuple(level * t for t in theta))
+        if p ** space["dim"] * len(cat) > TBAR_SWEEP_COST:
+            return {"searched": False, "level": None}
+        for coeffs in itertools.product(range(p), repeat=space["dim"]):
+            if tbar_of_map(cat, map_from_coeffs(A, space, coeffs)) == target:
+                return {"searched": True, "level": level}
+    return {"searched": True, "level": None}

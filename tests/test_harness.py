@@ -1,10 +1,12 @@
 import ast
 import importlib
 import importlib.util
+import itertools
 import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bundled, bundled_text
-from torslab import cli, cones, reports, stability, torsion
+from torslab import cli, cones, presentations, reports, stability, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
 from torslab.algebra import load_algebra, memo
@@ -238,6 +240,38 @@ def test_semistable_runs_the_per_item_pass_once_per_sign_vector(monkeypatch, a2)
         got = {stability.quadruple(cat, tuple(k * t for t in theta)) for k in (1, 4, Fraction(2, 9))}
         assert len(got) == 1
     assert len(passes) == 21
+
+
+def test_semistable_builds_maps_only_where_the_zero_map_misses(monkeypatch, a2):
+    # the chambers workload again: the zero map's class is read from its
+    # table before any map is built, and hits 491 of the 504 weights under
+    # the cost cap; the other 13 build one space each and sweep 111 maps
+    maps = _count_calls(monkeypatch, "map_from_coeffs", presentations.map_from_coeffs)
+    spaces = _count_calls(monkeypatch, "presentation_space", presentations.presentation_space)
+    computed = []
+    witnesses = torsion.Window.witnesses.__wrapped__
+
+    def counted(w, tmask):
+        computed.append(tmask)
+        return witnesses(w, tmask)
+
+    monkeypatch.setattr(torsion.Window, "witnesses", memo(counted))
+    rep = reports.suite_semistable(a2, (2, 2), grid=(-12, 12), depth=6, algebra_id="a2")
+    assert len(maps) == 111
+    assert len(spaces) == 13
+    outcomes = Counter(
+        (c["witness"]["tbar-map"]["searched"], c["witness"]["tbar-map"]["level"])
+        for c in rep["checks"][:-1]
+    )
+    assert outcomes == {(True, 1): 504, (False, None): 121}
+    # the witnesses of each class the grid cuts out are computed once
+    cat = Catalogue(a2, (2, 2))
+    classes = set()
+    for theta in itertools.product(range(-12, 13), repeat=2):
+        quad = stability.quadruple(cat, theta)
+        classes |= {quad.T, quad.Tbar}
+    assert len(computed) == len(set(computed))
+    assert set(computed) == classes
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from decimal import Decimal
 from itertools import product
 
@@ -13,13 +14,15 @@ from torslab.presentations import (
     PresentationError,
     fei_union_check,
     map_from_coeffs,
+    presentation_dim,
     presentation_pair,
     presentation_space,
     tbar_of_map,
 )
-from torslab.reports import TBAR_SWEEP_COST
+from torslab.reports import TBAR_SWEEP_COST, _tbar_map_search
 from torslab.silting import TwoTermComplex, _layout, cohomology
 from torslab.stability import quadruple
+from torslab.torsion import Window
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,8 @@ def test_weight_entries_must_be_int_or_fraction(a2, cat_a2, bad):
     with pytest.raises(PresentationError, match=named):
         presentation_pair(a2, (bad, 0))
     with pytest.raises(PresentationError, match=named):
+        presentation_dim(a2, (bad, 0))
+    with pytest.raises(PresentationError, match=named):
         fei_union_check(cat_a2, (bad, 0), 1)
 
 
@@ -57,6 +62,22 @@ def test_presentation_space_dims(a2, kronecker):
     assert presentation_space(a2, (0, 0))["dim"] == 0
     # no paths from vertex 1 back to vertex 0
     assert presentation_space(a2, (-1, 1))["dim"] == 0
+
+
+def test_presentation_dim_counts_paths():
+    # the dimension from path counts equals the number of slots of the
+    # space, and scales with the square of the level
+    radii = {"a2": 3, "kronecker": 3, "kxk": 3, "loop": 3, "pi_a2": 3, "pi_a3": 2}
+    for name, r in radii.items():
+        A = bundled(name)
+        for theta in product(range(-r, r + 1), repeat=A.n):
+            dim = presentation_dim(A, theta)
+            for k in (1, 2):
+                scaled = tuple(k * t for t in theta)
+                want = presentation_space(A, scaled)["dim"]
+                assert presentation_dim(A, scaled) == k * k * dim == want, (name, theta, k)
+    with pytest.raises(PresentationError, match="wrong length"):
+        presentation_dim(bundled("a2"), (1, -1, 0))
 
 
 def test_tbar_of_zero_map(cat_a2, cat_kron, a2, kronecker):
@@ -196,3 +217,47 @@ def test_membership(cat_a2, cat_kron, a2, kronecker):
     q = quadruple(cat_a2, (3, -2))
     for mask in (q.T, q.Tbar, q.F, q.Fbar):
         assert (mask >> z) & 1
+
+
+def _search_exit(cat, theta, target, got):
+    """How a single-map search ended: refused at the cost cap, hit by the
+    zero map, hit by a nonzero map at some level, or missed everywhere."""
+    if not got["searched"]:
+        return "refused"
+    if got["level"] is None:
+        return "missed"
+    negative = tuple(i for i, t in enumerate(theta) if t < 0)
+    if presentations._zero_map_class(cat, negative) == target:
+        return "zero map"
+    return "level %d" % got["level"]
+
+
+def test_tbar_map_search_matches_full_sweep_oracle():
+    # every census class as target over every weight of five windows, then
+    # the chambers workload's weak classes: the zero map is read before any
+    # map is built and the cap is taken from path counts, with the same
+    # outcome as building every space and sweeping it from the zero map on
+    windows = (
+        ("a2", (2, 2), 2),
+        ("kronecker", (2, 2), 2),
+        ("loop", (2,), 3),
+        ("pi_a2", (1, 1), 1),
+        ("kxk", (1, 1), 1),
+    )
+    exits = Counter()
+    for name, bound, r in windows:
+        w = Window(bundled(name), bound)
+        for theta in product(range(-r, r + 1), repeat=len(bound)):
+            for target in w.classes:
+                got = _tbar_map_search(w.cat, theta, target)
+                assert got == oracles.tbar_map_search(w.cat, theta, target), (name, theta)
+                exits[_search_exit(w.cat, theta, target, got)] += 1
+    assert exits == {"zero map": 74, "level 1": 13, "missed": 591, "refused": 76}
+    cat = Catalogue(bundled("a2"), (2, 2))
+    exits = Counter()
+    for theta in product(range(-12, 13), repeat=2):
+        target = quadruple(cat, theta).Tbar
+        got = _tbar_map_search(cat, theta, target)
+        assert got == oracles.tbar_map_search(cat, theta, target), theta
+        exits[_search_exit(cat, theta, target, got)] += 1
+    assert exits == {"zero map": 491, "level 1": 13, "refused": 121}
