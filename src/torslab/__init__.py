@@ -21,7 +21,7 @@ from .reports import (
 )
 from .silting import enumerate_silting, induced_torsion_pairs, rigidity
 from .stability import quadruple
-from .torsion import enumerate_torsion_classes, torsion_pair_of
+from .torsion import enumerate_torsion_classes
 
 __all__ = [
     "Algebra",
@@ -50,6 +50,5 @@ __all__ = [
     "suite_semistable",
     "suite_smalo",
     "tbar_of_map",
-    "torsion_pair_of",
     "wallchamber_svg",
 ]

@@ -425,13 +425,12 @@ def dd_intersection_nontrivial(c1, c2):
     return False, None
 
 
-def numerically_disjoint(cat, mask_t, mask_f):
-    """True iff the class cones of the two subcategories meet only at zero.
+def numerically_disjoint(ct, cf):
+    """True iff the class cones ct and cf of two subcategories meet only at
+    zero.
 
     Decided by double description; the certificate is a separating stability
     vector (trivial case) or a common nonzero class vector."""
-    ct = cone_of_subcat(cat, mask_t)
-    cf = cone_of_subcat(cat, mask_f)
     hit, witness = dd_intersection_nontrivial(ct, cf)
     if hit:
         return False, ("common", witness)

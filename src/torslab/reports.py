@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -45,7 +46,17 @@ from .silting import (
     silting_cone,
 )
 from .stability import classes_in, quadruple
-from .torsion import Window, mask_of, right_perp, semibrick_perp, t_of
+from .torsion import (
+    ample,
+    bricks_above,
+    certificate,
+    enumerate_torsion_classes,
+    mask_of,
+    right_perp,
+    semibrick_perp,
+    t_of,
+    witnesses,
+)
 
 # cost cap for the single-map realization sweep inside the semistable suite
 TBAR_SWEEP_COST = 8192
@@ -193,21 +204,22 @@ def suite_smalo(algebra, bound, algebra_id="algebra"):
     bound the size of a witness.  Requires an ample bound: the class census
     has to be stable under raising every coordinate of the bound by one.
     """
-    w = Window(algebra, bound)
-    if not w.ample:
+    cat = Catalogue(algebra, bound)
+    if not ample(cat):
         raise ReportError(
             "no ample-bound certificate for %s at %r" % (algebra_id, bound)
         )
+    classes = enumerate_torsion_classes(cat)
     checks = [
         _check(
             "torsion-window-stable",
             "pass",
-            {"classes": len(w.classes), "classes-at-next-bound": w.cert["count_big"]},
+            {"classes": len(classes), "classes-at-next-bound": certificate(cat)["count_big"]},
         )
     ]
-    for k, tmask in enumerate(w.classes):
-        wit = w.witnesses(tmask)
-        payload = _witness_dims(w.cat, wit)
+    for k, tmask in enumerate(classes):
+        wit = witnesses(cat, tmask)
+        payload = _witness_dims(cat, wit)
         payload["size"] = tmask.bit_count()
         if wit["ff"]:
             # the conclusion: a functorially finite class is bicompact
@@ -254,13 +266,13 @@ def _tbar_map_search(cat, theta, target):
 
 
 @memo
-def _class_pair_payload(w, tmask, tbar):
+def _class_pair_payload(cat, tmask, tbar):
     """The six predicates of a weight cutting out T and Tbar, the witness
     dimension vectors of both classes and whether all six predicates hold,
     once per class pair of the window: many grid weights of the semistable
     suite cut out the same pair."""
-    wt = w.witnesses(tmask)
-    wb = w.witnesses(tbar)
+    wt = witnesses(cat, tmask)
+    wb = witnesses(cat, tbar)
     predicates = {
         "T-bicompact": wt["bicompact"],
         "T-compact": wt["compact"] is not None,
@@ -270,7 +282,16 @@ def _class_pair_payload(w, tmask, tbar):
         "Tbar-ff": wb["ff"],
     }
     witnessed = all(predicates.values())
-    return predicates, _witness_dims(w.cat, wt), _witness_dims(w.cat, wb), witnessed
+    return predicates, _witness_dims(cat, wt), _witness_dims(cat, wb), witnessed
+
+
+@memo
+def _face_pairs(cat, summands, face):
+    """The torsion pairs induced by the direct sum of the summands whose
+    g-vectors lie on the face, once per vertex and face: many grid weights
+    of the semistable suite share a face."""
+    on_face = [c for c in summands if c.g_vector() in face]
+    return induced_torsion_pairs(cat, direct_sum_complex(on_face, cat.algebra))
 
 
 def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"):
@@ -287,17 +308,14 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
     the weight cuts out, and where the sweep is affordable the weak class
     is realized as the perp class of one presentation map.
     """
-    w = Window(algebra, bound)
-    cat = w.cat
+    cat = Catalogue(algebra, bound)
     graph = enumerate_silting(algebra, depth)
     by_key = {v["key"]: v["summands"] for v in graph["vertices"]}
-    face_memo = {}
     checks = []
-    npass = nlimited = 0
     for theta in _grid_points(grid, algebra.n):
         verdict = rigidity(theta, graph)
         quad = quadruple(cat, theta)
-        predicates, t_dims, tbar_dims, all_witnessed = _class_pair_payload(w, quad.T, quad.Tbar)
+        predicates, t_dims, tbar_dims, all_witnessed = _class_pair_payload(cat, quad.T, quad.Tbar)
         payload = {
             "theta": list(theta),
             "verdict": verdict["verdict"],
@@ -314,13 +332,7 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
         if verdict["verdict"] == "rigid":
             face = verdict["rays"]
             if face:
-                got = face_memo.get(face)
-                if got is None:
-                    summands = [
-                        c for c in by_key[verdict["vertex"]] if c.g_vector() in face
-                    ]
-                    got = induced_torsion_pairs(cat, direct_sum_complex(summands, algebra))
-                    face_memo[face] = got
+                got = _face_pairs(cat, by_key[verdict["vertex"]], face)
                 payload["coherent"] = got == (quad.Tbar, quad.T)
                 if not payload["coherent"]:
                     status = "fail"
@@ -330,16 +342,13 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
         elif verdict["verdict"] == "not_rigid":
             # everything equivalent to rigidity must break somewhere
             if all_witnessed:
-                status = "fail" if w.ample else "window-limited"
+                status = "fail" if ample(cat) else "window-limited"
         else:
             status = "window-limited"
-        if status == "pass":
-            npass += 1
-        elif status == "window-limited":
-            nlimited += 1
         checks.append(
-            _check("semistable[%s]" % ",".join(str(t) for t in theta), status, payload)
+            _check("semistable[%s]" % ",".join(map(str, theta)), status, payload)
         )
+    statuses = Counter(c["status"] for c in checks)
     checks.append(
         _check(
             "semistable-grid-summary",
@@ -347,10 +356,10 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
             {
                 "grid": list(grid),
                 "points": len(checks),
-                "full-pass": npass,
-                "window-limited": nlimited,
+                "full-pass": statuses["pass"],
+                "window-limited": statuses["window-limited"],
                 "graph-complete": graph["complete"],
-                "ample": w.ample,
+                "ample": ample(cat),
             },
         )
     )
@@ -358,6 +367,20 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
 
 
 # -- the numerical disjointness suite -----------------------------------------------
+
+
+@memo
+def _separation(cat, ct, cf):
+    """The four separation legs of a pair of class cones: numerical
+    disjointness with its certificate, the legs, and the separating weight
+    or None, once per pair of a window: many classes share their cones."""
+    disjoint, cert = numerically_disjoint(ct, cf)
+    trivial, _ = intersect_trivially(ct, cf)
+    convex = is_strongly_convex(difference_cone(ct, cf))
+    # a disjoint pair's certificate is the simplex separator of these cones
+    separator = cert[1] if disjoint else separating_functional(ct, cf)
+    legs = (disjoint, trivial, convex, separator is not None)
+    return disjoint, cert, legs, separator
 
 
 def suite_numdis(algebra, bound, algebra_id="algebra"):
@@ -372,27 +395,15 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
     bicompact class must already have a factor-closure witness; a missing
     witness is window-limited, since it may be bigger than the window.
     """
-    w = Window(algebra, bound)
-    cat = w.cat
+    cat = Catalogue(algebra, bound)
     hereditary = algebra.relations == ()
-    # the four legs depend on the two class cones only; many classes share them
-    pair_memo = {}
     checks = []
-    for k, tmask in enumerate(w.classes):
-        wit = w.witnesses(tmask)
+    for k, tmask in enumerate(enumerate_torsion_classes(cat)):
+        wit = witnesses(cat, tmask)
         fmask = wit["perp"]
         ct = cone_of_subcat(cat, tmask)
         cf = cone_of_subcat(cat, fmask)
-        got = pair_memo.get((ct, cf))
-        if got is None:
-            disjoint, certificate = numerically_disjoint(cat, tmask, fmask)
-            trivial, _ = intersect_trivially(ct, cf)
-            convex = is_strongly_convex(difference_cone(ct, cf))
-            # a disjoint pair's certificate is the simplex separator of these cones
-            separator = certificate[1] if disjoint else separating_functional(ct, cf)
-            legs = (disjoint, trivial, convex, separator is not None)
-            got = pair_memo[(ct, cf)] = (disjoint, certificate, legs, separator)
-        disjoint, certificate, legs, separator = got
+        disjoint, cert, legs, separator = _separation(cat, ct, cf)
         agree = all(legs) or not any(legs)
         verified = None
         if separator is not None:
@@ -405,7 +416,7 @@ def suite_numdis(algebra, bound, algebra_id="algebra"):
             "separator-verified": verified,
         }
         if not disjoint:
-            payload["common-class"] = list(certificate[1])
+            payload["common-class"] = list(cert[1])
         bad = not agree or verified is False
         checks.append(_check("numdis-pair[%d]" % k, "fail" if bad else "pass", payload))
         if disjoint and wit["bicompact"]:
@@ -455,13 +466,12 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
     missing a witness leaves them window-limited even then, since a stable
     census does not bound the size of a witness.
     """
-    w = Window(algebra, bound)
-    cat = w.cat
-    classes = w.classes
+    cat = Catalogue(algebra, bound)
+    classes = enumerate_torsion_classes(cat)
     nbricks = len(cat.bricks())
-    cert = w.cert
-    nbricks_big = w.bricks_above
-    stable = nbricks_big == nbricks and w.ample
+    cert = certificate(cat)
+    nbricks_big = bricks_above(cat)
+    stable = nbricks_big == nbricks and ample(cat)
     checks = [
         _check(
             "brick-census",
@@ -470,7 +480,7 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
         ),
         _check(
             "tors-census",
-            "pass" if w.ample else "window-limited",
+            "pass" if ample(cat) else "window-limited",
             {
                 "classes": len(classes),
                 "classes-at-next-bound": cert["count_big"] if cert else None,
@@ -480,7 +490,7 @@ def suite_brickfinite(algebra, bound, algebra_id="algebra"):
     per_class = []
     chain_bad = []
     for k, tmask in enumerate(classes):
-        wit = w.witnesses(tmask)
+        wit = witnesses(cat, tmask)
         flags = {
             "ff": wit["ff"],
             "bicompact": wit["bicompact"],
@@ -553,7 +563,7 @@ def suite_scan(algebra_text, grid=(-4, 4), fields=(2, 3, 5), depth=6, bound=None
                 continue
             quad = quadruple(cat, theta)
             sb = _semibrick_spans(cat, quad.Tbar)
-            claim = "scan-evidence[p=%d][%s]" % (p, ",".join(str(t) for t in theta))
+            claim = "scan-evidence[p=%d][%s]" % (p, ",".join(map(str, theta)))
             if sb is None:
                 checks.append(
                     _check(
@@ -585,7 +595,7 @@ def suite_scan(algebra_text, grid=(-4, 4), fields=(2, 3, 5), depth=6, bound=None
         seq = [by_p[p] for p in sorted(by_p)]
         checks.append(
             _check(
-                "scan-growth[%s]" % ",".join(str(t) for t in theta),
+                "scan-growth[%s]" % ",".join(map(str, theta)),
                 "pass",
                 {
                     "theta": list(theta),

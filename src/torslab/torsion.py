@@ -36,11 +36,13 @@ left perps, and so is a King class T_theta of the window: Y/t_theta(Y) is a
 window quotient of Y in the torsion-free class of theta (King, Quart. J.
 Math. 45 (1994)).  A witness outside its mask shows a mask that is no class
 of the window, and raises WindowError.
+
+The catalogue owns the state of its window: the census, the bound+1
+catalogue with its brick count, the bound+1 certificate and the witnesses
+of each class are memo tables on it, each built once, on first use.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .algebra import hom_space, memo
 from .catalogue import BudgetError, Catalogue, WindowError
@@ -283,17 +285,6 @@ def t_of(cat, gens):
     return left_perp(cat, right_perp(cat, gens))
 
 
-def torsion_pair_of(cat, tmask):
-    """(T, T^perp); raises when the pair is not reflexive inside the window."""
-    fmask = right_perp(cat, tmask)
-    back = left_perp(cat, fmask)
-    if back != tmask:
-        raise WindowError(
-            "perp of perp differs from the class: window too small or not a torsion class"
-        )
-    return tmask, fmask
-
-
 @memo
 def semibrick_perp(cat, sb):
     """Right perp of the semibrick sb: the AND of its bricks' right perps,
@@ -303,6 +294,7 @@ def semibrick_perp(cat, sb):
     return semibrick_perp(cat, sb[:-1]) & _closure(cat, right_perp, sb[-1:])
 
 
+@memo
 def enumerate_torsion_classes(cat):
     """All torsion classes met by the window, via the semibrick sweep.
 
@@ -370,7 +362,7 @@ def cocompact_witness(cat, tmask, fmask):
     return _witness(cat, fmask, left_perp, tmask)
 
 
-# -- window stability and the window ------------------------------------------
+# -- window stability and the per-window tables -------------------------------
 
 
 def window_stable(cat_small, classes_small, cat_big):
@@ -395,73 +387,63 @@ def window_stable(cat_small, classes_small, cat_big):
     }
 
 
-class Window:
-    """One algebra at one bound: the catalogue, and the torsion census, the
-    bound+1 catalogue and its brick count, the ample-bound certificate and
-    the per-class witnesses, each built once, on first use."""
+@memo
+def above(cat):
+    """The catalogue with every coordinate of the bound raised by one, or
+    None when it exceeds the budget."""
+    try:
+        return Catalogue(cat.algebra, tuple(b + 1 for b in cat.bound))
+    except BudgetError:
+        return None
 
-    def __init__(self, algebra, bound):
-        self.algebra = algebra
-        self.bound = tuple(bound)
-        self.cat = Catalogue(algebra, self.bound)
 
-    @cached_property
-    def classes(self):
-        return enumerate_torsion_classes(self.cat)
+@memo
+def bricks_above(cat):
+    """The number of bricks in the bound+1 window, or None when that window
+    or its brick census exceeds the budget."""
+    big = above(cat)
+    if big is None:
+        return None
+    try:
+        return len(big.bricks())
+    except BudgetError:
+        return None
 
-    @cached_property
-    def above(self):
-        """The catalogue with every coordinate of the bound raised by one,
-        or None when it exceeds the budget."""
-        try:
-            return Catalogue(self.algebra, tuple(b + 1 for b in self.bound))
-        except BudgetError:
-            return None
 
-    @cached_property
-    def bricks_above(self):
-        """The number of bricks in the bound+1 window, or None when that
-        window or its brick census exceeds the budget."""
-        if self.above is None:
-            return None
-        try:
-            return len(self.above.bricks())
-        except BudgetError:
-            return None
+@memo
+def certificate(cat):
+    """window_stable against the bound+1 window, or None when that window
+    or its census exceeds the budget."""
+    # outside the try: a budget error of this window's own census is not a
+    # missing certificate
+    classes = enumerate_torsion_classes(cat)
+    big = above(cat)
+    if big is None:
+        return None
+    try:
+        return window_stable(cat, classes, big)
+    except BudgetError:
+        return None
 
-    @cached_property
-    def cert(self):
-        """window_stable against the bound+1 window, or None when that
-        window or its census exceeds the budget."""
-        # outside the try: a budget error of this window's own census is
-        # not a missing certificate
-        classes = self.classes
-        if self.above is None:
-            return None
-        try:
-            return window_stable(self.cat, classes, self.above)
-        except BudgetError:
-            return None
 
-    @property
-    def ample(self):
-        """Whether the census is certified stable at bound+1."""
-        return bool(self.cert and self.cert["stable"])
+def ample(cat):
+    """Whether the census is certified stable at bound+1."""
+    cert = certificate(cat)
+    return bool(cert and cert["stable"])
 
-    @memo
-    def witnesses(self, tmask):
-        """The right perp of a class, its Fac, Sub, compact and cocompact
-        witnesses (indices or None), and the ff and bicompact flags they
-        give."""
-        cat = self.cat
-        fmask = right_perp(cat, tmask)
-        got = {
-            "perp": fmask,
-            "fac": fac_single_witness(cat, tmask),
-            "sub": sub_single_witness(cat, fmask),
-            "compact": compact_witness(cat, tmask, fmask),
-            "cocompact": cocompact_witness(cat, tmask, fmask),
-        }
-        got["ff"] = got["fac"] is not None and got["sub"] is not None
-        got["bicompact"] = got["compact"] is not None and got["cocompact"] is not None
-        return got
+
+@memo
+def witnesses(cat, tmask):
+    """The right perp of a class, its Fac, Sub, compact and cocompact
+    witnesses (indices or None), and the ff and bicompact flags they give."""
+    fmask = right_perp(cat, tmask)
+    got = {
+        "perp": fmask,
+        "fac": fac_single_witness(cat, tmask),
+        "sub": sub_single_witness(cat, fmask),
+        "compact": compact_witness(cat, tmask, fmask),
+        "cocompact": cocompact_witness(cat, tmask, fmask),
+    }
+    got["ff"] = got["fac"] is not None and got["sub"] is not None
+    got["bicompact"] = got["compact"] is not None and got["cocompact"] is not None
+    return got

@@ -123,7 +123,7 @@ from torslab.algebra import (
     kernel_submodule,
     submodule_rep,
 )
-from torslab.catalogue import SWEEP_CAP, BudgetError, _combine, _gl_generators
+from torslab.catalogue import SWEEP_CAP, BudgetError, Catalogue, WindowError, _combine, _gl_generators
 from torslab.cones import (
     ConeError,
     cone_of_subcat,
@@ -159,7 +159,13 @@ from torslab.silting import (
     vertex_key,
 )
 from torslab.stability import Quadruple, classes_in
-from torslab.torsion import Window, indices_of, mask_of, t_of
+from torslab.torsion import (
+    enumerate_torsion_classes,
+    indices_of,
+    mask_of,
+    t_of,
+    witnesses,
+)
 
 
 # -- test-only modules and complexes ------------------------------------------------
@@ -342,6 +348,17 @@ def f_of(cat, gens):
     """Smallest torsion-free class containing the generators: the double perp
     of ``torslab.torsion``, the dual of its ``t_of``."""
     return torsion.right_perp(cat, torsion.left_perp(cat, gens))
+
+
+def torsion_pair_of(cat, tmask):
+    """(T, T^perp); raises when the pair is not reflexive inside the window."""
+    fmask = torsion.right_perp(cat, tmask)
+    back = torsion.left_perp(cat, fmask)
+    if back != tmask:
+        raise WindowError(
+            "perp of perp differs from the class: window too small or not a torsion class"
+        )
+    return tmask, fmask
 
 
 def witness_scan(cat, mask, closure, target):
@@ -1245,12 +1262,11 @@ def enumerate_silting(A, depth):
 def numdis_checks(algebra, bound):
     """The checks of ``torslab.reports.suite_numdis`` with all four legs
     solved anew for every class, not once per distinct pair of class cones."""
-    w = Window(algebra, bound)
-    cat = w.cat
+    cat = Catalogue(algebra, bound)
     hereditary = algebra.relations == ()
     checks = []
-    for k, tmask in enumerate(w.classes):
-        wit = w.witnesses(tmask)
+    for k, tmask in enumerate(enumerate_torsion_classes(cat)):
+        wit = witnesses(cat, tmask)
         fmask = wit["perp"]
         ct = cone_of_subcat(cat, tmask)
         cf = cone_of_subcat(cat, fmask)

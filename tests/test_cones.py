@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bundled
-from oracles import cone_contains, simple_module
+from oracles import cone_contains, simple_module, torsion_pair_of
 from torslab import cones
 from torslab.catalogue import Catalogue
 from torslab.cones import (
@@ -26,13 +26,11 @@ from torslab.cones import (
     solve_program,
 )
 from torslab.torsion import (
-    Window,
     enumerate_torsion_classes,
     fac_closure,
     mask_of,
     right_perp,
     t_of,
-    torsion_pair_of,
 )
 
 
@@ -266,9 +264,10 @@ def test_separating_functional_matches_pinned_oracle_on_random_cones():
     ),
 )
 def test_separating_functional_matches_pinned_oracle_on_class_cones(name, p, bound):
-    w = Window(bundled(name, p), bound)
+    cat = Catalogue(bundled(name, p), bound)
     pairs = {
-        (cone_of_subcat(w.cat, t), cone_of_subcat(w.cat, right_perp(w.cat, t))) for t in w.classes
+        (cone_of_subcat(cat, t), cone_of_subcat(cat, right_perp(cat, t)))
+        for t in enumerate_torsion_classes(cat)
     }
     for ct, cf in pairs:
         assert separating_functional(ct, cf) == oracles.separating_functional_pinned(ct, cf)
@@ -340,15 +339,16 @@ def test_numerically_disjoint(a2, cat_a2):
     s1 = cat_a2.find_index(simple_module(a2, 0))
     s2 = cat_a2.find_index(simple_module(a2, 1))
     ok, cert = numerically_disjoint(
-        cat_a2, t_of(cat_a2, (s1,)), oracles.f_of(cat_a2, (s2,))
+        cone_of_subcat(cat_a2, t_of(cat_a2, (s1,))),
+        cone_of_subcat(cat_a2, oracles.f_of(cat_a2, (s2,))),
     )
     assert ok and cert[0] == "separator" and cert[1] == (1, -1)
-    full = mask_of(range(len(cat_a2)))
-    ok, cert = numerically_disjoint(cat_a2, full, full)
+    full = cone_of_subcat(cat_a2, mask_of(range(len(cat_a2))))
+    ok, cert = numerically_disjoint(full, full)
     assert not ok and cert[0] == "common"
-    assert cone_contains(cone_of_subcat(cat_a2, full), cert[1])
-    zero_only = mask_of((cat_a2.zero_index(),))
-    ok, _ = numerically_disjoint(cat_a2, zero_only, full)
+    assert cone_contains(full, cert[1])
+    zero_only = cone_of_subcat(cat_a2, mask_of((cat_a2.zero_index(),)))
+    ok, _ = numerically_disjoint(zero_only, full)
     assert ok
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bundled, bundled_text
-from torslab import cli, cones, presentations, reports, stability, torsion
+from torslab import cli, cones, presentations, reports, silting, stability, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
 from torslab.algebra import load_algebra, memo
@@ -193,10 +193,10 @@ def test_numdis_computes_perp_once_per_class_and_separator_once_per_cone_pair(
     # the separation workload's window: 133 classes over 8 pairs of class cones
     separators.clear()
     rep = reports.suite_numdis(kronecker_p3, (2, 2), "kronecker")
-    w = torsion.Window(kronecker_p3, (2, 2))
+    cat = Catalogue(kronecker_p3, (2, 2))
     pairs = {
-        (cones.cone_of_subcat(w.cat, t), cones.cone_of_subcat(w.cat, torsion.right_perp(w.cat, t)))
-        for t in w.classes
+        (cones.cone_of_subcat(cat, t), cones.cone_of_subcat(cat, torsion.right_perp(cat, t)))
+        for t in torsion.enumerate_torsion_classes(cat)
     }
     assert sum(c["claim"].startswith("numdis-pair") for c in rep["checks"]) == 133
     assert len(pairs) == len(separators) == 8
@@ -248,17 +248,23 @@ def test_semistable_builds_maps_only_where_the_zero_map_misses(monkeypatch, a2):
     # the cost cap; the other 13 build one space each and sweep 111 maps
     maps = _count_calls(monkeypatch, "map_from_coeffs", presentations.map_from_coeffs)
     spaces = _count_calls(monkeypatch, "presentation_space", presentations.presentation_space)
+    faces = _count_calls(monkeypatch, "induced_torsion_pairs", silting.induced_torsion_pairs)
     computed = []
-    witnesses = torsion.Window.witnesses.__wrapped__
+    witnesses = torsion.witnesses.__wrapped__
 
-    def counted(w, tmask):
+    def counted(cat, tmask):
         computed.append(tmask)
-        return witnesses(w, tmask)
+        return witnesses(cat, tmask)
 
-    monkeypatch.setattr(torsion.Window, "witnesses", memo(counted))
+    # the suite reads the witnesses through its own module's binding
+    monkeypatch.setattr(reports, "witnesses", memo(counted))
     rep = reports.suite_semistable(a2, (2, 2), grid=(-12, 12), depth=6, algebra_id="a2")
     assert len(maps) == 111
     assert len(spaces) == 13
+    # every nonzero weight is rigid on a face of the fan, and the torsion
+    # pairs a face induces are taken once per face: 10 faces
+    assert sum("coherent" in c["witness"] for c in rep["checks"][:-1]) == 624
+    assert len(faces) == 10
     outcomes = Counter(
         (c["witness"]["tbar-map"]["searched"], c["witness"]["tbar-map"]["level"])
         for c in rep["checks"][:-1]
@@ -358,6 +364,27 @@ def test_runtime_has_no_assert():
 def test_runtime_imports_only_stdlib():
     for stem, name in _runtime_imports():
         assert name.split(".")[0] in sys.stdlib_module_names, (stem, name)
+
+
+def test_runtime_caches_only_through_memo():
+    # algebra.memo is the one caching primitive: no functools cache beside it
+    caches = {"cached_property", "lru_cache", "cache"}
+    found = [
+        (stem, node.lineno)
+        for stem, node in _runtime_nodes()
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name in caches for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in caches
+        )
+    ]
+    assert not found, found
 
 
 def test_runtime_imports_no_random():

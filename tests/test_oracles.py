@@ -15,7 +15,7 @@ from torslab.catalogue import Catalogue
 from torslab.presentations import map_from_coeffs, presentation_space, tbar_of_map
 from torslab.silting import cohomology, direct_sum_complex, enumerate_silting
 from torslab.stability import quadruple
-from torslab.torsion import Window, enumerate_torsion_classes, filt_closure, indices_of
+from torslab.torsion import enumerate_torsion_classes, filt_closure, indices_of, witnesses
 
 CLOSURES = ("fac_closure", "sub_closure", "left_perp", "right_perp")
 
@@ -195,11 +195,11 @@ def test_census_and_witnesses_read_homs_between_indecomposables(monkeypatch, kro
         return original(cat, i, j)
 
     monkeypatch.setattr(Catalogue, "hom_basis", counted)
-    w = Window(kronecker, (2, 3))
-    for tmask in w.classes:
-        w.witnesses(tmask)
+    cat = Catalogue(kronecker, (2, 3))
+    for tmask in enumerate_torsion_classes(cat):
+        witnesses(cat, tmask)
     assert calls
-    assert all(w.cat.is_indec(i) and w.cat.is_indec(j) for i, j in calls)
+    assert all(cat.is_indec(i) and cat.is_indec(j) for i, j in calls)
 
 
 def test_tbar_of_map_reads_the_rank_form_once_per_indecomposable(monkeypatch, a2):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import SQUARE, bundled
-from oracles import simple_module
+from oracles import simple_module, torsion_pair_of
 from torslab.algebra import (
     AlgebraError,
     direct_sum,
@@ -26,6 +26,9 @@ from torslab.silting import enumerate_silting
 from torslab.cones import cone_of_subcat, separating_functional
 from torslab.stability import classes_in, quadruple
 from torslab.torsion import (
+    above,
+    ample,
+    certificate,
     cocompact_witness,
     compact_witness,
     enumerate_torsion_classes,
@@ -39,9 +42,8 @@ from torslab.torsion import (
     sub_closure,
     sub_single_witness,
     t_of,
-    torsion_pair_of,
     window_stable,
-    Window,
+    witnesses,
 )
 
 
@@ -156,7 +158,7 @@ def test_witnesses_small_window(a2, cat_a2, idx_a2):
     assert fac_single_witness(cat_a2, T) == idx_a2["P1"]
     assert compact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["P1"]
     assert cocompact_witness(cat_a2, T, right_perp(cat_a2, T)) == idx_a2["S2"]
-    wit = Window(a2, (1, 1)).witnesses(T)
+    wit = witnesses(Catalogue(a2, (1, 1)), T)
     assert (wit["fac"], wit["sub"], wit["ff"]) == (idx_a2["P1"], idx_a2["S2"], True)
     # the smallest semibrick generating the class, as the scan suite finds it
     assert _semibrick_spans(cat_a2, T) == (idx_a2["P1"],)
@@ -288,10 +290,10 @@ def test_closures_are_extensive_idempotent_and_monotone(closure_cat, data):
 
 
 def test_witnesses_ample_window(a2):
-    w = Window(a2, (2, 2))
-    assert len(w.classes) == 5
-    for T in w.classes:
-        wit = w.witnesses(T)
+    cat = Catalogue(a2, (2, 2))
+    assert len(enumerate_torsion_classes(cat)) == 5
+    for T in enumerate_torsion_classes(cat):
+        wit = witnesses(cat, T)
         assert wit["ff"] and wit["bicompact"]
 
 
@@ -306,22 +308,23 @@ def test_window_stability(a2, kronecker, loop, cat_a2, cat_kron, cat_loop):
 
 
 def test_window(a2, kronecker, cat_a2):
-    w = Window(a2, (1, 1))
-    assert w.classes == enumerate_torsion_classes(cat_a2)
-    assert w.above.bound == (2, 2)
-    assert w.cert == {"stable": True, "count_big": 5}
-    assert w.ample
-    full = mask_of(range(len(w.cat)))
-    wit = w.witnesses(full)
-    assert w.witnesses(full) is wit
+    cat = Catalogue(a2, (1, 1))
+    assert enumerate_torsion_classes(cat) == enumerate_torsion_classes(cat_a2)
+    assert enumerate_torsion_classes(cat) is enumerate_torsion_classes(cat)
+    assert above(cat).bound == (2, 2)
+    assert certificate(cat) == {"stable": True, "count_big": 5}
+    assert ample(cat)
+    full = mask_of(range(len(cat)))
+    wit = witnesses(cat, full)
+    assert witnesses(cat, full) is wit
     # the Fac witness of the full class, P1+S2, leaves the (1,1) window;
     # S1+S2 generates it as a torsion class and 0 cogenerates it
     assert wit["fac"] is None and not wit["ff"]
     assert wit["bicompact"]
-    assert w.cat.dims_of(wit["compact"]) == (1, 1)
-    assert not w.cat.is_indec(wit["compact"])
-    assert wit["cocompact"] == w.cat.zero_index()
-    assert not Window(kronecker, (1, 1)).ample
+    assert cat.dims_of(wit["compact"]) == (1, 1)
+    assert not cat.is_indec(wit["compact"])
+    assert wit["cocompact"] == cat.zero_index()
+    assert not ample(Catalogue(kronecker, (1, 1)))
 
 
 def _irreducible_counts(p, d):
