@@ -100,61 +100,89 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
-def _render(obj, out, nl):
+def _render(obj, out, nl, spans):
     """Append the indent=2, sorted-key JSON of obj to out.
 
     nl is a newline plus the indentation of obj's own line.  Strings, ints,
     bools and None are written here and any other scalar goes through
     json.dumps alone, so the chunks joined are the bytes of
     json.dumps(sort_keys=True, indent=2).
+
+    spans is the table of one render_json call, keyed by the id of a
+    nonempty dict, or of a list or tuple that holds more than ints, and by
+    the nl its text depends on.  It holds the slice of out that the
+    container's first rendering filled, and once the same object comes back
+    at the same indentation, that slice joined into one string, which every
+    further occurrence appends.  Keying by id is safe within one call: the
+    caller holds every object of the tree until the call returns, so no id
+    is reused, and nothing mutates the tree meanwhile.
     """
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        inner = nl + "  "
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        # exact ints only: a bool is an int but renders as true or false
+        if set(map(type, obj)) == {int}:
+            inner = nl + "  "
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+    else:
+        if isinstance(obj, str):
+            out.append(_encode_str(obj))
+        elif obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, int):
+            out.append(int.__repr__(obj))
+        else:
+            out.append(json.dumps(obj, default=_json_default))
+        return
+    at = (id(obj), nl)
+    span = spans.get(at)
+    if span is not None:
+        if type(span) is slice:
+            span = spans[at] = "".join(out[span])
+        out.append(span)
+        return
+    start = len(out)
+    inner = nl + "  "
+    if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             # the encoder raises TypeError on a key that is not a str
             out.append(sep + _encode_str(key) + ": ")
             sep = "," + inner
-            _render(value, out, inner)
+            _render(value, out, inner, spans)
         out.append(nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        # exact ints only: a bool is an int but renders as true or false
-        if set(map(type, obj)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
-            return
+    else:
         sep = "[" + inner
         for value in obj:
             out.append(sep)
             sep = "," + inner
-            _render(value, out, inner)
+            _render(value, out, inner, spans)
         out.append(nl + "]")
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    else:
-        out.append(json.dumps(obj, default=_json_default))
+    spans[at] = slice(start, len(out))
 
 
 def render_json(obj):
     """Report text: the bytes of json.dumps(sort_keys=True, indent=2) plus a
     newline, with Fractions as strings.  Keys must be str; a value JSON
-    cannot hold raises TypeError."""
+    cannot hold raises TypeError.
+
+    Each container object is rendered once per call and per indentation: a
+    subtree the report shares, such as the payloads one class pair gives
+    many weights of the semistable suite, is joined once and appended at
+    every further place it stands (see _render).  The table lives for this
+    call only, so a tree mutated between two calls renders afresh."""
     out = []
-    _render(obj, out, "\n")
+    _render(obj, out, "\n", {})
     return "".join(out) + "\n"
 
 
@@ -253,16 +281,31 @@ def _tbar_map_search(cat, theta, target):
     dim = presentation_dim(A, theta)
     for level in range(1, TBAR_LEVEL_MAX + 1):
         if p ** (dim * level**2) * len(cat) > TBAR_SWEEP_COST:
-            return {"searched": False, "level": None}
+            return _tbar_map(cat, False, None)
         if zero_class == target:
-            return {"searched": True, "level": level}
+            return _tbar_map(cat, True, level)
         space = presentation_space(A, tuple(level * t for t in theta))
         maps = itertools.product(range(p), repeat=space["dim"])
         for coeffs in itertools.islice(maps, 1, None):
             U = map_from_coeffs(A, space, coeffs)
             if _tbar_of_map(cat, U) == target:
-                return {"searched": True, "level": level}
-    return {"searched": True, "level": None}
+                return _tbar_map(cat, True, level)
+    return _tbar_map(cat, True, None)
+
+
+@memo
+def _tbar_map(cat, searched, level):
+    """The tbar-map payload of a single-map search, one dict per outcome
+    in a window, so that the semistable report shares it between weights."""
+    return {"searched": searched, "level": level}
+
+
+@memo
+def _rays(cat, face):
+    """The face itself, one tuple per face of the fan in a window, so that
+    the semistable report shares each weight's rays (a tuple renders as a
+    list)."""
+    return face
 
 
 @memo
@@ -286,10 +329,20 @@ def _class_pair_payload(cat, tmask, tbar):
 
 
 @memo
-def _face_pairs(cat, summands, face):
-    """The torsion pairs induced by the direct sum of the summands whose
-    g-vectors lie on the face, once per vertex and face: many grid weights
-    of the semistable suite share a face."""
+def _exchange_graph(cat, depth):
+    """The exchange graph of the window's algebra, walked to depth."""
+    return enumerate_silting(cat.algebra, depth)
+
+
+@memo
+def _face_pairs(cat, depth, vertex, face):
+    """The torsion pairs induced by the direct sum of the summands of the
+    vertex whose g-vectors lie on the face, once per vertex and face: many
+    grid weights of the semistable suite share a face.  The table is keyed
+    by the vertex key and the face, tuples of int g-vectors, which hash
+    without calling back into Python."""
+    graph = _exchange_graph(cat, depth)
+    summands = next(v["summands"] for v in graph["vertices"] if v["key"] == vertex)
     on_face = [c for c in summands if c.g_vector() in face]
     return induced_torsion_pairs(cat, direct_sum_complex(on_face, cat.algebra))
 
@@ -307,22 +360,25 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
     the cohomology of the witnessing face induces exactly the two classes
     the weight cuts out, and where the sweep is affordable the weak class
     is realized as the perp class of one presentation map.
+
+    Payload values that repeat across weights (the predicates and witness
+    payloads of a class pair, the rays of a face, the outcome of a
+    single-map search) are one shared object each, so render_json renders
+    each once; editing one edits every check that holds it.
     """
     cat = Catalogue(algebra, bound)
-    graph = enumerate_silting(algebra, depth)
-    by_key = {v["key"]: v["summands"] for v in graph["vertices"]}
+    graph = _exchange_graph(cat, depth)
     checks = []
     for theta in _grid_points(grid, algebra.n):
         verdict = rigidity(theta, graph)
         quad = quadruple(cat, theta)
         predicates, t_dims, tbar_dims, all_witnessed = _class_pair_payload(cat, quad.T, quad.Tbar)
+        face = verdict["rays"]
         payload = {
             "theta": list(theta),
             "verdict": verdict["verdict"],
             "depth": verdict["depth"],
-            "rays": [list(r) for r in verdict["rays"]]
-            if verdict["rays"] is not None
-            else None,
+            "rays": None if face is None else _rays(cat, face),
             "predicates": predicates,
             "T-witnesses": t_dims,
             "Tbar-witnesses": tbar_dims,
@@ -330,9 +386,8 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
         }
         status = "pass"
         if verdict["verdict"] == "rigid":
-            face = verdict["rays"]
             if face:
-                got = _face_pairs(cat, by_key[verdict["vertex"]], face)
+                got = _face_pairs(cat, depth, verdict["vertex"], face)
                 payload["coherent"] = got == (quad.Tbar, quad.T)
                 if not payload["coherent"]:
                     status = "fail"

@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import importlib.util
 import itertools
@@ -529,6 +530,49 @@ _REPORTS = st.recursive(
 @given(_REPORTS)
 def test_render_json_matches_oracle_on_random_trees(obj):
     assert render_json(obj) == oracles.render_json(obj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_REPORTS)
+def test_render_json_matches_oracle_on_a_shared_subtree(t):
+    # one object at several positions and depths: each indentation gets its
+    # own text, and a repeat at the same indentation the text rendered first
+    obj = {"a": t, "b": [t, {"c": t}, t], "d": (t,), "e": [[t], [t]]}
+    assert render_json(obj) == oracles.render_json(obj)
+
+
+def test_render_json_of_a_shared_report_matches_unshared_copies(a2):
+    rep = reports.suite_semistable(a2, (2, 2), grid=(-4, 4), depth=6, algebra_id="a2")
+    text = render_json(rep)
+    assert text == render_json(copy.deepcopy(rep))
+    # a tree that shares nothing, with lists where the report holds tuples
+    assert text == render_json(json.loads(text)) == oracles.render_json(rep)
+
+
+def test_render_json_table_lives_for_one_call(a2):
+    rep = reports.suite_semistable(a2, (2, 2), grid=(-2, 2), depth=6, algebra_id="a2")
+    first = render_json(rep)
+    shared = rep["checks"][0]["witness"]["predicates"]
+    holders = sum(c["witness"].get("predicates") is shared for c in rep["checks"])
+    assert holders > 1
+    shared["T-ff"] = "mutated"
+    second = render_json(rep)
+    assert second.count('"T-ff": "mutated"') == holders
+    assert second == oracles.render_json(rep) != first
+
+
+def test_semistable_report_shares_rays_and_tbar_maps(a2):
+    # the chambers workload: 625 weights, whose rays lie on the 11 faces of
+    # the fan (origin included) and whose single-map searches end in 2
+    # outcomes; each is one object, so render_json renders it once
+    rep = reports.suite_semistable(a2, (2, 2), grid=(-12, 12), depth=6, algebra_id="a2")
+    payloads = [c["witness"] for c in rep["checks"][:-1]]
+    assert len(payloads) == 625
+    rays = [w["rays"] for w in payloads]
+    tbar_maps = [w["tbar-map"] for w in payloads]
+    assert len(set(map(id, rays))) == len(set(rays)) <= 12
+    assert len(set(map(id, tbar_maps))) <= 3
+    assert len(set(map(id, tbar_maps))) == len({tuple(sorted(m.items())) for m in tbar_maps})
 
 
 @pytest.mark.parametrize(
