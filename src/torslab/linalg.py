@@ -11,12 +11,14 @@ All routines are pure; p stays small (2..13) so Fermat inversion is fine.
 F_p elimination has one kernel, ``_echelon``.  The matrices it meets are
 sparse (about 1% nonzero for the silting rank tests), so it keeps each row
 as a dict of its nonzero entries and a row operation touches only those.
-It stops reading rows once the pivots fill every column.  ``reduced_rows``
-adds one sparse back-substitution and returns the reduced rows as dicts;
-``rref`` makes them dense, and ``nullspace`` and the path window of
-``algebra`` read entries from them.  ``rank`` counts the echelon rows.  A
-caller that already holds sparse rows may pass them to ``reduced_rows``,
-``rref`` or ``nullspace`` as {column: value} dicts with the column count;
+It stops reading rows once the pivots fill every column.  ``nullspace``
+solves each kernel vector from the echelon rows by one triangular solve per
+free column, so it back-substitutes nothing.  ``reduced_rows`` adds one
+sparse back-substitution and returns the reduced rows as dicts; ``rref``
+makes them dense, and the path window of ``algebra`` reads entries from
+them.  ``rank`` counts the echelon rows.  A caller that already holds
+sparse rows may pass them to ``reduced_rows``, ``rref`` or ``nullspace`` as
+{column: value} dicts with the column count;
 the silting Hom-complex differential and the ideal rows of a path window
 are built that way.  ``rank`` takes dense rows only.  The rows ``rref`` and
 ``nullspace`` return are dense tuples.
@@ -30,6 +32,7 @@ of the silting layer.  No Fraction enters this module.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
@@ -113,8 +116,8 @@ def _echelon(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, in
             c = min(d)
             prow = pivots.get(c)
             if prow is None:
-                inv = inv_mod(d[c], p)
-                if inv != 1:
+                if d[c] != 1:
+                    inv = inv_mod(d[c], p)
                     d = {j: x * inv % p for j, x in d.items()}
                 pivots[c] = d
                 break
@@ -163,17 +166,24 @@ def rank(a: Iterable, p: int) -> int:
 def nullspace(a: Iterable, ncols: int, p: int) -> Mat:
     """Basis of the right kernel of a (rows = basis vectors of length ncols,
     dense or as dicts, see ``_echelon``): one vector per free column, 1 there
-    and 0 at the other free columns.  Its pivot entries are read from the
-    reduced sparse rows; no dense row is built for them."""
-    pivots, _ = reduced_rows(a, p, ncols)
+    and 0 at the other free columns.
+
+    Each vector is solved from the echelon rows, without back-substitution:
+    a row with pivot pc holds entries at pc and later columns only, so going
+    down the pivots below the free column in descending order, v[pc] is
+    minus the row's sum over the entries of v already set.  Pivots above the
+    free column give 0."""
+    pivots, _ = _echelon(a, p, ncols)
+    order = sorted(pivots)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
         v[fc] = 1
-        for pc, row in pivots.items():
-            x = row.get(fc)
-            if x:
-                v[pc] = p - x
+        for pc in reversed(order[: bisect(order, fc)]):
+            s = 0
+            for j, x in pivots[pc].items():
+                s += x * v[j]
+            v[pc] = -s % p
         basis.append(tuple(v))
     return tuple(basis)
 

@@ -78,17 +78,19 @@ def _elem_sub(p, x, y):
 
 
 def _mat_compose(A, M, N, ndst, nmid, nsrc):
-    """Matrix product of algebra-valued matrices, composition order M after N."""
+    """Matrix product of algebra-valued matrices, composition order M after N.
+    Each cell sums over the nonzero cells of its column of N only."""
     p = A.p
+    cols = [[(j, N[j][k]) for j in range(nmid) if N[j][k]] for k in range(nsrc)]
     out = []
     for l in range(ndst):
+        Ml = M[l]
         row = []
-        for k in range(nsrc):
+        for col in cols:
             acc = {}
-            for j in range(nmid):
-                x = M[l][j]
-                y = N[j][k]
-                if x and y:
+            for j, y in col:
+                x = Ml[j]
+                if x:
                     for bi, c in A.mult(x, y).items():
                         acc[bi] = (acc.get(bi, 0) + c) % p
             row.append({bi: c for bi, c in acc.items() if c})
@@ -105,6 +107,33 @@ def _layout(A, src, dst):
         for k, mk in enumerate(src)
         for b in A.paths[zl][mk]
     )
+
+
+def _offsets(A, src, dst):
+    """(offsets, length) of _layout(A, src, dst): offsets[l][k] is where the
+    block of slots (l, k, b) starts, so the slot (l, k, b) is at
+    offsets[l][k] + _path_pos(A)[b]."""
+    base = []
+    n = 0
+    for zl in dst:
+        spans = A.paths[zl]
+        row = []
+        for mk in src:
+            row.append(n)
+            n += len(spans[mk])
+        base.append(tuple(row))
+    return tuple(base), n
+
+
+@memo
+def _path_pos(A):
+    """The position of each basis path b inside its span A.paths[i][j]."""
+    pos = [0] * A.dim
+    for row in A.paths:
+        for span in row:
+            for t, b in enumerate(span):
+                pos[b] = t
+    return tuple(pos)
 
 
 def _vec(slots, M):
@@ -249,59 +278,70 @@ def _products(A, X, Y, sa, sb):
     return fy, xf
 
 
-def _delta(p, sa, sb, sc, fy, xf):
+def _delta(A, sa, sb, offc, nc, fy, xf):
     """Rows of the Hom-complex differential Hom^0(X, Y) -> Hom^1(X, Y),
     (alpha, beta) |-> beta f_X - f_Y alpha, read from the tables of
-    _products: one sparse row {column: value} per slot of sc, over the
-    columns of the alpha slots of sa and then of the beta slots of sb.  Its
-    kernel is the chain maps X -> Y, its cokernel Hom(X, Y[1])."""
-    scpos = {slot: j for j, slot in enumerate(sc)}
-    rows = [{} for _ in sc]
+    _products: nc sparse rows {column: value}, one per slot of
+    _layout(A, X.minus, Y.zero), over the columns of the alpha slots of sa
+    and then of the beta slots of sb.  A product in block (j, k) lands in
+    row offc[j][k] + _path_pos(A)[path] (see _offsets).  Its kernel is the
+    chain maps X -> Y, its cokernel Hom(X, Y[1])."""
+    p = A.p
+    pos = _path_pos(A)
+    rows = [{} for _ in range(nc)]
     col = 0
     for (l, k, b) in sa:
         for j, prod in fy[(l, b)]:
+            o = offc[j][k]
             for bi, c in prod.items():
-                rows[scpos[(j, k, bi)]][col] = -c % p
+                rows[o + pos[bi]][col] = -c % p
         col += 1
     for (l, k, b) in sb:
         for j, prod in xf[(k, b)]:
+            o = offc[l][j]
             for bi, c in prod.items():
-                rows[scpos[(l, j, bi)]][col] = c
+                rows[o + pos[bi]][col] = c
         col += 1
     return rows
 
 
 @memo
 def _chain_data(A, X, Y):
-    """The Hom complex of X and Y, built once per ordered pair: its slot
-    layouts, the nullity of its differential, the null-homotopic span of
-    the chain maps X -> Y, and the coordinate vectors of representatives
-    for a basis of their homotopy classes.  The matrices of those
-    representatives are a table of their own (_k_mats), built on first
-    read, since the presilting test never reads them.  Hom(X, Y[1])
-    vanishes when the differential is onto, that is when
-    len(sa) + len(sb) - nullity == len(sc)."""
+    """The Hom complex of X and Y, built once per ordered pair: the slot
+    layouts of its degree-0 terms, the number nc of rows of its
+    differential and their nullity, the null-homotopic span of the chain
+    maps X -> Y, and the coordinate vectors of representatives for a basis
+    of their homotopy classes.  Rows and homotopy images are placed by
+    block offset (_offsets), so no degree-1 layout or slot index is built.
+    The matrices of the representatives are a table of their own
+    (_k_mats), built on first read, since the presilting test never reads
+    them.  Hom(X, Y[1]) vanishes when the differential is onto, that is
+    when len(sa) + len(sb) - nullity == nc."""
     p = A.p
     sa = _layout(A, X.minus, Y.minus)
     sb = _layout(A, X.zero, Y.zero)
-    sc = _layout(A, X.minus, Y.zero)
     sh = _layout(A, X.zero, Y.minus)
     na, nb = len(sa), len(sb)
+    offc, nc = _offsets(A, X.minus, Y.zero)
     fy, xf = _products(A, X, Y, sa + sh, sb + sh)
-    sol = nullspace(_delta(p, sa, sb, sc, fy, xf), na + nb, p)
+    sol = nullspace(_delta(A, sa, sb, offc, nc, fy, xf), na + nb, p)
     # null-homotopic chain maps (h f_X, f_Y h) for h: X^0 -> Y^{-1}
-    sapos = {slot: j for j, slot in enumerate(sa)}
-    sbpos = {slot: na + j for j, slot in enumerate(sb)}
     hvecs = []
-    for (l, k, b) in sh:
-        v = [0] * (na + nb)
-        for j, prod in xf[(k, b)]:
-            for bi, c in prod.items():
-                v[sapos[(l, j, bi)]] = c
-        for j, prod in fy[(l, b)]:
-            for bi, c in prod.items():
-                v[sbpos[(j, k, bi)]] = c
-        hvecs.append(tuple(v))
+    if sh:
+        pos = _path_pos(A)
+        offa, _ = _offsets(A, X.minus, Y.minus)
+        offb, _ = _offsets(A, X.zero, Y.zero)
+        for (l, k, b) in sh:
+            v = [0] * (na + nb)
+            for j, prod in xf[(k, b)]:
+                o = offa[l][j]
+                for bi, c in prod.items():
+                    v[o + pos[bi]] = c
+            for j, prod in fy[(l, b)]:
+                o = na + offb[j][k]
+                for bi, c in prod.items():
+                    v[o + pos[bi]] = c
+            hvecs.append(tuple(v))
     hot, _ = rref(tuple(hvecs), p)
     work = hot
     k_vecs = []
@@ -313,7 +353,7 @@ def _chain_data(A, X, Y):
     return {
         "sa": sa,
         "sb": sb,
-        "sc": sc,
+        "nc": nc,
         "nullity": len(sol),
         "hot": hot,
         "k_vecs": tuple(k_vecs),
@@ -359,7 +399,7 @@ def _set_presilting(summands):
     of each ordered pair is onto, read from the shared table."""
     summands = tuple(summands)
     tables = (_chain_data(X.algebra, X, Y) for X in summands for Y in summands)
-    return all(len(t["sa"]) + len(t["sb"]) - t["nullity"] == len(t["sc"]) for t in tables)
+    return all(len(t["sa"]) + len(t["sb"]) - t["nullity"] == t["nc"] for t in tables)
 
 
 def is_silting(summands):
@@ -400,19 +440,18 @@ def _eliminate(A, terms, diffs, d, l0, k0):
     p = A.p
     D = diffs[d]
     uinv = _local_inverse(A, terms[d + 1][l0], D[l0][k0])
-    ncs = len(terms[d])
-    w = {k: A.mult(uinv, D[l0][k]) for k in range(ncs) if k != k0}
+    # u is a unit, so the products with nonzero cells are nonzero
+    w = {k: A.mult(uinv, x) for k, x in enumerate(D[l0]) if k != k0 and x}
     for l, row in enumerate(D):
         if l != l0 and row[k0]:
             for k, wk in w.items():
-                if wk:
-                    row[k] = _elem_sub(p, row[k], A.mult(row[k0], wk))
+                row[k] = _elem_sub(p, row[k], A.mult(row[k0], wk))
     if d > 0:
         Dp = diffs[d - 1]
         for j in range(len(terms[d - 1])):
             acc = dict(Dp[k0][j])
             for k, wk in w.items():
-                if not wk or not Dp[k][j]:
+                if not Dp[k][j]:
                     continue
                 for bi, c in A.mult(wk, Dp[k][j]).items():
                     acc[bi] = (acc.get(bi, 0) + c) % p
@@ -421,11 +460,11 @@ def _eliminate(A, terms, diffs, d, l0, k0):
         del Dp[k0]
     if d + 1 < len(diffs):
         Dn = diffs[d + 1]
-        v = {l: A.mult(row[k0], uinv) for l, row in enumerate(D) if l != l0}
+        v = {l: A.mult(row[k0], uinv) for l, row in enumerate(D) if l != l0 and row[k0]}
         for j in range(len(terms[d + 2])):
             acc = dict(Dn[j][l0])
             for l, vl in v.items():
-                if not vl or not Dn[j][l]:
+                if not Dn[j][l]:
                     continue
                 for bi, c in A.mult(Dn[j][l], vl).items():
                     acc[bi] = (acc.get(bi, 0) + c) % p

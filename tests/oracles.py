@@ -57,14 +57,18 @@ in ``Fraction`` for every sign test.
 ``dense_rref`` is Gauss-Jordan elimination over F_p on dense rows, each row
 operation sweeping the full width, and ``nullspace`` reads a kernel basis
 from it; they share no code with ``torslab.linalg``, whose ``nullspace``
-reads the same basis from sparse rows.  ``sub_closure`` and ``chain_data``
+solves the same basis from its sparse echelon rows.  ``sub_closure`` and ``chain_data``
 take their kernels from them.
 
 ``hom_complex_columns`` and ``chain_data`` build the Hom complex of two
 two-term complexes one slot at a time, one algebra product per slot and
-summand, with no product table, as dense columns, and eliminate with
-``dense_rref``; they share the slot layouts, ``residual`` and
-``Algebra.mult`` with ``torslab.silting``.
+summand, with no product table, as dense columns placed through a slot
+index of each layout (``torslab.silting`` places by block offset), and
+eliminate with ``dense_rref``; they share the slot layouts, ``residual``
+and ``Algebra.mult`` with ``torslab.silting``.
+``mat_compose`` multiplies algebra-valued matrices by testing every pair
+of cells, where ``torslab.silting`` visits the nonzero cells of each column
+of the inner matrix only; they share ``Algebra.mult``.
 ``left_approximates`` and ``right_approximates`` recompose every kept copy on
 every test, and ``strip_copies`` restarts its sweep after each removal; they
 take the null-homotopic span and the chain-map dimension from ``chain_data``
@@ -1033,6 +1037,25 @@ def chain_data(A, X, Y):
 
 
 # -- approximations by the other summands, recomposed on every trial ------------------
+
+
+def mat_compose(A, M, N, ndst, nmid, nsrc):
+    """Matrix product of algebra-valued matrices, composition order M after N."""
+    p = A.p
+    out = []
+    for l in range(ndst):
+        row = []
+        for k in range(nsrc):
+            acc = {}
+            for j in range(nmid):
+                x = M[l][j]
+                y = N[j][k]
+                if x and y:
+                    for bi, c in A.mult(x, y).items():
+                        acc[bi] = (acc.get(bi, 0) + c) % p
+            row.append({bi: c for bi, c in acc.items() if c})
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _spans(A, X, Y, comps):

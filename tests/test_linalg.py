@@ -225,6 +225,23 @@ def _chain_matrix(rng, p):
     return rows, c, len(free)
 
 
+def _wide_matrix(rng, p):
+    """Dict rows over up to 60 columns whose nullity exceeds their rank, like
+    the path-window and hom-space kernels: at most a third as many rows as
+    columns, 1-4 entries each, some a scaled copy of an earlier row.  Entries
+    stay unreduced, so some are multiples of p."""
+    c = rng.randint(1, 60)
+    rows = []
+    for _ in range(rng.randint(0, c // 3)):
+        if rows and rng.random() < 0.2:
+            f = rng.randint(1, 2 * p)
+            rows.append({j: x * f for j, x in rng.choice(rows).items()})
+        else:
+            cols = rng.sample(range(c), rng.randint(1, min(4, c)))
+            rows.append({j: rng.randint(-2 * p, 2 * p) for j in cols})
+    return rows, c
+
+
 def test_sparse_kernel_matches_dense_oracle():
     rng = random.Random(20)
     for _ in range(300):
@@ -235,6 +252,13 @@ def test_sparse_kernel_matches_dense_oracle():
         assert len(kernel) == nullity
         assert nullspace(rows, c, p) == nullspace(dense, c, p) == kernel
         assert rref(rows, p, c) == oracles.dense_rref(dense, p)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        rows, c = _wide_matrix(rng, p)
+        dense = tuple(tuple(row.get(j, 0) for j in range(c)) for row in rows)
+        kernel = oracles.nullspace(dense, c, p)
+        assert len(kernel) > c - len(kernel)
+        assert nullspace(rows, c, p) == nullspace(iter(rows), c, p) == kernel
     for _ in range(3000):
         p = rng.choice((2, 3, 5, 7, 13))
         a, c = _random_matrix(rng, p)
@@ -315,14 +339,18 @@ def test_kernels_of_the_walk_differentials(monkeypatch, p):
 
 
 def test_nullspace_makes_no_rref_call(monkeypatch):
+    # kernel vectors are solved from the echelon rows: no back-substitution
     calls = []
-    original = linalg.rref
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(original):
+        def call(*args):
+            calls.append(original.__name__)
+            return original(*args)
 
-    monkeypatch.setattr(linalg, "rref", counted)
+        return call
+
+    for name in ("rref", "reduced_rows"):
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     assert nullspace(((1, 2, 0), (0, 0, 1)), 3, 3) == ((1, 1, 0),)
     assert nullspace(({0: 1, 1: 2}, {2: 4}), 3, 3) == ((1, 1, 0),)
     assert not calls

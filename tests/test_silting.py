@@ -480,8 +480,12 @@ def test_equal_complexes_share_chain_data(monkeypatch):
 
 # -- the Hom complex and the face fan against the oracles ---------------------------
 
-# (bundled name, field, depth) of the exchange graphs the oracles walk
+# (bundled name, field, depth) of the rank-2 exchange graphs the oracles walk
 GRAPHS = (("a2", None, 6), ("kronecker", None, 6), ("kronecker", 3, 6))
+# and Pi(A3)'s, where most pairs have a homotopy term and many a nonzero
+# null-homotopic span; the weights below and the approximation test's
+# every-copy-kept count are rank 2, so only the Hom-complex test reads these
+HOM_GRAPHS = GRAPHS + (("pi_a3", None, 5), ("pi_a3", 3, 5))
 
 
 def _agree_on_hom_complex(X, Y):
@@ -489,7 +493,9 @@ def _agree_on_hom_complex(X, Y):
     sa = silting._layout(A, X.minus, Y.minus)
     sb = silting._layout(A, X.zero, Y.zero)
     sc = silting._layout(A, X.minus, Y.zero)
-    rows = silting._delta(A.p, sa, sb, sc, *silting._products(A, X, Y, sa, sb))
+    offc, nc = silting._offsets(A, X.minus, Y.zero)
+    assert nc == len(sc)
+    rows = silting._delta(A, sa, sb, offc, nc, *silting._products(A, X, Y, sa, sb))
     # the sparse rows, densified, are the transpose of the oracle's columns
     ncols = len(sa) + len(sb)
     assert all(0 <= j < ncols and 0 < x < A.p for row in rows for j, x in row.items())
@@ -502,16 +508,62 @@ def _agree_on_hom_complex(X, Y):
     assert got == oracles.chain_data(A, X, Y)
 
 
-@pytest.mark.parametrize("name,p,depth", GRAPHS)
+@pytest.mark.parametrize("name,p,depth", HOM_GRAPHS)
 def test_hom_complex_matches_oracle_on_walk(name, p, depth):
-    g = enumerate_silting(bundled(name, p), depth)
+    A = bundled(name, p)
+    g = enumerate_silting(A, depth)
     pairs = 0
     for vert in g["vertices"]:
         for X in vert["summands"]:
             for Y in vert["summands"]:
                 _agree_on_hom_complex(X, Y)
                 pairs += 1
-    assert pairs == 4 * len(g["vertices"])
+    assert pairs == A.n**2 * len(g["vertices"])
+
+
+def _random_cells(A, rng, dst, src):
+    """A matrix of random elements of e_i A e_j, about one cell in three empty."""
+    return tuple(
+        tuple(
+            {b: rng.randrange(1, A.p) for b in A.paths[i][j] if rng.random() < 0.7}
+            if rng.random() < 2 / 3
+            else {}
+            for j in src
+        )
+        for i in dst
+    )
+
+
+@pytest.mark.parametrize("name", ("kronecker", "pi_a3", "square"))
+def test_mat_compose_matches_oracle(name):
+    A = load_algebra(SQUARE) if name == "square" else bundled(name)
+    rng = random.Random(35)
+    nonzero = 0
+    for _ in range(300):
+        dst, mid, src = ([rng.randrange(A.n) for _ in range(rng.randint(0, 4))] for _ in range(3))
+        M = _random_cells(A, rng, dst, mid)
+        N = _random_cells(A, rng, mid, src)
+        got = silting._mat_compose(A, M, N, len(dst), len(mid), len(src))
+        assert got == oracles.mat_compose(A, M, N, len(dst), len(mid), len(src))
+        nonzero += any(cell for row in got for cell in row)
+    assert nonzero > 30
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_kronecker_walk_at_depth_12_in_closed_form(p):
+    # the walk workload's graph: two rays of mutations out of the algebra
+    g = enumerate_silting(bundled("kronecker", p), 12)
+    assert not g["complete"]
+    one = {k: ((k, 1 - k), (k + 1, -k)) for k in range(13)}
+    other = {1: ((-1, 0), (0, 1)), 2: ((-1, 0), (0, -1))}
+    other.update({k: ((k - 3, 2 - k), (k - 2, 1 - k)) for k in range(3, 13)})
+    want = {tuple(sorted(key)): k for side in (one, other) for k, key in side.items()}
+    assert len(want) == 25
+    assert {vert["key"]: vert["depth"] for vert in g["vertices"]} == want
+    path = [one[k] for k in range(12, -1, -1)] + [other[k] for k in range(1, 13)]
+    path = [tuple(sorted(key)) for key in path]
+    assert set(g["edges"]) == {tuple(sorted(e)) for e in zip(path, path[1:])}
+    assert len(g["edges"]) == 24
 
 
 @pytest.mark.parametrize(
