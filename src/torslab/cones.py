@@ -12,6 +12,11 @@ incremental double description pass over facet systems re-decides
 intersection triviality from the H-side.  The double description eliminates
 nothing: it decides ray adjacency from zero sets, so the two engines share
 no elimination code.
+
+A class's cone is generated by the primitive directions of its members'
+dimension vectors.  One table per catalogue holds the mask of the items
+along each direction, so a cone is read from the directions whose mask
+meets the class, with no pass over the class's items.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .algebra import memo
 from .linalg import bareiss_pivot
-from .stability import class_dimvectors
 
 
 class ConeError(Exception):
@@ -63,9 +68,24 @@ class RationalCone:
         return not self.generators
 
 
+@memo
+def _direction_masks(cat):
+    """Per primitive direction of the nonzero items' dimension vectors, in
+    sorted order: (the direction, the mask of the items along it)."""
+    out = {}
+    for i in range(len(cat)):
+        dims = cat.dims_of(i)
+        if any(dims):
+            d = primitive_vector(dims)
+            out[d] = out.get(d, 0) | (1 << i)
+    return tuple(sorted(out.items()))
+
+
 def cone_of_subcat(cat, mask):
-    """Cone spanned by the dimension vectors of the members."""
-    return RationalCone.from_vectors(cat.algebra.n, class_dimvectors(cat, mask))
+    """Cone spanned by the dimension vectors of the members: generated by
+    the primitive directions whose item mask meets the members."""
+    gens = tuple(d for d, along in _direction_masks(cat) if along & mask)
+    return RationalCone(cat.algebra.n, gens)
 
 
 def difference_cone(cone_t, cone_f):

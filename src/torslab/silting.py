@@ -325,9 +325,11 @@ def _chain_data(A, X, Y):
     offc, nc = _offsets(A, X.minus, Y.zero)
     fy, xf = _products(A, X, Y, sa + sh, sb + sh)
     sol = nullspace(_delta(A, sa, sb, offc, nc, fy, xf), na + nb, p)
-    # null-homotopic chain maps (h f_X, f_Y h) for h: X^0 -> Y^{-1}
-    hvecs = []
+    # null-homotopic chain maps (h f_X, f_Y h) for h: X^0 -> Y^{-1}; none
+    # when there is no h, and then nothing to eliminate
+    hot = ()
     if sh:
+        hvecs = []
         pos = _path_pos(A)
         offa, _ = _offsets(A, X.minus, Y.minus)
         offb, _ = _offsets(A, X.zero, Y.zero)
@@ -342,7 +344,7 @@ def _chain_data(A, X, Y):
                 for bi, c in prod.items():
                     v[o + pos[bi]] = c
             hvecs.append(tuple(v))
-    hot, _ = rref(tuple(hvecs), p)
+        hot, _ = rref(tuple(hvecs), p)
     work = hot
     k_vecs = []
     for v in sol:

@@ -94,16 +94,6 @@ def quadruple(cat, theta):
     return quad
 
 
-def class_dimvectors(cat, mask):
-    """Sorted nonzero dimension vectors of the members, for cone generators."""
-    out = {
-        cat.dims_of(i)
-        for i in range(len(cat))
-        if (mask >> i) & 1 and cat.rep(i).total_dim() > 0
-    }
-    return sorted(out)
-
-
 def classes_in(cat, theta, mask_T, mask_F):
     """Check mask_T inside the strict quotient-positive class and mask_F inside
     the strict sub-negative class at theta; used to re-verify separators.

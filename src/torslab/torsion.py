@@ -17,13 +17,19 @@ tests every other indecomposable item by a trace (Fac) or reject (Sub)
 argument against explicit hom bases, those of indexed
 generators read from one table cached per pair of indecomposable items
 and direction, so membership is exact for every item of the window even
-when the generating modules live outside it.  The window is closed under
-submodules and quotients, so in it T(C) is the left perp of C^perp
+when the generating modules live outside it.  With indexed generators
+only, a generator with no rows to or from an item adds nothing to its
+rank test, so each verdict is read from one table keyed by the item and
+the generators that have rows (the item's support mask, read from those
+rows): the census re-check, the closedness test of filt_closure and the
+witness tables run each distinct rank test once.  The window is closed
+under submodules and quotients, so in it T(C) is the left perp of C^perp
 and F(C) the right perp of the left perp of C (Dickson, Trans. AMS 121
 (1966)).  The census is re-checked by two constructions independent of the
-perps: each class must equal its fac_closure and its filt_closure.  The
-filtration DP reads the submodule lattices of indecomposable items only,
-because a class closed under quotients is closed under summands (see
+perps: each class must equal its fac_closure and its filt_closure.  One
+filtration DP serves the whole census, with one bit per class in each
+item's integer.  It reads the submodule lattices of indecomposable items
+only, because a class closed under quotients is closed under summands (see
 filt_closure).
 
 The four witnesses of a class are table lookups: one table per catalogue and
@@ -140,21 +146,49 @@ def _full_rank(cat, x, blocks):
     )
 
 
+@memo
+def _span_support(cat, x, into):
+    """Mask of the indecomposable items g whose _span_rows(cat, g, x, into)
+    are nonempty: the only generators that add rows to x's rank test."""
+    out = 0
+    for g, _ in _summand_masks(cat):
+        if any(_span_rows(cat, g, x, into)):
+            out |= 1 << g
+    return out
+
+
+@memo
+def _spans(cat, x, gmask, into):
+    """Whether the _span_rows of the indecomposable items of gmask to or
+    from item x have full rank at every vertex of x."""
+    return _full_rank(cat, x, [_span_rows(cat, g, x, into) for g in indices_of(gmask)])
+
+
 def _span_closure(cat, gens, into):
     """sub_closure when into, else fac_closure.  A summand of an indexed
-    generator is both a quotient and a submodule of it, so it is in at once."""
+    generator is both a quotient and a submodule of it, so it is in at once.
+    With indexed generators only, x's verdict depends on the generators
+    that add rows to its rank test alone, so it is read from one table
+    keyed by x and those generators (_span_support, _spans)."""
     items, explicit = _generators(cat, gens)
     own = set(items)
-    n = cat.algebra.n
+    if explicit:
+        n = cat.algebra.n
 
-    def member(x):
-        if x in own:
-            return True
-        X = cat.rep(x)
-        homs = [phi for G in explicit for phi in (hom_space(X, G) if into else hom_space(G, X))]
-        blocks = [_span_rows(cat, g, x, into) for g in items]
-        blocks.append([_vectors(homs, v, into) for v in range(n)])
-        return _full_rank(cat, x, blocks)
+        def member(x):
+            if x in own:
+                return True
+            X = cat.rep(x)
+            homs = [phi for G in explicit for phi in (hom_space(X, G) if into else hom_space(G, X))]
+            blocks = [_span_rows(cat, g, x, into) for g in items]
+            blocks.append([_vectors(homs, v, into) for v in range(n)])
+            return _full_rank(cat, x, blocks)
+
+    else:
+        gmask = mask_of(items)
+
+        def member(x):
+            return x in own or _spans(cat, x, gmask & _span_support(cat, x, into), into)
 
     return _on_indecomposables(cat, member)
 
@@ -187,8 +221,18 @@ def _closure(cat, closure, gens):
     return closure(cat, gens)
 
 
-def filt_closure(cat, mask):
-    """Items admitting a filtration with subquotients in the given set m.
+def _transpose(rows, width):
+    """The bit matrix of rows, each cut to width bits, transposed: bit k of
+    the i-th of the width outputs is bit i of rows[k]."""
+    full = (1 << width) - 1
+    # row k's bits, lowest first, as a string; the last row leads each column
+    digits = [format(r & full, "0%db" % width)[::-1] for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*digits)]
+
+
+def filt_closure(cat, masks):
+    """For each given set m, the items admitting a filtration with
+    subquotients in m; the closures of all the masks, in their order.
 
     The DP over subquotient pairs, in order of total dimension: a nonzero
     item X is in when some proper submodule S is in and X/S is in m.
@@ -207,26 +251,43 @@ def filt_closure(cat, mask):
     members S and Q of m.  Closure under submodules is the mirror case,
     with a torsion-free class.  Both closures are read from the memoised
     fac_closure and sub_closure of m; the census post-check has taken the
-    first already.  Every item's signature must be computable, as for
-    fac_closure.
+    first already.  Only the masks closed under neither run the DP on
+    decomposable items too.
+
+    One DP serves every mask: each item holds one integer, bit k set when
+    the item is in the closure of masks[k], and the masks are read item by
+    item through the transposed bit matrix.  Every item's signature must
+    be computable, as for fac_closure.
     """
-    closed = any(_closure(cat, c, mask) == mask for c in (fac_closure, sub_closure))
-    out = 1 << cat.zero_index()
+    if not masks:
+        return []
+    width = len(cat)
+    inside = _transpose(masks, width)
+    open_ = 0
+    for k, m in enumerate(masks):
+        if not any(_closure(cat, c, m) == m for c in (fac_closure, sub_closure)):
+            open_ |= 1 << k
+    out = [0] * width
+    out[cat.zero_index()] = (1 << len(masks)) - 1
     for idx in cat.by_total_dim():
         sig = cat.signature(idx)
         if not sig:
             continue
         if len(sig) > 1:
-            if all((out >> s) & 1 for s in sig):
-                out |= 1 << idx
-                continue
-            if closed:
-                continue
-        for s, q in cat.subquot_pairs(idx):
-            if (mask >> q) & 1 and (out >> s) & 1:
-                out |= 1 << idx
-                break
-    return out
+            got = out[sig[0]]
+            for s in sig[1:]:
+                got &= out[s]
+            # masks closed under neither also read a decomposable item's lattice
+            rest = open_ & ~got
+        else:
+            got, rest = 0, -1
+        if rest:
+            ext = 0
+            for s, q in cat.subquot_pairs(idx):
+                ext |= inside[q] & out[s]
+            got |= ext & rest
+        out[idx] = got
+    return _transpose(out, len(masks))
 
 
 @memo
@@ -305,16 +366,20 @@ def enumerate_torsion_classes(cat):
     perps.  A class that passes the first check is closed under quotients,
     so filt_closure decides its decomposable items by their summands and
     reads the lattices of indecomposable items only; the smallest item its
-    filtrations add would be indecomposable (see filt_closure).
-    Completeness is certified separately by re-running with a strictly
-    larger bound (see window_stable below).
+    filtrations add would be indecomposable (see filt_closure).  Both
+    checks run once per distinct input: fac_closure reads each item's
+    verdict from its keyed table, and one filt_closure call takes every
+    class after all have passed the first.  Completeness is certified
+    separately by re-running with a strictly larger bound (see
+    window_stable below).
     """
     perps = {semibrick_perp(cat, sb) for sb in cat.semibricks()}
-    classes = {left_perp(cat, f) for f in perps}
-    for m in classes:
-        if _closure(cat, fac_closure, m) != m or filt_closure(cat, m) != m:
-            raise WindowError("semibrick sweep produced a non-closed class")
-    return sorted(classes, key=lambda m: (m.bit_count(), m))
+    classes = sorted({left_perp(cat, f) for f in perps}, key=lambda m: (m.bit_count(), m))
+    if any(_closure(cat, fac_closure, m) != m for m in classes):
+        raise WindowError("semibrick sweep produced a non-closed class")
+    if filt_closure(cat, classes) != classes:
+        raise WindowError("semibrick sweep produced a non-closed class")
+    return classes
 
 
 # -- compactness and finiteness predicates -------------------------------------

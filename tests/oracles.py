@@ -6,11 +6,15 @@ decomposable or not, with hom spaces computed straight from the modules.
 every nonzero vector.  With the code under test they share only
 ``hom_space``, the F_p kernels and the cyclic submodule of one vector: no
 Krull-Schmidt reduction, cached rows or seed-only join.  They are slow on
-purpose.  ``filt_closure`` runs the filtration DP over the subquotient pairs
-of every item, decomposable or not; it shares ``Catalogue.subquot_pairs``
-with ``torslab.torsion``.  ``covered_mask`` is the rank form of a
-presentation map's perp class on every item, from path matrices built per
-item; it shares only ``path_matrix`` and ``rank`` with
+purpose.  The closures take one mask at a time and test every item anew,
+where ``torslab.torsion`` reads each Fac and Sub verdict from a table keyed
+by the item and the generators that map to or from it, and runs one
+filtration DP for a whole list of masks.  ``filt_closure`` runs the
+filtration DP over the subquotient pairs of every item, decomposable or
+not; it shares ``Catalogue.subquot_pairs`` with ``torslab.torsion``.
+``covered_mask`` is the rank form of a presentation map's perp class on
+every item, from path matrices built per item; it shares only
+``path_matrix`` and ``rank`` with
 ``torslab.presentations``.
 ``is_isomorphic_rep`` sweeps a hom space for an invertible map; the
 catalogue locates modules by orbit labels and runs no such test.
@@ -31,7 +35,8 @@ codes per generator; they share ``_gl_generators`` and the relation check.
 ``f_of``, the smallest torsion-free class as the double perp of
 ``torslab.torsion``, lives here because only the tests read it.
 ``numdis_checks`` solves all four separation legs for every class, where the
-suite solves them once per distinct pair of class cones, and takes each
+suite solves them once per distinct pair of class cones, spans the cones by
+``class_cone``, and takes each
 separator from ``separating_functional_pinned``: one program per objective,
 each earlier optimum pinned by an equality row, where ``torslab.cones`` runs
 one lexicographic program.  It shares the feasibility test and the
@@ -51,7 +56,9 @@ description that projects with rational coefficients.  They share nothing
 with ``torslab.cones`` but ``ConeError``; ``dd_rays`` decides adjacency by
 the rank of the constraints tight on both rays, from ``rref_q``, where the
 engine compares zero sets.  ``cone_contains`` decides membership on the
-oracle simplex.  ``quadruple`` pairs each weight with each dimension vector
+oracle simplex.  ``class_cone`` spans a class's cone by the dimension
+vector of every member, where ``torslab.cones`` reads one item mask per
+primitive direction; they share ``RationalCone.from_vectors``.  ``quadruple`` pairs each weight with each dimension vector
 in ``Fraction`` for every sign test.
 
 ``dense_rref`` is Gauss-Jordan elimination over F_p on dense rows, each row
@@ -130,7 +137,7 @@ from torslab.algebra import (
 from torslab.catalogue import SWEEP_CAP, BudgetError, Catalogue, WindowError, _combine, _gl_generators
 from torslab.cones import (
     ConeError,
-    cone_of_subcat,
+    RationalCone,
     difference_cone,
     intersect_trivially,
     is_strongly_convex,
@@ -805,6 +812,22 @@ def cone_contains(cone, vec):
     return solve_program(rows, target)["status"] == "optimal"
 
 
+def class_dimvectors(cat, mask):
+    """Sorted nonzero dimension vectors of the members, for cone generators."""
+    out = {
+        cat.dims_of(i)
+        for i in range(len(cat))
+        if (mask >> i) & 1 and cat.rep(i).total_dim() > 0
+    }
+    return sorted(out)
+
+
+def class_cone(cat, mask):
+    """Cone spanned by the dimension vectors of the members, each member
+    read anew."""
+    return RationalCone.from_vectors(cat.algebra.n, class_dimvectors(cat, mask))
+
+
 def _separator_program(norm_t, norm_f, n, fixed):
     """Rows of the max-min-slack separator program, with one equality row
     per (variable, value) in fixed; variables as in ``torslab.cones``."""
@@ -1291,8 +1314,8 @@ def numdis_checks(algebra, bound):
     for k, tmask in enumerate(enumerate_torsion_classes(cat)):
         wit = witnesses(cat, tmask)
         fmask = wit["perp"]
-        ct = cone_of_subcat(cat, tmask)
-        cf = cone_of_subcat(cat, fmask)
+        ct = class_cone(cat, tmask)
+        cf = class_cone(cat, fmask)
         hit, common = dd_intersection_nontrivial(ct, cf)
         disjoint = not hit
         trivial, _ = intersect_trivially(ct, cf)

@@ -219,9 +219,10 @@ def test_criterion_09_property_suites():
                     cm = clo(cat, m)
                     assert clo(cat, cm) == cm
                     assert clo(cat, sub) & ~cm == 0
-                fm = filt_closure(cat, m)
-                assert filt_closure(cat, fm) == fm
-                assert filt_closure(cat, sub) & ~fm == 0
+                (fm,) = filt_closure(cat, [m])
+                got, below = filt_closure(cat, [fm, sub])
+                assert got == fm
+                assert below & ~fm == 0
                 # Galois reflexivity: three perps collapse to one
                 assert right_perp(cat, left_perp(cat, right_perp(cat, m))) == right_perp(cat, m)
             for tmask in enumerate_torsion_classes(cat):

@@ -121,7 +121,7 @@ def test_compact_witness_test_matches_filtration_oracle(window):
         fmask = torsion.right_perp(cat, tmask)
         for i in indices_of(tmask):
             same_perp = torsion.right_perp(cat, (i,)) == fmask
-            generates = filt_closure(cat, oracles.fac_closure(cat, (i,))) == tmask
+            generates = filt_closure(cat, [oracles.fac_closure(cat, (i,))]) == [tmask]
             assert same_perp == generates, (tmask, i)
 
 

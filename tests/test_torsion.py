@@ -82,8 +82,8 @@ def test_fac_and_sub_closures(cat_a2, idx_a2):
 
 def test_filt_closure(cat_a2, idx_a2):
     base = mask_of((idx_a2["Z"], idx_a2["S1"], idx_a2["S2"]))
-    got = filt_closure(cat_a2, base)
-    assert got == mask_of(range(len(cat_a2)))
+    assert filt_closure(cat_a2, [base]) == [mask_of(range(len(cat_a2)))]
+    assert filt_closure(cat_a2, []) == []
 
 
 # the bundled windows, their neighbours, the census window and two more
@@ -105,7 +105,8 @@ FILT_WINDOWS = (
 def test_filt_closure_matches_general_dp(name, p, bound):
     # census classes and Fac closures are closed under quotients and Sub
     # closures under submodules, so filt_closure decides their decomposable
-    # items by summands; random masks mostly run the general DP
+    # items by summands; random masks mostly run the general DP.  One batch
+    # call takes them all, mixed, and each mask alone must agree with it
     cat = Catalogue(bundled(name, p), bound)
     rng = random.Random(16)
     n = len(cat)
@@ -113,8 +114,10 @@ def test_filt_closure_matches_general_dp(name, p, bound):
     masks = list(enumerate_torsion_classes(cat))
     masks += [closure(cat, g) for g in gens for closure in (fac_closure, sub_closure)]
     masks += [rng.getrandbits(n) for _ in range(30)]
-    for m in masks:
-        assert filt_closure(cat, m) == oracles.filt_closure(cat, m), m
+    want = [oracles.filt_closure(cat, m) for m in masks]
+    assert filt_closure(cat, masks) == want
+    for m, w in zip(masks, want):
+        assert filt_closure(cat, [m]) == [w], m
 
 
 def test_perps(cat_a2, idx_a2):
@@ -265,6 +268,104 @@ def test_span_closure_tests_no_summand_of_a_generator(kronecker, monkeypatch):
     assert tested
 
 
+def _census_id(value):
+    return "square" if value == SQUARE else str(value)
+
+
+def _census_window(name, p, bound):
+    A = load_algebra(name) if name == SQUARE else bundled(name, p)
+    return Catalogue(A, bound)
+
+
+def _share_oracle_hom_spaces(monkeypatch):
+    # the oracle closures take every hom space anew for every mask; within
+    # one test the same pair gives the same space, so compute each once
+    spaces = {}
+    original = oracles.hom_space
+
+    def hom_space(M, N):
+        key = (id(M), id(N))
+        if key not in spaces:
+            spaces[key] = (M, N, original(M, N))
+        return spaces[key][2]
+
+    monkeypatch.setattr(oracles, "hom_space", hom_space)
+
+
+@pytest.mark.parametrize("name,p,bound", CENSUS_WINDOWS, ids=_census_id)
+def test_keyed_closures_match_oracle_on_census_windows(name, p, bound, monkeypatch):
+    # every Fac and Sub verdict of indexed generators comes from the table
+    # keyed by the item and the generators with rows to or from it
+    _share_oracle_hom_spaces(monkeypatch)
+    cat = _census_window(name, p, bound)
+    classes = enumerate_torsion_classes(cat)
+    for gens in list(classes) + [(i,) for i in range(len(cat))]:
+        assert fac_closure(cat, gens) == oracles.fac_closure(cat, gens), gens
+        assert sub_closure(cat, gens) == oracles.sub_closure(cat, gens), gens
+
+
+@pytest.mark.parametrize("name,p,bound", CENSUS_WINDOWS, ids=_census_id)
+def test_batch_filt_closure_matches_oracle_on_census_windows(name, p, bound):
+    # all classes in one call, as the census makes it, then the classes with
+    # random masks that are closed under neither quotients nor submodules
+    cat = _census_window(name, p, bound)
+    classes = enumerate_torsion_classes(cat)
+    assert filt_closure(cat, classes) == [oracles.filt_closure(cat, m) for m in classes]
+    rng = random.Random(36)
+    masks = []
+    while len(masks) < 20:
+        m = rng.getrandbits(len(cat))
+        if fac_closure(cat, m) != m and sub_closure(cat, m) != m:
+            masks.append(m)
+    mixed = masks[:10] + list(classes) + masks[10:]
+    assert filt_closure(cat, mixed) == [oracles.filt_closure(cat, m) for m in mixed]
+
+
+def test_census_rejects_a_non_closed_class(a2, monkeypatch):
+    # in A2, P1 is an extension of S1 by S2; the semisimple mask is closed
+    # under quotients but not under extensions, and a random mask under none
+    base = Catalogue(a2, (2, 2))
+    s1 = base.find_index(simple_module(a2, 0))
+    s2 = base.find_index(simple_module(a2, 1))
+    p1 = base.find_index(projective_module(a2, 0))
+    semisimple = fac_closure(base, (s1, s2))
+    assert not (semisimple >> p1) & 1
+    # the Fac re-check passes it, so only the filtration check can catch it
+    assert fac_closure(base, semisimple) == semisimple
+    rng = random.Random(36)
+    while True:
+        rough = rng.getrandbits(len(base))
+        if oracles.filt_closure(base, rough) != rough and oracles.fac_closure(base, rough) != rough:
+            break
+    assert fac_closure(base, rough) != rough
+    classes = enumerate_torsion_classes(base)
+    for bad in (semisimple, rough):
+        got = filt_closure(base, list(classes) + [bad] + list(classes))
+        assert got == list(classes) + [oracles.filt_closure(base, bad)] + list(classes)
+        assert got[len(classes)] != bad
+    for bad in (semisimple, rough):
+        cat = Catalogue(a2, (2, 2))
+        original = torsion.left_perp
+        calls = []
+
+        def tampered(cat, gens):
+            calls.append(gens)
+            return bad if len(calls) == 1 else original(cat, gens)
+
+        with monkeypatch.context() as m:
+            m.setattr(torsion, "left_perp", tampered)
+            with pytest.raises(WindowError, match="non-closed class"):
+                enumerate_torsion_classes(cat)
+
+
+@pytest.mark.parametrize("name,p,bound", CENSUS_WINDOWS, ids=_census_id)
+def test_cone_of_subcat_matches_oracle_on_census_windows(name, p, bound):
+    cat = _census_window(name, p, bound)
+    for tmask in enumerate_torsion_classes(cat):
+        for mask in (tmask, right_perp(cat, tmask)):
+            assert cone_of_subcat(cat, mask) == oracles.class_cone(cat, mask), mask
+
+
 # (bundled name, bound)
 CLOSURE_WINDOWS = (("a2", (2, 2)), ("kronecker", (2, 3)), ("loop", (3,)), ("pi_a2", (1, 1)))
 
@@ -282,7 +383,11 @@ def test_closures_are_extensive_idempotent_and_monotone(closure_cat, data):
     full = (1 << len(cat)) - 1
     m = data.draw(st.integers(0, full), label="m")
     bigger = m | data.draw(st.integers(0, full), label="extra")
-    for close in (fac_closure, sub_closure, filt_closure, t_of):
+
+    def filt(cat, m):
+        return filt_closure(cat, [m])[0]
+
+    for close in (fac_closure, sub_closure, filt, t_of):
         c = close(cat, m)
         assert m & ~c == 0, close.__name__
         assert close(cat, c) == c, close.__name__
@@ -358,7 +463,7 @@ def test_kronecker_census_closed_forms():
     degree at most d.  That is 2^(sum N_k) + 2d + 1 classes.  The window
     (d, d+1) also holds P_d, which adds one class.
     """
-    for p, d in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+    for p, d in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)):
         cat = Catalogue(bundled("kronecker", p), (d, d))
         points = 1 + sum(_irreducible_counts(p, d))
         assert len(cat.bricks()) == 2 * d + points, (p, d)
