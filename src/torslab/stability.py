@@ -23,7 +23,7 @@ from operator import mul
 
 from .algebra import AlgebraError, memo
 from .catalogue import _all_dims
-from .torsion import indices_of
+from .torsion import summands
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,13 @@ def classes_in(cat, theta, mask_T, mask_F):
 
     Both classes are closed under finite sums and summands (King, Quart. J.
     Math. 45 (1994)), so a member is in exactly when its Krull-Schmidt
-    summands are; only the indecomposable summands of the members are
-    tested, against their memoised quotient and submodule dimension
-    vectors.  Every member's signature must be computable."""
+    summands are; only the indecomposable summands of the members
+    (torsion.summands) are tested, against their memoised quotient and
+    submodule dimension vectors.  Every item's signature must be
+    computable, not only the members'."""
     w = _integer_weight(cat.algebra, theta)
-
-    def summands(mask):
-        return {s for i in indices_of(mask) for s in cat.signature(i)}
-
     return all(
-        x > 0 for i in summands(mask_T) for x in _pairings(w, cat.quotient_dimvectors(i))
+        x > 0 for i in summands(cat, mask_T) for x in _pairings(w, cat.quotient_dimvectors(i))
     ) and all(
-        x < 0 for i in summands(mask_F) for x in _pairings(w, cat.submodule_dimvectors(i))
+        x < 0 for i in summands(cat, mask_F) for x in _pairings(w, cat.submodule_dimvectors(i))
     )

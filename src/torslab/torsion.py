@@ -2,35 +2,37 @@
 
 Subcategories of the window are bitmasks over catalogue indices.  Quotient
 and submodule closures and both perps are closed under finite sums and
-summands, so an item is in exactly when its Krull-Schmidt summands are:
-the members are every item but those having a failing indecomposable as a
+summands, so an item is in exactly when its Krull-Schmidt summands are: the
+members are every item but those having a failing indecomposable as a
 summand, read from one table per catalogue of the items that have each
-indecomposable as a summand.  Indexed generators are replaced by their
-indecomposable summands.  An indexed perp tests no item: it is the full
-mask less the OR of one Hom-support row per generator g, the items with a
-nonzero map to g (left perp) or from g (right perp), each row the OR of the
-summand masks of the indecomposables with a nonzero hom basis to or from g,
-built once per catalogue on first use.  The perps of explicit generators
-test each indecomposable item by its hom spaces.  Fac and Sub closures
-share one body, which takes the summands of indexed generators at once and
-tests every other indecomposable item by a trace (Fac) or reject (Sub)
-argument against explicit hom bases, those of indexed
-generators read from one table cached per pair of indecomposable items
-and direction, so membership is exact for every item of the window even
-when the generating modules live outside it.  With indexed generators
-only, a generator with no rows to or from an item adds nothing to its
-rank test, so each verdict is read from one table keyed by the item and
-the generators that have rows (the item's support mask, read from those
-rows): the census re-check, the closedness test of filt_closure and the
-witness tables run each distinct rank test once.  The window is closed
-under submodules and quotients, so in it T(C) is the left perp of C^perp
-and F(C) the right perp of the left perp of C (Dickson, Trans. AMS 121
-(1966)).  The census is re-checked by two constructions independent of the
-perps: each class must equal its fac_closure and its filt_closure.  One
-filtration DP serves the whole census, with one bit per class in each
-item's integer.  It reads the submodule lattices of indecomposable items
-only, because a class closed under quotients is closed under summands (see
-filt_closure).
+indecomposable as a summand.  A generator is an item or an explicit module,
+which may lie outside the window; indexed generators are replaced by their
+indecomposable summands, the items whose row of that table meets the mask
+(summands).  Both kinds take one path: each primitive reads the hom bases
+between an item and a generator from the catalogue's table for an item and
+computes them for a module.  A perp tests no item: it is the full mask less
+the OR of one Hom-support row per generator g, the items with a nonzero map
+to g (left perp) or from g (right perp), each row the OR of the summand
+masks of the indecomposables with a nonzero hom basis to or from g, built
+once per catalogue on first use.  Fac and Sub closures share one body, which
+takes the summands of indexed generators at once and tests every other
+indecomposable item by a trace (Fac) or reject (Sub) argument against the
+hom bases, their rows cached per item, generator and direction, so
+membership is exact for every item of the window even when the generating
+modules live outside it.  An indexed generator with no rows to or from an
+item adds nothing to its rank test, so each verdict is read from one table
+keyed by the item, the indexed generators that have rows (the item's
+support mask, read from those rows) and the explicit ones: the census
+re-check, the closedness test of filt_closure and the witness tables run
+each distinct rank test once.  Explicit modules stay keys of these tables
+for the catalogue's lifetime.  The window is closed under submodules and
+quotients, so in it T(C) is the left perp of C^perp and F(C) the right perp
+of the left perp of C (Dickson, Trans. AMS 121 (1966)).  The census is
+re-checked by two constructions independent of the perps: each class must
+equal its fac_closure and its filt_closure.  One filtration DP serves the
+whole census, with one bit per class in each item's integer.  It reads the
+submodule lattices of indecomposable items only, because a class closed
+under quotients is closed under summands (see filt_closure).
 
 The four witnesses of a class are table lookups: one table per catalogue and
 closure kind (Fac, Sub, right perp, left perp) maps each closure of one item
@@ -76,25 +78,6 @@ def indices_of(mask):
 # -- closures (mask in, mask out) --------------------------------------------
 
 
-def _generators(cat, gens):
-    """Accept a mask, an index iterable, or explicit representations.
-
-    Returns (sorted indices of the indecomposable summands of the indexed
-    generators, the nonzero explicit ones).  Fac, Sub and both perps of a
-    direct sum are those of its summands.
-    """
-    if isinstance(gens, int):
-        gens = indices_of(gens)
-    items = set()
-    explicit = []
-    for g in gens:
-        if isinstance(g, int):
-            items.update(cat.signature(g))
-        elif g.total_dim() > 0:
-            explicit.append(g)
-    return sorted(items), explicit
-
-
 @memo
 def _summand_masks(cat):
     """Per indecomposable item i, in order of total dimension: (i, the mask
@@ -104,6 +87,32 @@ def _summand_masks(cat):
         for s in cat.signature(idx):
             out[s] = out.get(s, 0) | (1 << idx)
     return tuple(out.items())
+
+
+def summands(cat, mask):
+    """The indecomposable Krull-Schmidt summands of the items of mask, in
+    order of total dimension: the items whose _summand_masks row meets the
+    mask.  Every item's signature must be computable."""
+    return tuple(i for i, having in _summand_masks(cat) if having & mask)
+
+
+def _generators(cat, gens):
+    """Accept a mask, or an iterable of indices and explicit
+    representations.
+
+    Returns (the indecomposable summands of the indexed generators, the
+    nonzero explicit ones), two tuples.  Fac, Sub and both perps of a
+    direct sum are those of its summands.
+    """
+    indexed, explicit = 0, []
+    if isinstance(gens, int):
+        indexed, gens = gens, ()
+    for g in gens:
+        if isinstance(g, int):
+            indexed |= 1 << g
+        elif g.total_dim() > 0:
+            explicit.append(g)
+    return summands(cat, indexed), tuple(explicit)
 
 
 def _on_indecomposables(cat, member):
@@ -120,20 +129,28 @@ def _on_indecomposables(cat, member):
     return out
 
 
-def _vectors(homs, v, into):
-    """At vertex v, the rows of every map when into, else its columns (the
-    images of basis vectors)."""
-    return [r for phi in homs for r in (phi[v] if into else zip(*phi[v]))]
+def _homs(cat, x, g, into):
+    """A basis of Hom(x, g) when into, else of Hom(g, x), for an item x and
+    a generator g: read from the catalogue's table for an index, computed
+    for an explicit module."""
+    if isinstance(g, int):
+        return cat.hom_basis(x, g) if into else cat.hom_basis(g, x)
+    X = cat.rep(x)
+    return hom_space(X, g) if into else hom_space(g, X)
 
 
 @memo
 def _span_rows(cat, g, x, into):
-    """Per vertex, a basis of the rows of all maps from item x to item g
-    when into, whose common kernel is the reject of g in x; else of the
-    images of all maps from g to x, which span the trace of g in x."""
-    homs = cat.hom_basis(x, g) if into else cat.hom_basis(g, x)
+    """Per vertex, a basis of the rows of all maps from item x to generator
+    g when into, whose common kernel is the reject of g in x; else of the
+    images of all maps from g to x (the columns), which span the trace of g
+    in x."""
+    homs = _homs(cat, x, g, into)
     p = cat.algebra.p
-    return tuple(row_space(_vectors(homs, v, into), p) for v in range(cat.algebra.n))
+    return tuple(
+        row_space([r for phi in homs for r in (phi[v] if into else zip(*phi[v]))], p)
+        for v in range(cat.algebra.n)
+    )
 
 
 def _full_rank(cat, x, blocks):
@@ -158,37 +175,26 @@ def _span_support(cat, x, into):
 
 
 @memo
-def _spans(cat, x, gmask, into):
-    """Whether the _span_rows of the indecomposable items of gmask to or
-    from item x have full rank at every vertex of x."""
-    return _full_rank(cat, x, [_span_rows(cat, g, x, into) for g in indices_of(gmask)])
+def _spans(cat, x, gmask, explicit, into):
+    """Whether the _span_rows of the indecomposable items of gmask and of
+    the explicit modules, to or from item x, have full rank at every vertex
+    of x."""
+    gens = indices_of(gmask) + explicit
+    return _full_rank(cat, x, [_span_rows(cat, g, x, into) for g in gens])
 
 
 def _span_closure(cat, gens, into):
     """sub_closure when into, else fac_closure.  A summand of an indexed
     generator is both a quotient and a submodule of it, so it is in at once.
-    With indexed generators only, x's verdict depends on the generators
-    that add rows to its rank test alone, so it is read from one table
-    keyed by x and those generators (_span_support, _spans)."""
+    An indexed generator with no rows to or from x adds nothing to x's rank
+    test, so x's verdict is read from one table keyed by x, the indexed
+    generators that have rows (_span_support) and the explicit ones
+    (_spans)."""
     items, explicit = _generators(cat, gens)
-    own = set(items)
-    if explicit:
-        n = cat.algebra.n
+    own = mask_of(items)
 
-        def member(x):
-            if x in own:
-                return True
-            X = cat.rep(x)
-            homs = [phi for G in explicit for phi in (hom_space(X, G) if into else hom_space(G, X))]
-            blocks = [_span_rows(cat, g, x, into) for g in items]
-            blocks.append([_vectors(homs, v, into) for v in range(n)])
-            return _full_rank(cat, x, blocks)
-
-    else:
-        gmask = mask_of(items)
-
-        def member(x):
-            return x in own or _spans(cat, x, gmask & _span_support(cat, x, into), into)
+    def member(x):
+        return (own >> x) & 1 or _spans(cat, x, own & _span_support(cat, x, into), explicit, into)
 
     return _on_indecomposables(cat, member)
 
@@ -293,12 +299,13 @@ def filt_closure(cat, masks):
 @memo
 def _hom_support(cat, g, into):
     """Mask of the items X with Hom(X, g) != 0 when into, else with
-    Hom(g, X) != 0, for an indecomposable item g: the OR of the summand
-    masks of the indecomposables with a nonzero hom basis to or from g.
-    One row per generator and direction, built on first use."""
+    Hom(g, X) != 0, for an indecomposable item or an explicit module g: the
+    OR of the summand masks of the indecomposables with a nonzero hom basis
+    to or from g.  One row per generator and direction, built on first
+    use."""
     out = 0
     for i, having in _summand_masks(cat):
-        if cat.hom_basis(i, g) if into else cat.hom_basis(g, i):
+        if _homs(cat, i, g, into):
             out |= having
     return out
 
@@ -307,14 +314,7 @@ def _perp(cat, gens, into):
     """left_perp when into, else right_perp."""
     items, explicit = _generators(cat, gens)
     out = (1 << len(cat)) - 1
-    if explicit:
-
-        def member(x):
-            X = cat.rep(x)
-            return not any(hom_space(X, G) if into else hom_space(G, X) for G in explicit)
-
-        out = _on_indecomposables(cat, member)
-    for g in items:
+    for g in items + explicit:
         out &= ~_hom_support(cat, g, into)
     return out
 
@@ -322,10 +322,10 @@ def _perp(cat, gens, into):
 def left_perp(cat, gens):
     """Items X with Hom(X, G) = 0 for every generator G.
 
-    For indexed generators, the full mask less the OR of the rows of items
-    with a nonzero map to each indecomposable summand; explicit generators
-    are tested on indecomposable items.  Every item's signature must be
-    computable, as for fac_closure.
+    The full mask less the OR of the rows of items with a nonzero map to
+    each generator, an indecomposable summand of an indexed one or an
+    explicit module.  Every item's signature must be computable, even for
+    generators with no nonzero item, as for fac_closure.
     """
     return _perp(cat, gens, True)
 
@@ -333,10 +333,10 @@ def left_perp(cat, gens):
 def right_perp(cat, gens):
     """Items X with Hom(G, X) = 0 for every generator G.
 
-    For indexed generators, the full mask less the OR of the rows of items
-    with a nonzero map from each indecomposable summand; explicit generators
-    are tested on indecomposable items.  Every item's signature must be
-    computable, as for fac_closure.
+    The full mask less the OR of the rows of items with a nonzero map from
+    each generator, an indecomposable summand of an indexed one or an
+    explicit module.  Every item's signature must be computable, even for
+    generators with no nonzero item, as for fac_closure.
     """
     return _perp(cat, gens, False)
 

@@ -388,6 +388,19 @@ def test_runtime_caches_only_through_memo():
     assert not found, found
 
 
+def test_only_catalogue_and_torsion_call_signature():
+    # the summand decision lives in one module: every other caller decodes
+    # a mask through torsion.summands
+    callers = {
+        stem
+        for stem, node in _runtime_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "signature"
+    }
+    assert callers <= {"catalogue", "torsion"}, callers
+
+
 def test_runtime_imports_no_random():
     # every sweep is exhaustive or refused; nothing is sampled at random
     for stem, name in _runtime_imports():

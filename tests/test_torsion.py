@@ -16,13 +16,14 @@ from oracles import simple_module, torsion_pair_of
 from torslab.algebra import (
     AlgebraError,
     direct_sum,
+    injective_module,
     load_algebra,
     projective_module,
 )
 from torslab.catalogue import Catalogue, WindowError
 from torslab import reports, torsion
 from torslab.reports import _semibrick_spans
-from torslab.silting import enumerate_silting
+from torslab.silting import cohomology, direct_sum_complex, enumerate_silting
 from torslab.cones import cone_of_subcat, separating_functional
 from torslab.stability import classes_in, quadruple
 from torslab.torsion import (
@@ -366,6 +367,64 @@ def test_cone_of_subcat_matches_oracle_on_census_windows(name, p, bound):
             assert cone_of_subcat(cat, mask) == oracles.class_cone(cat, mask), mask
 
 
+CLOSURES_AND_PERPS = ("fac_closure", "sub_closure", "left_perp", "right_perp")
+
+
+def _explicit_generators(cat):
+    """Modules that need not lie in the window: the sums of all projectives
+    and of all injectives, a sum of both past the bound, and the H^0 and
+    twisted kernel of each vertex of the walk to depth 3 and of each of its
+    summands."""
+    A = cat.algebra
+    vertices = range(A.n)
+    mods = [projective_module(A, *vertices), injective_module(A, *vertices)]
+    past = direct_sum(*mods)
+    while cat.in_window(past.dims):
+        past = direct_sum(past, mods[0])
+    mods.append(past)
+    for vert in enumerate_silting(A, 3)["vertices"]:
+        for parts in [vert["summands"]] + [[X] for X in vert["summands"]]:
+            mods.extend(cohomology(direct_sum_complex(parts, A)))
+    return list(dict.fromkeys(mods))
+
+
+@pytest.mark.parametrize("name,p,bound", CENSUS_WINDOWS, ids=_census_id)
+def test_explicit_and_mixed_generators_match_oracle_on_census_windows(name, p, bound, monkeypatch):
+    # explicit modules read the same Hom-support rows and span tables as
+    # items; lists mixing indices and modules take both at once
+    _share_oracle_hom_spaces(monkeypatch)
+    cat = _census_window(name, p, bound)
+    mods = _explicit_generators(cat)
+    rng = random.Random(37)
+    lists = [[M] for M in mods] + [mods]
+    lists += [[rng.randrange(len(cat)), M, rng.randrange(len(cat))] for M in mods]
+    lists.append(list(indices_of(rng.getrandbits(len(cat)))) + mods[:2])
+    for gens in lists:
+        for kind in CLOSURES_AND_PERPS:
+            got = getattr(torsion, kind)(cat, gens)
+            assert got == getattr(oracles, kind)(cat, gens), (kind, gens)
+
+
+def test_closures_and_perps_of_masks_compute_no_signature(kronecker, monkeypatch):
+    # once the summand table is built, a mask's summands are read from it
+    cat = Catalogue(kronecker, (2, 2))
+    classes = enumerate_torsion_classes(cat)
+    calls = []
+    original = Catalogue.signature
+
+    def counted(self, idx):
+        calls.append(idx)
+        return original(self, idx)
+
+    monkeypatch.setattr(Catalogue, "signature", counted)
+    rng = random.Random(37)
+    masks = list(classes) + [rng.getrandbits(len(cat)) for _ in range(20)]
+    for m in masks:
+        for kind in CLOSURES_AND_PERPS:
+            getattr(torsion, kind)(cat, m)
+    assert calls == []
+
+
 # (bundled name, bound)
 CLOSURE_WINDOWS = (("a2", (2, 2)), ("kronecker", (2, 3)), ("loop", (3,)), ("pi_a2", (1, 1)))
 
@@ -376,10 +435,14 @@ def closure_cat(request):
     return Catalogue(bundled(name), bound)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(data=st.data())
-def test_closures_are_extensive_idempotent_and_monotone(closure_cat, data):
-    cat = closure_cat
+@pytest.fixture(scope="module", params=CENSUS_WINDOWS, ids=lambda w: _census_id(w[0]) + "-%s-%s" % w[1:])
+def census_cat(request):
+    return _census_window(*request.param)
+
+
+def _closure_and_perp_laws(cat, data):
+    """Closures are extensive, idempotent and monotone, and perps antitone,
+    with perp . perp . perp = perp, on two random masks m <= bigger."""
     full = (1 << len(cat)) - 1
     m = data.draw(st.integers(0, full), label="m")
     bigger = m | data.draw(st.integers(0, full), label="extra")
@@ -392,6 +455,22 @@ def test_closures_are_extensive_idempotent_and_monotone(closure_cat, data):
         assert m & ~c == 0, close.__name__
         assert close(cat, c) == c, close.__name__
         assert c & ~close(cat, bigger) == 0, close.__name__
+    for perp, other in ((left_perp, right_perp), (right_perp, left_perp)):
+        q = perp(cat, m)
+        assert perp(cat, bigger) & ~q == 0, perp.__name__
+        assert perp(cat, other(cat, q)) == q, perp.__name__
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_closures_are_extensive_idempotent_and_monotone(closure_cat, data):
+    _closure_and_perp_laws(closure_cat, data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_closures_are_monotone_and_perps_antitone_on_census_windows(census_cat, data):
+    _closure_and_perp_laws(census_cat, data)
 
 
 def test_witnesses_ample_window(a2):
