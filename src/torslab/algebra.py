@@ -39,8 +39,7 @@ object that owns it, and lives and dies with that object.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce, wraps
 
 from .linalg import (
@@ -88,11 +87,8 @@ def memo(fn):
     return cached
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
+class Arrow(namedtuple("Arrow", "name source target")):
+    __slots__ = ()
 
 
 def _window_overflow():

@@ -21,7 +21,7 @@ meets the class, with no pass over the class's items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -46,12 +46,10 @@ def primitive_vector(vec):
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(namedtuple("RationalCone", "dim generators")):
     """Nonnegative rational span of the stored primitive integer generators."""
 
-    dim: int
-    generators: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_vectors(dim, vecs):

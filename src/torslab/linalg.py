@@ -33,9 +33,9 @@ of the silting layer.  No Fraction enters this module.
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import mul
-from typing import Iterable, Sequence
 
 Mat = tuple  # tuple of row tuples
 

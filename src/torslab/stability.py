@@ -16,7 +16,7 @@ per-item pass once per distinct sign vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 from numbers import Rational
 from operator import mul
@@ -26,14 +26,10 @@ from .catalogue import _all_dims
 from .torsion import summands
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(namedtuple("Quadruple", "T Tbar F Fbar")):
     """Masks of the strict/weak quotient-positive and sub-negative classes."""
 
-    T: int
-    Tbar: int
-    F: int
-    Fbar: int
+    __slots__ = ()
 
 
 def _integer_weight(A, theta):

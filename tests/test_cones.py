@@ -48,6 +48,8 @@ def test_primitive_vector():
 def test_cone_normalization():
     cone = RationalCone.from_vectors(2, [(1, 1), (2, 2), (0, 0)])
     assert cone.generators == ((1, 1),)
+    cone = RationalCone.from_vectors(2, [(0, 2), (3, 0), (0, 0), (1, 0), (0, 1)])
+    assert cone.generators == ((0, 1), (1, 0))
     assert RationalCone.from_vectors(2, []).is_zero()
     with pytest.raises(ConeError):
         RationalCone.from_vectors(2, [(1, 0, 0)])

@@ -19,7 +19,7 @@ from conftest import bundled, bundled_text
 from torslab import cli, cones, presentations, reports, silting, stability, torsion
 from torslab.catalogue import Catalogue
 from torslab.reports import exit_code, refield, render_json
-from torslab.algebra import load_algebra, memo
+from torslab.algebra import Arrow, load_algebra, memo
 
 # linear A3: hereditary and representation-finite, so every torsion class is
 # functorially finite (Adachi-Iyama-Reiten), but at bound (1,1,1) some of the
@@ -412,6 +412,61 @@ def test_only_cone_presentation_and_report_code_imports_fractions():
     # simplex's solutions, integrality checks of weights and report output
     importers = {stem for stem, name in _runtime_imports() if name == "fractions"}
     assert importers <= {"cones", "presentations", "reports"}, importers
+
+
+# prints the modules a fresh interpreter adds by importing torslab.cli from
+# the directory argv[1]
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import torslab.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_ast_or_typing():
+    # every CLI process pays for its imports before any mathematics runs:
+    # dataclasses alone pulls in inspect and ast.  The modules counted are
+    # those the import adds, so a site that preloads typing does not fail.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_PROBE, str(src)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "torslab.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "typing"}, sorted(added)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        (Arrow, {"name": "a", "source": 0, "target": 1}, "Arrow(name='a', source=0, target=1)"),
+        (
+            stability.Quadruple,
+            {"T": 1, "Tbar": 3, "F": 4, "Fbar": 12},
+            "Quadruple(T=1, Tbar=3, F=4, Fbar=12)",
+        ),
+        (
+            cones.RationalCone,
+            {"dim": 2, "generators": ((0, 1), (1, 0))},
+            "RationalCone(dim=2, generators=((0, 1), (1, 0)))",
+        ),
+    ],
+)
+def test_value_classes_are_immutable_and_hash_by_their_fields(cls, fields, text):
+    # memo tables key on cones: equal fields must give one key, and no
+    # caller may change a key once it is stored
+    a, b = cls(**fields), cls(**fields)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == text
+    for name, value in fields.items():
+        assert getattr(a, name) == value
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
 
 
 def test_scan_semibrick_sizes():
