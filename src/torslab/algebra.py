@@ -341,14 +341,19 @@ def load_algebra(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "field":
-            fmt = rest.replace(" ", "")
-            if not fmt.startswith("p="):
+            if p is not None:
+                raise AlgebraError("line %d: second 'field' line" % lineno)
+            key, eq, value = rest.partition("=")
+            if key.strip() != "p" or not eq:
                 raise AlgebraError("line %d: expected 'field p=<prime>'" % lineno)
-            try:
-                p = int(fmt[2:])
-            except ValueError:
+            value = value.strip()
+            # digits only: int() would also read '1_1', '+3' and other forms
+            if not (value.isascii() and value.isdigit()):
                 raise AlgebraError("line %d: bad field line %r" % (lineno, rest))
+            p = int(value)
         elif head == "vertices":
+            if vertex_names:
+                raise AlgebraError("line %d: second 'vertices' line" % lineno)
             vertex_names = rest.split()
             if not vertex_names:
                 raise AlgebraError("line %d: empty vertex list" % lineno)
@@ -478,11 +483,7 @@ class Representation:
                 m = zeros(self.dims[a.target], self.dims[src])
             else:
                 m = mat_mul(self.mats[ai], m, A.p, inner=self.dims[cur])
-                if not m and self.dims[a.target] == 0:
-                    m = ()
             cur = a.target
-        if self.dims[cur] == 0:
-            return ()
         return m
 
     def total_dim(self):

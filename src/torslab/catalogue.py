@@ -21,6 +21,10 @@ isomorphism test runs after the sweep.  Krull-Schmidt signatures come from
 Fitting splittings found by sweeping endomorphism spaces, exhaustively and
 refused past SWEEP_CAP; each split part is located in the catalogue and split
 in turn (signature).  Bricks are read from submodule lattices (is_brick).
+A lattice is seeded by the cyclic submodules vec.A, each spanned at a vertex
+v by the images of vec under the basis paths from its vertex to v, read from
+the item's path actions (path_actions), which the rank form of presentations
+reads too.
 Semibricks are every pairwise hom-orthogonal set of bricks, with no size cap.
 """
 
@@ -40,14 +44,7 @@ from .algebra import (
     quotient_module,
     submodule_rep,
 )
-from .linalg import (
-    in_row_space,
-    inverse,
-    mat_mul,
-    mat_vec,
-    rank,
-    row_space,
-)
+from .linalg import inverse, mat_mul, mat_vec, rank, row_space
 
 CODE_CAP = 4_000_000
 SWEEP_CAP = 1_000_000
@@ -192,12 +189,19 @@ class Catalogue:
         self.fingerprints = tuple((dims, code) for dims, code, _ in items)
         self._fp_index = {fp: i for i, fp in enumerate(self.fingerprints)}
 
-    def _decode(self, dims, cells, code):
+    def _decode(self, dims, code):
+        """Matrices of a code, the inverse of _encode, one digit at a time."""
         p = self.algebra.p
         mats = []
-        for ai, a in enumerate(self.algebra.arrows):
-            code, block = divmod(code, p ** cells[ai])
-            mats.append(self._decode_block(dims[a.target], dims[a.source], block))
+        for a in self.algebra.arrows:
+            rows = []
+            for _ in range(dims[a.target]):
+                row = []
+                for _ in range(dims[a.source]):
+                    code, x = divmod(code, p)
+                    row.append(x)
+                rows.append(tuple(row))
+            mats.append(tuple(rows))
         return tuple(mats)
 
     def _sweep_dims(self, dims, cells):
@@ -238,23 +242,12 @@ class Catalogue:
                         orbit[nc] = c0
                         frontier.append(nc)
             try:
-                rep = Representation(A, dims, self._decode(dims, cells, c0))
+                rep = Representation(A, dims, self._decode(dims, c0))
             except AlgebraError:
                 continue  # the relations do not hold
             out.append((dims, c0, rep))
         self._orbit_of[dims] = orbit
         return out
-
-    def _decode_block(self, dt, ds, bcode):
-        p = self.algebra.p
-        m = []
-        for _ in range(dt):
-            row = []
-            for _ in range(ds):
-                row.append(bcode % p)
-                bcode //= p
-            m.append(tuple(row))
-        return tuple(m)
 
     def _encode(self, mats):
         """Code of a tuple of matrices, the inverse of _decode: arrow by
@@ -391,6 +384,12 @@ class Catalogue:
     # -- submodule lattices ------------------------------------------------------
 
     @memo
+    def path_actions(self, idx):
+        """Action matrix of every algebra basis path on item idx."""
+        X = self.reps[idx]
+        return tuple(X.path_matrix(path) for path in self.algebra.basis)
+
+    @memo
     def submodule_families(self, idx):
         """All submodules, as tuples of per-vertex reduced bases.
 
@@ -406,7 +405,7 @@ class Catalogue:
         for v in range(A.n):
             for vec in itertools.product(range(p), repeat=M.dims[v]):
                 if any(vec) and next(filter(None, vec)) == 1:
-                    seeds.add(self._cyclic_closure(M, v, vec))
+                    seeds.add(self._cyclic_closure(idx, v, vec))
         zero = tuple(() for _ in range(A.n))
         fams = {zero}
         queue = [zero]
@@ -425,24 +424,16 @@ class Catalogue:
         window has few subspaces, so few distinct pairs meet."""
         return row_space(basis + rows, self.algebra.p)
 
-    def _cyclic_closure(self, M, v0, vec):
+    def _cyclic_closure(self, idx, v0, vec):
+        """The submodule vec.A of item idx generated by vec in M_v0: at each
+        vertex v, the span of the images of vec under the basis paths from
+        v0 to v, which span e_v0 A there."""
         A = self.algebra
-        p = A.p
-        spans = [[] for _ in range(A.n)]
-        spans[v0] = [tuple(vec)]
-        work = [(v0, tuple(vec))]
-        while work:
-            u, w = work.pop()
-            for ai, a in enumerate(A.arrows):
-                if a.source != u:
-                    continue
-                img = mat_vec(M.mats[ai], w, p)
-                if not any(img):
-                    continue
-                if not in_row_space(img, row_space(tuple(spans[a.target]), p), p):
-                    spans[a.target].append(img)
-                    work.append((a.target, img))
-        return tuple(row_space(tuple(spans[v]), p) for v in range(A.n))
+        actions = self.path_actions(idx)
+        return tuple(
+            row_space(tuple(mat_vec(actions[k], vec, A.p) for k in A.paths[v0][v]), A.p)
+            for v in range(A.n)
+        )
 
     @memo
     def submodule_dimvectors(self, idx):
@@ -476,23 +467,10 @@ class Catalogue:
 
 def _combine(homs, coeffs, p):
     """Linear combination of hom-space basis elements."""
-    n = len(homs[0])
-    out = []
-    for v in range(n):
-        acc = None
-        for c, h in zip(coeffs, homs):
-            if not c:
-                continue
-            m = h[v]
-            if acc is None:
-                acc = [[(c * x) % p for x in row] for row in m]
-            else:
-                for r, row in enumerate(m):
-                    for s, x in enumerate(row):
-                        acc[r][s] = (acc[r][s] + c * x) % p
-        if acc is None:
-            first = homs[0][v]
-            acc = [[0] * len(row) for row in first]
-        out.append(tuple(tuple(row) for row in acc))
-    return tuple(out)
-
+    return tuple(
+        tuple(
+            tuple(sum(map(mul, coeffs, entries)) % p for entries in zip(*rows))
+            for rows in zip(*blocks)
+        )
+        for blocks in zip(*homs)
+    )

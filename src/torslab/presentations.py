@@ -11,9 +11,9 @@ the induced map Hom(P0, X) -> Hom(P1, X): the hom functor is left exact
 and the Nakayama duality turns the twisted kernel condition into exactly
 that rank condition.  The rank form decides membership everywhere here:
 the class of one map is read on indecomposable items only, since it is
-closed under sums and summands, and the path actions on each item are a
-table on the catalogue.  fei_union_check sweeps the maps of each level in
-order until their classes cover the weak class, or refuses with
+closed under sums and summands, and the path actions on each item are
+read from Catalogue.path_actions.  fei_union_check sweeps the maps of each
+level in order until their classes cover the weak class, or refuses with
 BudgetError before sweeping when a level is too large; no map is drawn at
 random.  Evenly spaced maps of each level are re-checked against the perp
 of the twisted kernel module itself.
@@ -132,13 +132,6 @@ def _zero_map_class(cat, vertices):
     return _on_indecomposables(cat, lambda x: in_perp_of_kernel(U, cat, x))
 
 
-@memo
-def _path_actions(cat, idx):
-    """Action matrix of every algebra basis path on item idx."""
-    X = cat.rep(idx)
-    return tuple(X.path_matrix(path) for path in X.algebra.basis)
-
-
 def _restriction_matrix(U, X, actions):
     """Matrix of composition with U: Hom(P0, X) -> Hom(P1, X)."""
     A = X.algebra
@@ -168,13 +161,8 @@ def _restriction_matrix(U, X, actions):
 
 def in_perp_of_kernel(U, cat, idx):
     """Whether item idx has no nonzero hom into the twisted kernel of U."""
-    X = cat.rep(idx)
-    m, nr = _restriction_matrix(U, X, _path_actions(cat, idx))
-    if nr == 0:
-        return True
-    if not m[0]:
-        return False
-    return rank(tuple(tuple(r) for r in m), X.algebra.p) == nr
+    m, nr = _restriction_matrix(U, cat.rep(idx), cat.path_actions(idx))
+    return rank(m, cat.algebra.p) == nr
 
 
 def _exclusion_certificates(cat, theta, target):

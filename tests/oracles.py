@@ -3,9 +3,11 @@
 Each closure here tests every item of the catalogue against every generator,
 decomposable or not, with hom spaces computed straight from the modules.
 ``submodule_families`` joins every submodule with every other one, seeded by
-every nonzero vector.  With the code under test they share only
-``hom_space``, the F_p kernels and the cyclic submodule of one vector: no
-Krull-Schmidt reduction, cached rows or seed-only join.  They are slow on
+the ``cyclic_closure`` of every nonzero vector, its own arrow-by-arrow
+closure, where the catalogue spans each cyclic submodule from the path
+actions of its item.  With the code under test they share only
+``hom_space`` and the F_p kernels: no Krull-Schmidt reduction, cached rows,
+path-action table or seed-only join.  They are slow on
 purpose.  The closures take one mask at a time and test every item anew,
 where ``torslab.torsion`` reads each Fac and Sub verdict from a table keyed
 by the item and the generators that map to or from it, and runs one
@@ -588,6 +590,27 @@ def torsion_classes(cat):
     return sorted(classes, key=lambda m: (m.bit_count(), m))
 
 
+def cyclic_closure(M, v0, vec):
+    """The submodule generated by vec in M_v0, closed arrow by arrow: the
+    image of each spanning vector along each arrow out of its vertex joins
+    the span at the arrow's target when it lies outside it."""
+    A = M.algebra
+    p = A.p
+    spans = [[] for _ in range(A.n)]
+    spans[v0] = [tuple(vec)]
+    work = [(v0, tuple(vec))]
+    while work:
+        u, w = work.pop()
+        for ai, a in enumerate(A.arrows):
+            if a.source != u:
+                continue
+            img = mat_vec(M.mats[ai], w, p)
+            if any(residual(img, row_space(tuple(spans[a.target]), p), p)):
+                spans[a.target].append(img)
+                work.append((a.target, img))
+    return tuple(row_space(tuple(spans[v]), p) for v in range(A.n))
+
+
 def submodule_families(cat, idx):
     """All submodules by joining every family with every other family."""
     M = cat.rep(idx)
@@ -597,7 +620,7 @@ def submodule_families(cat, idx):
     for v in range(A.n):
         for vec in itertools.product(range(p), repeat=M.dims[v]):
             if any(vec):
-                fams.add(cat._cyclic_closure(M, v, vec))
+                fams.add(cyclic_closure(M, v, vec))
     queue = list(fams)
     while queue:
         fam = queue.pop()

@@ -49,6 +49,16 @@ def test_parse_errors():
         load_algebra("field p=2\nvertices 1 2\narrow a: 1 -> 3")
     with pytest.raises(AlgebraError):
         load_algebra("field p=2\nvertices 1 2\nfrobnicate 7")
+    # ambiguous header lines: a spaced or underscored number, a second line
+    with pytest.raises(AlgebraError, match="line 1: bad field line 'p=1 1'"):
+        load_algebra("field p=1 1\nvertices 1")
+    with pytest.raises(AlgebraError, match="line 1: bad field line"):
+        load_algebra("field p=1_1\nvertices 1")
+    with pytest.raises(AlgebraError, match="line 2: second 'field' line"):
+        load_algebra("field p=2\nfield p=3\nvertices 1")
+    with pytest.raises(AlgebraError, match="line 3: second 'vertices' line"):
+        load_algebra("field p=2\nvertices 1\nvertices 1 2")
+    assert load_algebra("field p = 3\nvertices 1").p == 3
     # relation terms must be parallel
     with pytest.raises(AlgebraError):
         load_algebra(

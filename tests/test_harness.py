@@ -747,6 +747,7 @@ def test_cli_unknown_algebra_errors():
         (("verify", "--suite", "bogus", "--algebra", "a2"), "invalid choice: 'bogus'"),
         (("wallchamber", "--algebra", "a2", "--timings"), "unrecognized arguments: --timings"),
         (("fan", "--algebra", "FREE_LOOP_FILE"), "path window exceeds 10000 paths"),
+        (("fan", "--algebra", "TWO_FIELDS_FILE"), "bad algebra: line 2: second 'field' line"),
     ],
 )
 def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
@@ -756,7 +757,9 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
         "DIR": tmp_path,
         "MISSING_DIR_OUT": tmp_path / "no-such-dir" / "fan.json",
         "FREE_LOOP_FILE": tmp_path / "free-loop.alg",
+        "TWO_FIELDS_FILE": tmp_path / "two-fields.alg",
     }
+    paths["TWO_FIELDS_FILE"].write_text("field p=2\nfield p=3\nvertices 1\n")
     paths["BAD_FILE"].write_text("field p=2\nvertices 1 2\narrow a: 1 -> 3\n")
     # a loop at v0 in no relation, beside a relation at v1: infinite
     paths["FREE_LOOP_FILE"].write_text(

@@ -178,10 +178,20 @@ def test_witness_lookups_match_the_scan_on_king_classes(name, bound, grid):
 
 @pytest.mark.parametrize(
     "name, bound",
-    [("kronecker", (2, 3)), ("a2", (3, 3)), ("kxk", (1, 1)), ("loop", (2,))],
+    [
+        ("kronecker", (2, 3)),
+        ("a2", (3, 3)),
+        ("kxk", (1, 1)),
+        ("loop", (2,)),
+        # algebras with relations: the basis of pi_a3 has paths of length 2
+        ("pi_a3", (1, 2, 1)),
+        ("pi_a2 p=3", (2, 2)),
+    ],
 )
 def test_submodule_families_match_all_pairs_join(name, bound):
-    cat = Catalogue(bundled(name), bound)
+    # the oracle seeds with its own closure, so this checks seeds and joins
+    name, _, p = name.partition(" p=")
+    cat = Catalogue(bundled(name, p=int(p) if p else None), bound)
     for idx in range(len(cat)):
         assert cat.submodule_families(idx) == oracles.submodule_families(cat, idx)
 
