@@ -148,22 +148,29 @@ class _PathWindow:
         self.basis = sorted(standard) if m < L else None
 
     def _ideal_rows(self, A, L):
-        """The rows x.r.y of length <= L as {column: coefficient} dicts."""
+        """The rows x.r.y of length <= L as {column: coefficient} dicts,
+        reduced mod p with no zero entry, each a fresh dict."""
         for rel in A.relations:
             src, tgt = rel[0][1][0], _path_target(A.arrows, rel[0][1])
             room = L - max(len(arrs) for _, (_, arrs) in rel)
+            # distinct terms t give distinct paths x.t.y, so a row holds the
+            # net coefficient of each term
+            net = Counter()
+            for coeff, (_, arrs) in rel:
+                net[arrs] += coeff
+            terms = [(arrs, c % A.p) for arrs, c in net.items() if c % A.p]
+            if not terms:
+                continue
+            coeffs = [c for _, c in terms]
             for x in range(len(self.target)):
                 if self.length[x] > room or self.target[x] != src:
                     continue
                 # the paths x.t.y of the terms t, y growing from the trivial path
-                heads = [reduce(lambda k, ai: self.step[k][ai], arrs, x) for _, (_, arrs) in rel]
+                heads = [reduce(lambda k, ai: self.step[k][ai], arrs, x) for arrs, _ in terms]
                 stack = [(tgt, heads)]
                 while stack:
                     y, heads = stack.pop()
-                    row = {}
-                    for (coeff, _), h in zip(rel, heads):
-                        row[-h] = row.get(-h, 0) + coeff
-                    yield row
+                    yield {-h: c for c, h in zip(coeffs, heads)}
                     if self.length[x] + self.length[y] < room:
                         for ai, z in self.step[y].items():
                             stack.append((z, [self.step[h][ai] for h in heads]))
@@ -475,9 +482,11 @@ class Representation:
         """Matrix of the action of a path, shape (d_target x d_source)."""
         A = self.algebra
         src, arrs = path
-        cur = src
-        m = identity(self.dims[src])
-        for ai in arrs:
+        if not arrs:
+            return identity(self.dims[src])
+        m = self.mats[arrs[0]]
+        cur = A.arrows[arrs[0]].target
+        for ai in arrs[1:]:
             a = A.arrows[ai]
             if self.dims[cur] == 0:
                 m = zeros(self.dims[a.target], self.dims[src])

@@ -18,10 +18,12 @@ sparse back-substitution and returns the reduced rows as dicts; ``rref``
 makes them dense, and the path window of ``algebra`` reads entries from
 them.  ``rank`` counts the echelon rows.  A caller that already holds
 sparse rows may pass them to ``reduced_rows``, ``rref`` or ``nullspace`` as
-{column: value} dicts with the column count;
-the silting Hom-complex differential and the ideal rows of a path window
-are built that way.  ``rank`` takes dense rows only.  The rows ``rref`` and
-``nullspace`` return are dense tuples.
+{column: value} dicts with the column count; the silting Hom-complex
+differential and the ideal rows of a path window are built that way, fresh
+and already reduced mod p.  Such rows are handed over, not copied: the
+kernel reduces them in place and keeps them as its echelon rows, so the
+caller must not read them afterwards.  ``rank`` takes dense rows only.
+The rows ``rref`` and ``nullspace`` return are dense tuples.
 
 Over Q, ``bareiss_pivot`` is the only elimination step: one fraction-free
 (Bareiss, Math. Comp. 22 (1968)) pivot of an integer tableau, whose every
@@ -97,6 +99,9 @@ def _echelon(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, in
 
     Rows are dense sequences, or {column: value} dicts when ncols is given.
     Each row is kept as a dict {column: value} of its nonzero entries mod p.
+    A dict row handed in becomes the kernel's own: it is reduced mod p,
+    eliminated and scaled in place, and may be returned as a pivot row, so
+    the caller must not read it afterwards, nor hand in one dict twice.
     A new row is reduced at its lowest column against the pivot rows found
     so far until that column has no pivot; it is then scaled so that its
     pivot entry is 1.  Entries of a row at later pivot columns stay, so the
@@ -107,7 +112,12 @@ def _echelon(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, in
         if isinstance(row, dict):
             if ncols is None:
                 raise ValueError("dict rows need the column count")
-            d = {c: y for c, x in row.items() if (y := x % p)}
+            d = row
+            for c in [c for c, x in d.items() if not 0 < x < p]:
+                if d[c] % p:
+                    d[c] %= p
+                else:
+                    del d[c]
         else:
             if ncols is None:
                 ncols = len(row)
@@ -118,7 +128,8 @@ def _echelon(rows: Iterable, p: int, ncols: int | None = None) -> tuple[dict, in
             if prow is None:
                 if d[c] != 1:
                     inv = inv_mod(d[c], p)
-                    d = {j: x * inv % p for j, x in d.items()}
+                    for j in d:
+                        d[j] = d[j] * inv % p
                 pivots[c] = d
                 break
             _subtract(d, d[c], prow, p)

@@ -100,36 +100,71 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
-def _render(obj, out, nl, spans):
+# the fragment count at which _render joins its fragments into one chunk
+CHUNK_FRAGMENTS = 4096
+
+
+class _SharedDict(dict):
+    """A payload dict that a suite's memo table hands to many checks.  It
+    renders as a dict; render_json renders it once (see _shared_text)."""
+
+    __slots__ = ()
+
+
+class _SharedTuple(tuple):
+    """A payload tuple that a suite's memo table hands to many checks.  It
+    renders as a list; render_json renders it once (see _shared_text)."""
+
+    __slots__ = ()
+
+
+def _render(obj, out, nl, texts, chunks):
     """Append the indent=2, sorted-key JSON of obj to out.
 
     nl is a newline plus the indentation of obj's own line.  Strings, ints,
     bools and None are written here and any other scalar goes through
-    json.dumps alone, so the chunks joined are the bytes of
+    json.dumps alone, so the fragments joined are the bytes of
     json.dumps(sort_keys=True, indent=2).
 
-    spans is the table of one render_json call, keyed by the id of a
-    nonempty dict, or of a list or tuple that holds more than ints, and by
-    the nl its text depends on.  It holds the slice of out that the
-    container's first rendering filled, and once the same object comes back
-    at the same indentation, that slice joined into one string, which every
-    further occurrence appends.  Keying by id is safe within one call: the
-    caller holds every object of the tree until the call returns, so no id
-    is reused, and nothing mutates the tree meanwhile.
+    Once out holds more than CHUNK_FRAGMENTS fragments at the end of a
+    container, they are joined into one string, appended to chunks, and out
+    is cleared: the text is chunks and then out, joined.  A marked
+    container's text comes from _shared_text; every other container is
+    rendered where it stands.
     """
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        if type(obj) is _SharedDict:
+            out.append(_shared_text(obj, nl, texts))
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            # the encoder raises TypeError on a key that is not a str
+            out.append(sep + _encode_str(key) + ": ")
+            sep = "," + inner
+            _render(value, out, inner, texts, chunks)
+        out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        inner = nl + "  "
         # exact ints only: a bool is an int but renders as true or false
         if set(map(type, obj)) == {int}:
-            inner = nl + "  "
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
             return
+        if type(obj) is _SharedTuple:
+            out.append(_shared_text(obj, nl, texts))
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            sep = "," + inner
+            _render(value, out, inner, texts, chunks)
+        out.append(nl + "]")
     else:
         if isinstance(obj, str):
             out.append(_encode_str(obj))
@@ -144,31 +179,28 @@ def _render(obj, out, nl, spans):
         else:
             out.append(json.dumps(obj, default=_json_default))
         return
+    if len(out) > CHUNK_FRAGMENTS:
+        chunks.append("".join(out))
+        out.clear()
+
+
+def _shared_text(obj, nl, texts):
+    """The text of a marked container at the indentation nl.
+
+    texts is the table of one render_json call, keyed by the container's id
+    and nl: the text is rendered, as the plain dict or tuple, and joined the
+    first time, and read from the table at every repeat.  Keying by id is
+    safe within one call: the caller holds every object of the tree until
+    the call returns, so no id is reused, and nothing mutates the tree
+    meanwhile."""
     at = (id(obj), nl)
-    span = spans.get(at)
-    if span is not None:
-        if type(span) is slice:
-            span = spans[at] = "".join(out[span])
-        out.append(span)
-        return
-    start = len(out)
-    inner = nl + "  "
-    if isinstance(obj, dict):
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            # the encoder raises TypeError on a key that is not a str
-            out.append(sep + _encode_str(key) + ": ")
-            sep = "," + inner
-            _render(value, out, inner, spans)
-        out.append(nl + "}")
-    else:
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            sep = "," + inner
-            _render(value, out, inner, spans)
-        out.append(nl + "]")
-    spans[at] = slice(start, len(out))
+    text = texts.get(at)
+    if text is None:
+        chunks, out = [], []
+        _render((dict if isinstance(obj, dict) else tuple)(obj), out, nl, texts, chunks)
+        chunks += out
+        text = texts[at] = "".join(chunks)
+    return text
 
 
 def render_json(obj):
@@ -176,14 +208,19 @@ def render_json(obj):
     newline, with Fractions as strings.  Keys must be str; a value JSON
     cannot hold raises TypeError.
 
-    Each container object is rendered once per call and per indentation: a
-    subtree the report shares, such as the payloads one class pair gives
-    many weights of the semistable suite, is joined once and appended at
-    every further place it stands (see _render).  The table lives for this
-    call only, so a tree mutated between two calls renders afresh."""
-    out = []
-    _render(obj, out, "\n", {})
-    return "".join(out) + "\n"
+    The text is built in chunks of about CHUNK_FRAGMENTS fragments and
+    joined once at the end, so rendering holds the chunks and the finished
+    text and little besides.  A marked container (_SharedDict or
+    _SharedTuple), such as the payloads one class pair gives many weights of
+    the semistable suite, is rendered once per call and per indentation and
+    its text appended at every further place it stands (see _shared_text).
+    That table lives for this call only, so a tree mutated between two
+    calls renders afresh."""
+    chunks, out = [], []
+    _render(obj, out, "\n", {}, chunks)
+    chunks += out
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def refield(text, p):
@@ -295,17 +332,18 @@ def _tbar_map_search(cat, theta, target):
 
 @memo
 def _tbar_map(cat, searched, level):
-    """The tbar-map payload of a single-map search, one dict per outcome
-    in a window, so that the semistable report shares it between weights."""
-    return {"searched": searched, "level": level}
+    """The tbar-map payload of a single-map search, one marked dict per
+    outcome in a window, so that the semistable report shares it between
+    weights."""
+    return _SharedDict(searched=searched, level=level)
 
 
 @memo
 def _rays(cat, face):
-    """The face itself, one tuple per face of the fan in a window, so that
-    the semistable report shares each weight's rays (a tuple renders as a
-    list)."""
-    return face
+    """The face itself as a marked tuple, one per face of the fan in a
+    window, so that the semistable report shares each weight's rays (a
+    tuple renders as a list)."""
+    return _SharedTuple(face)
 
 
 @memo
@@ -313,19 +351,21 @@ def _class_pair_payload(cat, tmask, tbar):
     """The six predicates of a weight cutting out T and Tbar, the witness
     dimension vectors of both classes and whether all six predicates hold,
     once per class pair of the window: many grid weights of the semistable
-    suite cut out the same pair."""
+    suite cut out the same pair.  The three dicts are marked."""
     wt = witnesses(cat, tmask)
     wb = witnesses(cat, tbar)
-    predicates = {
+    predicates = _SharedDict({
         "T-bicompact": wt["bicompact"],
         "T-compact": wt["compact"] is not None,
         "T-ff": wt["ff"],
         "Tbar-bicompact": wb["bicompact"],
         "Tbar-cocompact": wb["cocompact"] is not None,
         "Tbar-ff": wb["ff"],
-    }
+    })
     witnessed = all(predicates.values())
-    return predicates, _witness_dims(cat, wt), _witness_dims(cat, wb), witnessed
+    t_dims = _SharedDict(_witness_dims(cat, wt))
+    tbar_dims = _SharedDict(_witness_dims(cat, wb))
+    return predicates, t_dims, tbar_dims, witnessed
 
 
 @memo
@@ -363,7 +403,7 @@ def suite_semistable(algebra, bound, grid=(-4, 4), depth=6, algebra_id="algebra"
 
     Payload values that repeat across weights (the predicates and witness
     payloads of a class pair, the rays of a face, the outcome of a
-    single-map search) are one shared object each, so render_json renders
+    single-map search) are one marked object each, so render_json renders
     each once; editing one edits every check that holds it.
     """
     cat = Catalogue(algebra, bound)

@@ -29,6 +29,7 @@ from torslab.algebra import (
     quotient_module,
     submodule_rep,
 )
+from torslab.catalogue import Catalogue
 from torslab.stability import _integer_weight, _pairings
 
 
@@ -118,6 +119,40 @@ def test_inhomogeneous_relation_basis():
     x = A.basis_index[(0, (0,))]
     xx = A.basis_index[(0, (0, 0))]
     assert A.mult({xx: 1}, {x: 1}) == {xx: 2}
+
+
+def test_ideal_rows_arrive_reduced_mod_p():
+    # 2*x.x + 2*x.x nets x.x over F_3: each row holds the net coefficient of
+    # each term, reduced, in a fresh dict, and the algebra is that of
+    # x.x + x.x.x
+    A = load_algebra("field p=3\nvertices 1\narrow x: 1 -> 1\nrelation 2*x.x + 2*x.x + x.x.x")
+    B = load_algebra("field p=3\nvertices 1\narrow x: 1 -> 1\nrelation x.x + x.x.x")
+    assert A.basis == B.basis and A.dim == 3
+    units = range(A.dim)
+    assert [A.mult_basis(i, j) for i in units for j in units] == [
+        B.mult_basis(i, j) for i in units for j in units
+    ]
+    rows = list(_PathWindow(A, 4)._ideal_rows(A, 4))
+    assert rows == list(_PathWindow(B, 4)._ideal_rows(B, 4))
+    assert rows and all(0 < c < A.p for row in rows for c in row.values())
+    assert len(set(map(id, rows))) == len(rows)
+
+
+def test_path_matrix_is_the_product_of_the_arrow_matrices(square, kronecker):
+    # every basis path on every item, zero dimensions included, against the
+    # product of its arrow matrices started from the identity
+    for A, bound in ((square, (1, 1, 1, 1)), (kronecker, (2, 2))):
+        cat = Catalogue(A, bound)
+        for idx in range(len(cat)):
+            X = cat.rep(idx)
+            for src, arrs in A.basis:
+                m = [[int(i == j) for j in range(X.dims[src])] for i in range(X.dims[src])]
+                for ai in arrs:
+                    m = [
+                        [sum(x * m[k][c] for k, x in enumerate(row)) % A.p for c in range(X.dims[src])]
+                        for row in X.mats[ai]
+                    ]
+                assert X.path_matrix((src, arrs)) == tuple(map(tuple, m))
 
 
 @pytest.mark.parametrize("p", [2, 3])

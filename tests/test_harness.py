@@ -7,8 +7,10 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -609,6 +611,74 @@ def test_render_json_matches_oracle_on_a_shared_subtree(t):
     assert render_json(obj) == oracles.render_json(obj)
 
 
+def _marked(t):
+    """t with every dict and tuple in it a marked container."""
+    if isinstance(t, dict):
+        return reports._SharedDict({k: _marked(v) for k, v in t.items()})
+    if isinstance(t, tuple):
+        return reports._SharedTuple(map(_marked, t))
+    if isinstance(t, list):
+        return [_marked(v) for v in t]
+    return t
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_REPORTS, st.sampled_from([1, 2, 7, reports.CHUNK_FRAGMENTS]))
+def test_render_json_matches_oracle_on_marked_subtrees_and_small_chunks(t, chunk):
+    # a marked subtree, nested ones included, at several positions and
+    # depths, rendered in chunks of a few fragments
+    m = _marked(t)
+    obj = {"a": m, "b": [m, {"c": m}, m], "d": (m,), "e": [[m], [m]], "f": t}
+    with mock.patch.object(reports, "CHUNK_FRAGMENTS", chunk):
+        assert render_json(obj) == oracles.render_json(obj)
+
+
+_MARKED = (reports._SharedDict, reports._SharedTuple)
+
+
+def _unmarked_containers(obj):
+    """Each dict, list and tuple of a report tree, once per place it stands,
+    without descending into a marked container, whose text is kept whole."""
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (dict, list, tuple)):
+            yield x
+            if type(x) not in _MARKED:
+                stack.extend(x.values() if isinstance(x, dict) else x)
+
+
+@pytest.fixture(scope="module")
+def chambers(a2):
+    """The report of the chambers benchmark command."""
+    return reports.suite_semistable(a2, (2, 2), grid=(-12, 12), depth=6, algebra_id="a2")
+
+
+def test_shared_payloads_are_marked(chambers, kronecker):
+    # a container that stands at two places of the chambers report is one
+    # the semistable suite's memo tables hand out, and so marked
+    places = Counter(map(id, _unmarked_containers(chambers)))
+    shared = [x for x in _unmarked_containers(chambers) if places[id(x)] > 1]
+    assert shared and all(type(x) in _MARKED for x in shared)
+    # numdis builds every payload afresh: nothing is marked or shared
+    rep = reports.suite_numdis(kronecker, (2, 2), "kronecker")
+    seen = list(_unmarked_containers(rep))
+    assert len(seen) > 100 and len(set(map(id, seen))) == len(seen)
+    assert not any(type(x) in _MARKED for x in seen)
+
+
+def test_render_json_peak_stays_near_the_text(chambers):
+    # rendering holds the chunks and the finished text, little besides
+    tracemalloc.start()
+    try:
+        text = render_json(chambers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 700_000
+    assert peak <= 2.25 * len(text)
+
+
 def test_render_json_of_a_shared_report_matches_unshared_copies(a2):
     rep = reports.suite_semistable(a2, (2, 2), grid=(-4, 4), depth=6, algebra_id="a2")
     text = render_json(rep)
@@ -629,12 +699,11 @@ def test_render_json_table_lives_for_one_call(a2):
     assert second == oracles.render_json(rep) != first
 
 
-def test_semistable_report_shares_rays_and_tbar_maps(a2):
+def test_semistable_report_shares_rays_and_tbar_maps(chambers):
     # the chambers workload: 625 weights, whose rays lie on the 11 faces of
     # the fan (origin included) and whose single-map searches end in 2
     # outcomes; each is one object, so render_json renders it once
-    rep = reports.suite_semistable(a2, (2, 2), grid=(-12, 12), depth=6, algebra_id="a2")
-    payloads = [c["witness"] for c in rep["checks"][:-1]]
+    payloads = [c["witness"] for c in chambers["checks"][:-1]]
     assert len(payloads) == 625
     rays = [w["rays"] for w in payloads]
     tbar_maps = [w["tbar-map"] for w in payloads]

@@ -322,8 +322,12 @@ def test_kernels_of_the_walk_differentials(monkeypatch, p):
     seen = []
 
     def recorded(rows, ncols, q):
+        # the rows arrive reduced mod q; nullspace reduces them in place, so
+        # the kernel is checked against copies taken first
+        assert all(0 < x < q for row in rows for x in row.values())
+        copies = [dict(row) for row in rows]
         basis = nullspace(rows, ncols, q)
-        seen.append((rows, ncols, basis))
+        seen.append((copies, ncols, basis))
         return basis
 
     monkeypatch.setattr(silting, "nullspace", recorded)
@@ -354,6 +358,16 @@ def test_nullspace_makes_no_rref_call(monkeypatch):
     assert nullspace(((1, 2, 0), (0, 0, 1)), 3, 3) == ((1, 1, 0),)
     assert nullspace(({0: 1, 1: 2}, {2: 4}), 3, 3) == ((1, 1, 0),)
     assert not calls
+
+
+def test_echelon_takes_dict_rows_as_its_own():
+    # no copy: each dict row is reduced mod p, eliminated and scaled in place,
+    # and a row that leads a pivot is returned as it
+    rows = [{0: 4, 2: 3}, {0: 2, 1: 5}, {1: 6}]
+    pivots, ncols = linalg._echelon(rows, 3, 3)
+    assert ncols == 3 and pivots == {0: {0: 1}, 1: {1: 1}}
+    assert pivots[0] is rows[0] and pivots[1] is rows[1]
+    assert rows[2] == {}
 
 
 def _rows_that_raise():
